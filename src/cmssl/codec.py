@@ -2,9 +2,18 @@
 
 Frames are (H, W, 3) uint8. Each group of pictures stores one full I-frame
 followed by P-frames carrying a per-block motion-vector grid and a lossless
-int16 residual, so decode(encode(v)) is bit-exact. Motion search is
-exhaustive SAD over a +/- search_range window with a deterministic
-tie-break, which keeps encodes reproducible across platforms.
+int16 residual, so decode(encode(v)) is bit-exact.
+
+Motion search is exhaustive: every block tries every offset (dx, dy) with
+|dx|, |dy| <= search_range and keeps the one with the smallest sum of
+absolute differences (SAD) over all 3 channels. A candidate is excluded
+when its block would leave the frame (y+dy < 0, y+dy+b > H, and the same
+for x), so a range wider than the frame is fine. Ties go to the smallest
+|dx|+|dy|, then the smallest dy, then the smallest dx. The arithmetic is
+exact: absolute differences stay in uint8, row sums in an unsigned type
+wide enough for 255*b, and block sums are floats of integers below 2**24
+(float32) or 2**53 (float64), where addition never rounds. Encodes are
+therefore the same on every platform.
 
 Container format CMV1 (all integers little-endian):
   magic 'CMV1', version u16, H u32, W u32, gop_size u16, block_size u16,
@@ -16,7 +25,6 @@ Container format CMV1 (all integers little-endian):
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,48 +120,63 @@ def _sorted_offsets(search_range: int) -> list[tuple[int, int]]:
     return offs
 
 
-# any block containing a sentinel pixel costs more than the worst valid block
-# (8*8*3*255 = 48960) and less than int32 overflow even if fully sentinel
-_SAD_SENTINEL = np.int32(5_000_000)
-
-
 def _estimate_motion_batch(refs: np.ndarray, tgts: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """SAD search for n (reference, target) pairs at once -> (n, Hb, Wb, 2)."""
+    """Exhaustive SAD search for n (reference, target) pairs at once -> (n, Hb, Wb, 2)."""
     n, h, w, _ = tgts.shape
     b = cfg.block_size
     hb, wb = h // b, w // b
     r = cfg.search_range
-    best = np.zeros((n, hb, wb, 2), dtype=np.int16)
     if r == 0:
-        return best
-    refi = refs.astype(np.int16)
-    tgti = tgts.astype(np.int16)
-    best_sad = np.full((n, hb, wb), np.iinfo(np.int32).max, dtype=np.int32)
-    buf = np.empty((n, h, w), dtype=np.int32)
-    for dx, dy in _sorted_offsets(r):
-        y0, y1 = max(0, -dy), h - max(0, dy)
-        x0, x1 = max(0, -dx), w - max(0, dx)
-        buf[...] = _SAD_SENTINEL
-        d = tgti[:, y0:y1, x0:x1] - refi[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-        np.abs(d, out=d)
-        c = d[..., 0].astype(np.int32)  # summing channels by strided adds beats
-        c += d[..., 1]                  # a length-3 axis reduction by a lot
-        c += d[..., 2]
-        buf[:, y0:y1, x0:x1] = c
-        sad = buf.reshape(n, hb, b, w).sum(axis=2, dtype=np.int32)
-        sad = sad.reshape(n, hb, wb, b).sum(axis=3, dtype=np.int32)
-        better = sad < best_sad  # strict: ties keep the higher-priority offset
-        best_sad[better] = sad[better]
-        best[better] = (dx, dy)
-    return best
+        return np.zeros((n, hb, wb, 2), dtype=np.int16)
+    offsets = np.array(_sorted_offsets(r), dtype=np.int16)  # (K, 2) as (dx, dy)
+    # the n frames sit side by side, so pixel row y of all of them is one row
+    # of n*w*3 bytes and a block is b rows of 3b contiguous bytes; the
+    # references get r pixels of zeros around that strip, so every offset's
+    # candidate strip is an in-bounds view
+    row = n * w * 3
+    tgt = np.ascontiguousarray(tgts.transpose(1, 0, 2, 3)).reshape(h, row)
+    ref = np.zeros((h + 2 * r, row + 6 * r), dtype=np.uint8)
+    ref[r : r + h, 3 * r : 3 * r + row] = refs.transpose(1, 0, 2, 3).reshape(h, row)
+    absdiff = np.empty_like(tgt)
+    low = np.empty_like(tgt)
+    # exact accumulators chosen from b: a sum of b rows is at most 255*b, and
+    # float sums of integers stay exact while the block SAD 765*b*b < 2**24
+    # (float32) or < 2**53 (float64)
+    rows = np.empty((hb, row), dtype=np.min_scalar_type(255 * b))
+    sum_dtype = np.float32 if 765 * b * b < 2**24 else np.float64
+    rows_f = np.empty((hb * n, w * 3), dtype=sum_dtype)
+    block_of_byte = (np.arange(w * 3)[:, None] // (3 * b) == np.arange(wb)).astype(sum_dtype)
+    sad = np.empty((len(offsets), hb, n, wb), dtype=sum_dtype)
+    for k, (dx, dy) in enumerate(offsets.tolist()):
+        cand = ref[r + dy : r + dy + h, 3 * (r + dx) : 3 * (r + dx) + row]
+        np.maximum(tgt, cand, out=absdiff)  # |t - c| = max - min without leaving uint8
+        np.minimum(tgt, cand, out=low)
+        np.subtract(absdiff, low, out=absdiff)
+        np.add.reduce(absdiff.reshape(hb, b, row), axis=1, dtype=rows.dtype, out=rows)
+        rows_f[...] = rows.reshape(hb * n, w * 3)
+        np.matmul(rows_f, block_of_byte, out=sad[k].reshape(hb * n, wb))
+    # a candidate counts only if the whole block stays inside its own frame;
+    # the excluded ones read padding or a neighbouring frame
+    dx, dy = offsets[:, :1], offsets[:, 1:]
+    y, x = np.arange(hb) * b, np.arange(wb) * b
+    in_y = (y + dy >= 0) & (y + dy + b <= h)  # (K, Hb)
+    in_x = (x + dx >= 0) & (x + dx + b <= w)  # (K, Wb)
+    np.copyto(sad, np.inf, where=~(in_y[:, :, None, None] & in_x[:, None, None, :]))
+    # argmin returns the first minimum, i.e. the highest-priority offset
+    best = offsets[sad.argmin(axis=0)]  # (Hb, n, Wb, 2)
+    return np.ascontiguousarray(best.transpose(1, 0, 2, 3))
 
 
 def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig) -> MotionVectorMap:
     """Exhaustive-search block matching minimizing SAD over all 3 channels.
 
     The vector (dx, dy) of each target block points to its best match in the
-    reference: ref[y+dy : y+dy+b, x+dx : x+dx+b]. Candidates that would read
-    outside the reference are excluded from that block's window.
+    reference: ref[y+dy : y+dy+b, x+dx : x+dx+b], over every offset with
+    |dx|, |dy| <= search_range. Candidates that would read outside the
+    reference are excluded from that block's window; (0, 0) never is. Among
+    equal SADs the smallest |dx|+|dy| wins, then the smallest dy, then the
+    smallest dx. Every sum is exact, so the result is the same on every
+    platform.
     """
     if reference.shape != target.shape:
         raise ValueError(f"frame shape mismatch: reference {reference.shape} vs target {target.shape}")
@@ -206,13 +229,15 @@ def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedV
 
 
 def validate_compressed(cv: CompressedVideo):
-    """Structural checks; raises naming the offending GOP/frame."""
+    """Structural checks; raises naming the offending GOP, P-frame and block."""
     g = cv.config.gop_size
     expected_gops = (cv.frame_count + g - 1) // g
     if len(cv.gops) != expected_gops:
         raise ValueError(f"expected {expected_gops} GOPs for {cv.frame_count} frames, found {len(cv.gops)}")
     remaining = cv.frame_count
-    hb, wb = cv.height // cv.config.block_size, cv.width // cv.config.block_size
+    b = cv.config.block_size
+    hb, wb = cv.height // b, cv.width // b
+    grids = []
     for gi, gop in enumerate(cv.gops):
         expect_p = min(remaining, g) - 1
         if len(gop.p_frames) != expect_p:
@@ -220,13 +245,30 @@ def validate_compressed(cv: CompressedVideo):
         for pi, (mv, residual) in enumerate(gop.p_frames):
             if mv.vectors.shape != (hb, wb, 2):
                 raise ValueError(f"GOP {gi} P-frame {pi}: MV grid shape {mv.vectors.shape}, expected {(hb, wb, 2)}")
-            if np.abs(mv.vectors).max(initial=0) > cv.config.search_range:
-                raise ValueError(
-                    f"GOP {gi} P-frame {pi}: motion vector exceeds search_range {cv.config.search_range}"
-                )
             if residual.shape != (cv.height, cv.width, 3):
                 raise ValueError(f"GOP {gi} P-frame {pi}: residual shape {residual.shape}")
+            grids.append(mv.vectors)
         remaining -= expect_p + 1
+    if not grids:
+        return
+    vectors = np.concatenate(grids).reshape(-1, hb, wb, 2)
+    # per block, the (dx, dy) bounds of the search window cut to the frame
+    r = cv.config.search_range
+    x, y = np.arange(wb) * b, np.arange(hb)[:, None] * b
+    low = np.empty((hb, wb, 2), dtype=np.int64)
+    high = np.empty_like(low)
+    low[..., 0], low[..., 1] = np.maximum(-r, -x), np.maximum(-r, -y)
+    high[..., 0], high[..., 1] = np.minimum(r, cv.width - b - x), np.minimum(r, cv.height - b - y)
+    bad = (vectors < low) | (vectors > high)
+    if bad.any():
+        p, by, bx, _ = np.argwhere(bad)[0]
+        gi, pi = divmod(int(p), g - 1)  # every GOP but the last has g - 1 P-frames
+        dx, dy = (int(v) for v in vectors[p, by, bx])
+        if max(abs(dx), abs(dy)) > r:
+            what = f"exceeds search_range {r}"
+        else:
+            what = f"moves the block outside the {cv.height}x{cv.width} frame"
+        raise ValueError(f"GOP {gi} P-frame {pi} block ({by}, {bx}): motion vector ({dx}, {dy}) {what}")
 
 
 def decode_video(cv: CompressedVideo) -> RawVideo:
@@ -290,44 +332,6 @@ def extract_modalities(cv: CompressedVideo, t0: int, n: int, out_size: tuple[int
     lo, hi = t0 - g, t0 + n - 1 + g
     iframes = [t for t in cv.iframe_indices() if lo <= t <= hi]
     return iframes, clip
-
-
-@dataclass
-class BenchReport:
-    n_videos: int
-    total_frames: int
-    encode_fps: list
-    extract_fps: list
-
-    def summary(self) -> dict:
-        mean = lambda xs: float(np.mean(xs)) if xs else 0.0
-        return {
-            "n_videos": self.n_videos,
-            "total_frames": self.total_frames,
-            "encode_fps_mean": mean(self.encode_fps),
-            "extract_fps_mean": mean(self.extract_fps),
-        }
-
-
-def bench_codec(videos: list[RawVideo], cfg: CodecConfig | None = None) -> BenchReport:
-    """Encode/extract throughput report; informational only, no pass/fail."""
-    cfg = cfg or CodecConfig()
-    report = BenchReport(
-        n_videos=len(videos), total_frames=sum(v.n_frames for v in videos), encode_fps=[], extract_fps=[]
-    )
-    for v in videos:
-        start = time.perf_counter()
-        cv = encode_video(v, cfg)
-        report.encode_fps.append(v.n_frames / max(time.perf_counter() - start, 1e-9))
-        start = time.perf_counter()
-        step = max(1, cv.frame_count // 8)
-        n_extracted = 0
-        for t0 in range(0, cv.frame_count - 7, step):
-            extract_modalities(cv, t0, 8)
-            n_extracted += 8
-        if n_extracted:
-            report.extract_fps.append(n_extracted / max(time.perf_counter() - start, 1e-9))
-    return report
 
 
 # -- CMV1 container ------------------------------------------------------------

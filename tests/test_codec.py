@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cmssl.codec import (
+    _HEADER,
     CodecConfig,
     RawVideo,
-    bench_codec,
     decode_video,
     encode_video,
     estimate_motion,
@@ -42,28 +42,41 @@ def translating_video(rng, t=13, h=32, w=32, step=(2, 1)):
     return RawVideo(frames=np.stack(frames))
 
 
+def quantised_frame(rng, h, w, levels):
+    """Random frame with `levels` grey levels; few levels force SAD ties."""
+    grey = rng.integers(0, levels, size=(h, w, 1)) * (255 // (levels - 1))
+    return np.repeat(grey, 3, axis=2).astype(np.uint8)
+
+
 def brute_force_sad_search(ref, tgt, cfg):
-    """Independent per-block double-loop SAD minimum (value only)."""
+    """Independent per-block double-loop SAD search.
+
+    Returns each block's minimum SAD over the in-frame candidates, and the
+    vector chosen among the candidates with that SAD: smallest |dx|+|dy|,
+    then smallest dy, then smallest dx.
+    """
     h, w, _ = tgt.shape
     b = cfg.block_size
+    r = cfg.search_range
     refi = ref.astype(np.int64)
     tgti = tgt.astype(np.int64)
-    mins = np.zeros((h // b, w // b))
+    mins = np.zeros((h // b, w // b), dtype=np.int64)
+    vectors = np.zeros((h // b, w // b, 2), dtype=np.int16)
     for by in range(h // b):
         for bx in range(w // b):
             y0, x0 = by * b, bx * b
             block = tgti[y0 : y0 + b, x0 : x0 + b]
-            best = None
-            for dy in range(-cfg.search_range, cfg.search_range + 1):
-                for dx in range(-cfg.search_range, cfg.search_range + 1):
+            sads = {}
+            for dy in range(-r, r + 1):
+                for dx in range(-r, r + 1):
                     if not (0 <= y0 + dy and y0 + b + dy <= h and 0 <= x0 + dx and x0 + b + dx <= w):
                         continue
                     cand = refi[y0 + dy : y0 + b + dy, x0 + dx : x0 + b + dx]
-                    sad = np.abs(block - cand).sum()
-                    if best is None or sad < best:
-                        best = sad
-            mins[by, bx] = best
-    return mins
+                    sads[dx, dy] = np.abs(block - cand).sum()
+            mins[by, bx] = min(sads.values())
+            ties = [o for o, sad in sads.items() if sad == mins[by, bx]]
+            vectors[by, bx] = min(ties, key=lambda o: (abs(o[0]) + abs(o[1]), o[1], o[0]))
+    return mins, vectors
 
 
 def block_sad(ref, tgt, by, bx, dx, dy, b):
@@ -103,11 +116,58 @@ class TestMotionEstimation:
             rng = np.random.default_rng(seed)
             ref, tgt = random_frame(rng, 16, 16), random_frame(rng, 16, 16)
             mv = estimate_motion(ref, tgt, cfg)
-            mins = brute_force_sad_search(ref, tgt, cfg)
+            mins, _ = brute_force_sad_search(ref, tgt, cfg)
             for by in range(2):
                 for bx in range(2):
                     dx, dy = mv.vectors[by, bx]
                     assert block_sad(ref, tgt, by, bx, dx, dy, 8) == mins[by, bx]
+
+    @pytest.mark.parametrize("block_size", range(1, 12))
+    def test_vectors_match_brute_force(self, block_size):
+        # 2 x 3 blocks, so every block touches an edge; the last range is
+        # wider than the frame
+        h, w = 2 * block_size, 3 * block_size
+        rng = np.random.default_rng(block_size)
+        for r in (0, 1, 3, w + 1):
+            cfg = CodecConfig(block_size=block_size, search_range=r)
+            for levels in (256, 3, 2):
+                ref = quantised_frame(rng, h, w, levels)
+                tgt = np.roll(ref, (1, -1), axis=(0, 1))
+                tgt[rng.random((h, w)) < 0.1] = quantised_frame(rng, 1, 1, levels)
+                mv = estimate_motion(ref, tgt, cfg)
+                _, expected = brute_force_sad_search(ref, tgt, cfg)
+                np.testing.assert_array_equal(mv.vectors, expected, err_msg=f"r={r}, levels={levels}")
+
+    def test_wide_block_accumulators_match_brute_force(self):
+        # a 258-pixel block needs 32-bit row sums (258 * 255 > 2**16) and
+        # float64 block sums (765 * 258**2 > 2**24)
+        rng = np.random.default_rng(24)
+        b = 258
+        noise = random_frame(rng, 2 * b, 2 * b)
+        white = np.full((b, 2 * b, 3), 255, dtype=np.uint8)
+        # 16-bit row sums would wrap on the three black columns and pick dx=0
+        wraps = np.zeros_like(white)
+        wraps[:, 3 : b + 3] = 254
+        # float32 would round the SADs of dx=0 and dx=1, one apart, together
+        rounds = np.zeros_like(white)
+        rounds[0, b, 0] = 1
+        cfg = CodecConfig(block_size=b, search_range=3)
+        for ref, tgt in ((noise, np.roll(noise, (2, -1), axis=(0, 1))), (wraps, white), (rounds, white)):
+            mv = estimate_motion(ref, tgt, cfg)
+            _, expected = brute_force_sad_search(ref, tgt, cfg)
+            np.testing.assert_array_equal(mv.vectors, expected)
+
+    def test_batched_gop_search_matches_brute_force(self):
+        # encode_video searches all P-frames of a GOP at once; no frame's
+        # blocks may be matched against another frame's pixels
+        rng = np.random.default_rng(25)
+        cfg = CodecConfig(block_size=4, search_range=5, gop_size=6)
+        frames = np.stack([quantised_frame(rng, 12, 16, 2) for _ in range(9)])
+        cv = encode_video(RawVideo(frames=frames), cfg)
+        for t in range(1, 9):
+            if t % cfg.gop_size:
+                _, expected = brute_force_sad_search(frames[t - 1], frames[t], cfg)
+                np.testing.assert_array_equal(mv_map_at(cv, t), expected, err_msg=f"frame {t}")
 
     def test_vectors_within_search_range(self):
         for seed in range(5):
@@ -177,6 +237,21 @@ class TestRoundtrip:
         v = translating_video(rng, t=13)
         out = decode_video(encode_video(v))
         np.testing.assert_array_equal(out.frames, v.frames)
+
+    def test_search_range_beyond_frame(self, tmp_path):
+        rng = np.random.default_rng(23)
+        v = random_video(rng, t=13, h=4, w=16)
+        cfg = CodecConfig(block_size=4, search_range=6)
+        cv = encode_video(v, cfg)
+        path = tmp_path / "narrow.cmv1"
+        write_cmv1(cv, path)
+        out = decode_video(read_cmv1(path))
+        np.testing.assert_array_equal(out.frames, v.frames)
+        x = np.arange(4) * 4  # the frame is one row of four 4x4 blocks
+        for t in range(1, 13):
+            if t % cfg.gop_size:
+                dx, dy = mv_map_at(cv, t)[0].T
+                assert np.all(dy == 0) and np.all((x + dx >= 0) & (x + dx + 4 <= 16))
 
     def test_padding_to_block_multiple(self):
         rng = np.random.default_rng(8)
@@ -297,32 +372,42 @@ class TestContainer:
         with pytest.raises(ValueError, match="GOP 0"):
             decode_video(cv)
 
+    @staticmethod
+    def write_with_mv(path, cv, gop, p_frame, block, mv):
+        """Write cv as CMV1, then overwrite one block's (dx, dy) in the file."""
+        write_cmv1(cv, path)
+        h, w, b, g = cv.height, cv.width, cv.config.block_size, cv.config.gop_size
+        mv_bytes = (h // b) * (w // b) * 4
+        p_bytes = mv_bytes + h * w * 3 * 2
+        gop_bytes = h * w * 3 + (g - 1) * p_bytes
+        offset = _HEADER.size + gop * gop_bytes + h * w * 3 + p_frame * p_bytes
+        offset += (block[0] * (w // b) + block[1]) * 4
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = np.array(mv, dtype="<i2").tobytes()
+        path.write_bytes(bytes(data))
+
+    def test_mv_leaving_top_left_rejected(self, tmp_path):
+        rng = np.random.default_rng(26)
+        cv = encode_video(random_video(rng, t=25))
+        path = tmp_path / "tl.cmv1"
+        self.write_with_mv(path, cv, 1, 2, (0, 0), (-2, -2))
+        with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\).*outside"):
+            read_cmv1(path)
+        cv.gops[1].p_frames[2][0].vectors[0, 0] = (-2, -2)
+        with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\).*outside"):
+            decode_video(cv)
+
+    def test_mv_leaving_right_edge_rejected(self, tmp_path):
+        rng = np.random.default_rng(27)
+        cv = encode_video(random_video(rng, t=13))
+        path = tmp_path / "re.cmv1"
+        self.write_with_mv(path, cv, 0, 4, (1, 3), (3, 0))
+        with pytest.raises(ValueError, match=r"GOP 0 P-frame 4 block \(1, 3\).*outside"):
+            read_cmv1(path)
+
     def test_wrong_pframe_count_rejected(self):
         rng = np.random.default_rng(20)
         cv = encode_video(random_video(rng, t=13))
         cv.gops[0].p_frames.pop()
         with pytest.raises(ValueError, match="P-frames"):
             decode_video(cv)
-
-
-class TestBench:
-    def test_empty_set(self):
-        report = bench_codec([])
-        assert report.summary()["n_videos"] == 0
-        assert report.summary()["encode_fps_mean"] == 0.0
-
-    def test_fps_positive(self):
-        rng = np.random.default_rng(21)
-        videos = [random_video(rng, t=13, h=16, w=16) for _ in range(3)]
-        s = bench_codec(videos, CodecConfig(search_range=2)).summary()
-        assert s["encode_fps_mean"] > 0
-        assert s["extract_fps_mean"] > 0
-        assert s["total_frames"] == 39
-
-    def test_repeat_runs_differ_only_in_timing(self):
-        rng = np.random.default_rng(22)
-        videos = [random_video(rng, t=13, h=16, w=16) for _ in range(2)]
-        a = bench_codec(videos, CodecConfig(search_range=2)).summary()
-        b = bench_codec(videos, CodecConfig(search_range=2)).summary()
-        for key in ("n_videos", "total_frames"):
-            assert a[key] == b[key]
