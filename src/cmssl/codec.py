@@ -51,7 +51,6 @@ class CodecConfig:
 @dataclass
 class RawVideo:
     frames: np.ndarray  # (T, H, W, 3) uint8
-    frame_rate: float = 12.0
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.uint8)
@@ -95,18 +94,14 @@ class CompressedVideo:
         return [g * self.config.gop_size for g in range(len(self.gops))]
 
 
-def pad_frames_to_block(frames: np.ndarray, block_size: int):
-    """Edge-replicate pad H and W up to multiples of block_size.
-
-    Returns (padded frames, (orig_h, orig_w)).
-    """
+def pad_frames_to_block(frames: np.ndarray, block_size: int) -> np.ndarray:
+    """Edge-replicate pad H and W up to multiples of block_size."""
     t, h, w, _ = frames.shape
     ph = (-h) % block_size
     pw = (-w) % block_size
     if ph == 0 and pw == 0:
-        return frames, (h, w)
-    padded = np.pad(frames, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
-    return padded, (h, w)
+        return frames
+    return np.pad(frames, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
 
 
 def _sorted_offsets(search_range: int) -> list[tuple[int, int]]:
@@ -205,7 +200,7 @@ def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedV
     cfg = cfg or CodecConfig()
     if video.n_frames == 0:
         raise ValueError("cannot encode an empty video")
-    frames, _ = pad_frames_to_block(video.frames, cfg.block_size)
+    frames = pad_frames_to_block(video.frames, cfg.block_size)
     cv = CompressedVideo(
         config=cfg, height=frames.shape[1], width=frames.shape[2], frame_count=frames.shape[0]
     )
@@ -228,8 +223,19 @@ def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedV
     return cv
 
 
+def _check_header(cv: CompressedVideo):
+    """The geometry a CMV1 body is laid out by: a whole block grid, one frame or more."""
+    b = cv.config.block_size
+    for name, size in (("height", cv.height), ("width", cv.width)):
+        if size < 1 or size % b:
+            raise ValueError(f"{name} {size} is not a positive multiple of block_size {b}")
+    if cv.frame_count < 1:
+        raise ValueError(f"frame_count {cv.frame_count}: a video needs at least one frame")
+
+
 def validate_compressed(cv: CompressedVideo):
-    """Structural checks; raises naming the offending GOP, P-frame and block."""
+    """Structural checks; raises naming the offending field, or GOP, P-frame and block."""
+    _check_header(cv)
     g = cv.config.gop_size
     expected_gops = (cv.frame_count + g - 1) // g
     if len(cv.gops) != expected_gops:
@@ -295,43 +301,28 @@ def mv_map_at(cv: CompressedVideo, t: int) -> np.ndarray | None:
     return cv.gops[t // g].p_frames[t % g - 1][0].vectors
 
 
-def iframe_image(cv: CompressedVideo, frame_index: int) -> np.ndarray:
-    if frame_index % cv.config.gop_size != 0:
-        raise ValueError(f"frame {frame_index} is not an I-frame")
-    return cv.gops[frame_index // cv.config.gop_size].i_frame
+def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | None = None) -> np.ndarray:
+    """Pixel-resolution MV maps of the given frame indices, (n, 2, h, w) float64.
 
-
-def extract_modalities(cv: CompressedVideo, t0: int, n: int, out_size: tuple[int, int] | None = None):
-    """MV maps of frames [t0, t0+n) at pixel resolution plus nearby I-frames.
-
-    I-frame slots contribute all-zero maps. The returned clip is float64 of
-    shape (n, 2, h, w), channel 0 = dx, channel 1 = dy; when out_size is
-    given the maps are nearest-neighbor resampled and the offset values are
-    rescaled by the spatial scale factor. Also returns the I-frame indices
-    within the window extended by one GOP on each side.
+    Channel 0 is dx, channel 1 is dy; I-frame slots are all zero. When
+    out_size is given the maps are nearest-neighbor resampled and the offset
+    values are rescaled by the spatial scale factor.
     """
-    if t0 < 0 or n < 1 or t0 + n > cv.frame_count:
-        raise ValueError(f"window [{t0}, {t0 + n}) outside video of {cv.frame_count} frames")
+    frames = np.asarray(frames)
+    if frames.ndim != 1 or frames.size == 0 or frames.min() < 0 or frames.max() >= cv.frame_count:
+        raise ValueError(f"frame indices {frames.tolist()} outside video of {cv.frame_count} frames")
     b = cv.config.block_size
     h, w = cv.height, cv.width
-    clip = np.zeros((n, 2, h, w), dtype=np.float64)
-    for i, t in enumerate(range(t0, t0 + n)):
-        grid = mv_map_at(cv, t)
-        if grid is None:
-            continue
-        full = np.repeat(np.repeat(grid, b, axis=0), b, axis=1)  # (H, W, 2)
-        clip[i] = full.transpose(2, 0, 1)
-    if out_size is not None:
-        oh, ow = out_size
-        ys = np.minimum((np.arange(oh) * h) // oh, h - 1)
-        xs = np.minimum((np.arange(ow) * w) // ow, w - 1)
-        clip = clip[:, :, ys[:, None], xs[None, :]]
-        clip[:, 0] *= ow / w
-        clip[:, 1] *= oh / h
-    g = cv.config.gop_size
-    lo, hi = t0 - g, t0 + n - 1 + g
-    iframes = [t for t in cv.iframe_indices() if lo <= t <= hi]
-    return iframes, clip
+    oh, ow = out_size or (h, w)
+    grids = [mv_map_at(cv, int(t)) for t in frames]
+    grids = np.stack([np.zeros((h // b, w // b, 2), np.int16) if g is None else g for g in grids])
+    # the block under each output pixel of the nearest-neighbor raster
+    by = np.minimum((np.arange(oh) * h) // oh, h - 1) // b
+    bx = np.minimum((np.arange(ow) * w) // ow, w - 1) // b
+    maps = grids[:, by[:, None], bx[None, :]].transpose(0, 3, 1, 2).astype(np.float64)
+    maps[:, 0] *= ow / w
+    maps[:, 1] *= oh / h
+    return maps
 
 
 # -- CMV1 container ------------------------------------------------------------
@@ -373,6 +364,7 @@ def read_cmv1(path) -> CompressedVideo:
             raise ValueError(f"{path}: unsupported CMV1 version {version}")
         cfg = CodecConfig(block_size=block_size, search_range=search_range, gop_size=gop_size)
         cv = CompressedVideo(config=cfg, height=h, width=w, frame_count=frame_count)
+        _check_header(cv)
         hb, wb = h // block_size, w // block_size
         iframe_bytes = h * w * 3
         mv_bytes = hb * wb * 2 * 2

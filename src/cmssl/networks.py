@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,20 +77,6 @@ class ModelConfig:
         return t * h * w
 
 
-# paper-scale preset kept for interface parity; "desk" is what tests exercise
-PRESETS = {
-    "desk": lambda: ModelConfig(),
-    "large": lambda: ModelConfig(
-        v_channels=(64, 128, 256),
-        i_channels=(64, 128, 256),
-        m_channels=(64, 128, 256),
-        embed_dim=512,
-        head_hidden=2048,
-        transformer=TransformerConfig(width=512, heads=8, ff_width=2048),
-    ),
-}
-
-
 def _he(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
@@ -134,7 +120,8 @@ class ConvStack:
 
 
 class MlpHead:
-    """Two affine layers with one relu; optionally applied per feature point."""
+    """Two affine layers with one leaky relu between them: the projection
+    heads, and the Transformer's feed-forward blocks."""
 
     def __init__(self, name, rng, in_dim, hidden, out_dim):
         self.name = name
@@ -144,16 +131,13 @@ class MlpHead:
         self.b2 = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        """(B, in_dim) -> (B, out_dim)."""
+        """(..., in_dim) -> (..., out_dim)."""
         h = T.leaky_relu(T.add(T.matmul(x, self.w1), self.b1))
         return T.add(T.matmul(h, self.w2), self.b2)
 
     def forward_points(self, x: Tensor) -> Tensor:
         """(B, in_dim, N) -> (B, out_dim, N): each column projected independently."""
-        xt = T.transpose(x, (0, 2, 1))
-        h = T.leaky_relu(T.add(T.matmul(xt, self.w1), self.b1))
-        out = T.add(T.matmul(h, self.w2), self.b2)
-        return T.transpose(out, (0, 2, 1))
+        return T.transpose(self.forward(T.transpose(x, (0, 2, 1))), (0, 2, 1))
 
     def params(self) -> dict:
         return {
@@ -165,10 +149,9 @@ class MlpHead:
 
 
 class _Linear:
-    def __init__(self, name, rng, d_in, d_out, std=None):
-        std = np.sqrt(1.0 / d_in) if std is None else std
+    def __init__(self, name, rng, d_in, d_out):
         self.name = name
-        self.w = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
+        self.w = Tensor(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_in, d_out)), requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -191,7 +174,7 @@ class _LayerNormParams:
         return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
 
 
-def _attention(q, k, v, heads, attn_sink=None):
+def _attention(q, k, v, heads):
     """Multi-head scaled dot-product attention over (B, S, D) tensors."""
     B, Sq, D = q.shape
     Sk = k.shape[1]
@@ -201,8 +184,6 @@ def _attention(q, k, v, heads, attn_sink=None):
     qh, kh, vh = split(q, Sq), split(k, Sk), split(v, Sk)
     scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
-    if attn_sink is not None:
-        attn_sink.append(attn.data.copy())
     out = T.matmul(attn, vh)
     out = T.reshape(T.transpose(T.reshape(out, (B, heads, Sq, dh)), (0, 2, 1, 3)), (B, Sq, D))
     return out
@@ -215,26 +196,14 @@ class _AttentionBlock:
         self.v = _Linear(f"{name}.v", rng, d, d)
         self.o = _Linear(f"{name}.o", rng, d, d)
 
-    def __call__(self, x_q, x_kv, heads, attn_sink=None):
-        return self.o(_attention(self.q(x_q), self.k(x_kv), self.v(x_kv), heads, attn_sink))
+    def __call__(self, x_q, x_kv, heads):
+        return self.o(_attention(self.q(x_q), self.k(x_kv), self.v(x_kv), heads))
 
     def params(self):
         out = {}
         for lin in (self.q, self.k, self.v, self.o):
             out.update(lin.params())
         return out
-
-
-class _FeedForward:
-    def __init__(self, name, rng, d, ff):
-        self.lin1 = _Linear(f"{name}.lin1", rng, d, ff, std=np.sqrt(2.0 / d))
-        self.lin2 = _Linear(f"{name}.lin2", rng, ff, d)
-
-    def __call__(self, x):
-        return self.lin2(T.leaky_relu(self.lin1(x)))
-
-    def params(self):
-        return {**self.lin1.params(), **self.lin2.params()}
 
 
 class Transformer:
@@ -265,7 +234,7 @@ class Transformer:
                     "ln1": _LayerNormParams(f"{p}.ln1", d),
                     "attn": _AttentionBlock(f"{p}.attn", rng, d),
                     "ln2": _LayerNormParams(f"{p}.ln2", d),
-                    "ff": _FeedForward(f"{p}.ff", rng, d, cfg.ff_width),
+                    "ff": MlpHead(f"{p}.ff", rng, d, cfg.ff_width, d),
                 }
             )
         self.dec_layers = []
@@ -278,7 +247,7 @@ class Transformer:
                     "ln2": _LayerNormParams(f"{p}.ln2", d),
                     "cross_attn": _AttentionBlock(f"{p}.cross_attn", rng, d),
                     "ln3": _LayerNormParams(f"{p}.ln3", d),
-                    "ff": _FeedForward(f"{p}.ff", rng, d, cfg.ff_width),
+                    "ff": MlpHead(f"{p}.ff", rng, d, cfg.ff_width, d),
                 }
             )
         self.enc_norm = _LayerNormParams("transformer.enc_norm", d)
@@ -294,26 +263,26 @@ class Transformer:
         seq = T.transpose(T.reshape(x, (B, c1, self.seq_in)), (0, 2, 1))
         return T.add(self.in_proj(seq), self.pos_enc)
 
-    def encode(self, tokens: Tensor, attn_sink=None) -> Tensor:
+    def encode(self, tokens: Tensor) -> Tensor:
         h = tokens
         for layer in self.enc_layers:
-            h = T.add(h, layer["attn"](layer["ln1"](h), layer["ln1"](h), self.cfg.heads, attn_sink))
-            h = T.add(h, layer["ff"](layer["ln2"](h)))
+            h = T.add(h, layer["attn"](layer["ln1"](h), layer["ln1"](h), self.cfg.heads))
+            h = T.add(h, layer["ff"].forward(layer["ln2"](h)))
         return self.enc_norm(h)
 
-    def decode(self, memory: Tensor, attn_sink=None) -> Tensor:
+    def decode(self, memory: Tensor) -> Tensor:
         B = memory.shape[0]
         q = T.add(T.add(self.queries, self.query_pos), Tensor(np.zeros((B, self.n_queries, self.cfg.width))))
         for layer in self.dec_layers:
-            q = T.add(q, layer["self_attn"](layer["ln1"](q), layer["ln1"](q), self.cfg.heads, attn_sink))
-            q = T.add(q, layer["cross_attn"](layer["ln2"](q), memory, self.cfg.heads, attn_sink))
-            q = T.add(q, layer["ff"](layer["ln3"](q)))
+            q = T.add(q, layer["self_attn"](layer["ln1"](q), layer["ln1"](q), self.cfg.heads))
+            q = T.add(q, layer["cross_attn"](layer["ln2"](q), memory, self.cfg.heads))
+            q = T.add(q, layer["ff"].forward(layer["ln3"](q)))
         return self.dec_norm(q)
 
-    def forward(self, x: Tensor, attn_sink=None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         """(B, C1, T1, H1, W1) -> (B, C3, T3, H3, W3)."""
-        memory = self.encode(self.embed_inputs(x), attn_sink)
-        tokens = self.decode(memory, attn_sink)
+        memory = self.encode(self.embed_inputs(x))
+        tokens = self.decode(memory)
         return self.tokens_to_map(self.out_proj(tokens))
 
     def tokens_to_map(self, tokens: Tensor) -> Tensor:
@@ -333,6 +302,12 @@ class Transformer:
         out.update(self.dec_norm.params())
         out.update(self.out_proj.params())
         return out
+
+
+def _check_batch(x, want: tuple, what: str):
+    """A batch (B,) + want; an unbatched input fails too."""
+    if tuple(x.shape[1:]) != want:
+        raise ValueError(f"{what} shape {tuple(x.shape[1:])}, expected {want}")
 
 
 class ModelBundle:
@@ -364,47 +339,29 @@ class ModelBundle:
         self.g_m2 = MlpHead("g_m2", rng, c3, cfg.head_hidden, cfg.embed_dim)
         self.value_head = _Linear("value_head", rng, c3, 2)
 
-    # -- forward passes (inputs rank n are treated as a batch of one) -------
-
-    def _batched(self, x, rank):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.data.ndim == rank:
-            return T.reshape(x, (1,) + tuple(x.shape)), True
-        if x.data.ndim == rank + 1:
-            return x, False
-        raise ValueError(f"expected rank {rank} or {rank + 1}, got shape {x.shape}")
+    # -- forward passes: batches only, numpy arrays or Tensors ---------------
 
     def v_forward(self, clip) -> Tensor:
-        x, squeeze = self._batched(clip, 4)
+        """(B, 3, clip_len, S, S) clips -> (B, C1, T1, H1, W1) features."""
         cfg = self.config
-        want = (3, cfg.clip_len, cfg.input_size, cfg.input_size)
-        if tuple(x.shape[1:]) != want:
-            raise ValueError(f"clip shape {tuple(x.shape[1:])}, expected {want}")
-        out = self.v_net.forward(x)
-        return T.reshape(out, out.shape[1:]) if squeeze else out
+        _check_batch(clip, (3, cfg.clip_len, cfg.input_size, cfg.input_size), "clip")
+        return self.v_net.forward(clip)
 
     def i_forward(self, iframe) -> Tensor:
-        x, squeeze = self._batched(iframe, 3)
+        """(B, 3, S, S) I-frames -> (B, C2, H2, W2) features."""
         cfg = self.config
-        want = (3, cfg.input_size, cfg.input_size)
-        if tuple(x.shape[1:]) != want:
-            raise ValueError(f"iframe shape {tuple(x.shape[1:])}, expected {want}")
-        out = self.i_net.forward(x)
-        return T.reshape(out, out.shape[1:]) if squeeze else out
+        _check_batch(iframe, (3, cfg.input_size, cfg.input_size), "iframe")
+        return self.i_net.forward(iframe)
 
     def m_forward(self, mv_clip) -> Tensor:
-        x, squeeze = self._batched(mv_clip, 4)
+        """(B, 2, mv_len, S, S) motion clips -> (B, C3, T3, H3, W3) features."""
         cfg = self.config
-        want = (2, cfg.mv_len, cfg.input_size, cfg.input_size)
-        if tuple(x.shape[1:]) != want:
-            raise ValueError(f"mv clip shape {tuple(x.shape[1:])}, expected {want}")
-        out = self.m_net.forward(x)
-        return T.reshape(out, out.shape[1:]) if squeeze else out
+        _check_batch(mv_clip, (2, cfg.mv_len, cfg.input_size, cfg.input_size), "mv clip")
+        return self.m_net.forward(mv_clip)
 
-    def transformer_predict(self, x, attn_sink=None) -> Tensor:
-        x, squeeze = self._batched(x, 4)
-        out = self.transformer.forward(x, attn_sink)
-        return T.reshape(out, out.shape[1:]) if squeeze else out
+    def transformer_predict(self, x) -> Tensor:
+        """(B, C1, T1, H1, W1) clip features -> (B, C3, T3, H3, W3)."""
+        return self.transformer.forward(x)
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -433,15 +390,6 @@ class ModelBundle:
             else:
                 zeros += int((p.grad == 0).sum())
         return zeros / max(total, 1)
-
-    def param_checksum(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for name in sorted(self.params()):
-            h.update(name.encode())
-            h.update(self.params()[name].data.tobytes())
-        return h.hexdigest()
 
 
 # -- checkpoint container --------------------------------------------------------
@@ -496,7 +444,7 @@ def save_checkpoint(bundle: ModelBundle, path, extra_arrays: dict | None = None,
     arrays = {name: p.data for name, p in bundle.params().items()}
     if extra_arrays:
         arrays.update(extra_arrays)
-    full_meta = {"model_config": _config_to_dict(bundle.config)}
+    full_meta = {"model_config": asdict(bundle.config)}
     full_meta.update(meta or {})
     save_arrays(path, arrays, full_meta)
 
@@ -505,9 +453,7 @@ def load_checkpoint(path, bundle: ModelBundle | None = None):
     """Restore (or build) a bundle; returns (bundle, extra_arrays, meta)."""
     arrays, meta = load_arrays(path)
     if bundle is None:
-        cfg_dict = dict(meta["model_config"])
-        cfg_dict["transformer"] = TransformerConfig(**cfg_dict["transformer"])
-        bundle = ModelBundle(config=ModelConfig(**cfg_dict))
+        bundle = ModelBundle(config=ModelConfig(**meta["model_config"]))
     extras = {}
     params = bundle.params()
     for name, arr in arrays.items():
@@ -522,22 +468,3 @@ def load_checkpoint(path, bundle: ModelBundle | None = None):
         raise ValueError(f"{path}: checkpoint missing parameters: {sorted(missing)[:4]}...")
     return bundle, extras, meta
 
-
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "input_size": cfg.input_size,
-        "clip_len": cfg.clip_len,
-        "mv_len": cfg.mv_len,
-        "v_channels": list(cfg.v_channels),
-        "i_channels": list(cfg.i_channels),
-        "m_channels": list(cfg.m_channels),
-        "embed_dim": cfg.embed_dim,
-        "head_hidden": cfg.head_hidden,
-        "transformer": {
-            "encoder_layers": cfg.transformer.encoder_layers,
-            "decoder_layers": cfg.transformer.decoder_layers,
-            "width": cfg.transformer.width,
-            "heads": cfg.transformer.heads,
-            "ff_width": cfg.transformer.ff_width,
-        },
-    }

@@ -15,7 +15,7 @@ crops rescale offsets by the resize factor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ class PretextConfig:
     target_period: str = "future"  # future | current
     motion_loss: str = "pointwise_infonce"  # pointwise_infonce | mse
     hard_negative_count: int = 3
-    embed_dim: int = 32
     clip_stride: int = 2
     iframe_window_gops: int = 1
     crop_min_scale: float = 0.6
@@ -106,19 +105,15 @@ class SampleIndices:
     negative_mv_starts: list
 
 
-def clip_window_length(clip_len: int, stride: int) -> int:
-    return (clip_len - 1) * stride + 1
-
-
 def valid_clip_start_range(n_frames, clip_len, stride, horizon) -> int:
     """Largest valid clip start (inclusive); negative means video too short.
 
     The horizon is reserved for both target periods so that toggling the
     period swaps only the supervision window, never the clip distribution."""
-    return n_frames - clip_window_length(clip_len, stride) - horizon
+    return n_frames - ((clip_len - 1) * stride + 1) - horizon
 
 
-def build_motion_target(clip_start: int, clip_indices: np.ndarray, horizon: int, cfg: PretextConfig) -> np.ndarray:
+def build_motion_target(clip_indices: np.ndarray, horizon: int, cfg: PretextConfig) -> np.ndarray:
     """Frame indices of the motion supervision window for either period."""
     if cfg.target_period == "future":
         end = int(clip_indices[-1])
@@ -155,7 +150,7 @@ def draw_sample_indices(
         nearby = [min(iframe_positions, key=lambda t: abs(t - start))]
     iframe_index = int(nearby[rng.integers(0, len(nearby))])
 
-    mv_indices = build_motion_target(start, clip_indices, horizon, cfg)
+    mv_indices = build_motion_target(clip_indices, horizon, cfg)
     if mv_indices[-1] >= n_frames:
         return None
 
@@ -265,9 +260,8 @@ def augment_mv(mv: np.ndarray, params: AugmentParams, out_size: int) -> np.ndarr
         raise ValueError(f"crop {size} larger than mv map {mv.shape[-2:]}")
     out = mv[..., top : top + size, left : left + size].astype(np.float64)
     if size != out_size:
-        ys = np.minimum((np.arange(out_size) * size) // out_size, size - 1)
-        xs = np.minimum((np.arange(out_size) * size) // out_size, size - 1)
-        out = out[..., ys[:, None], xs[None, :]]
+        # a trailing unit axis gives resize_nn the (..., H, W, C) layout it expects
+        out = resize_nn(out[..., None], (out_size, out_size))[..., 0]
         factor = out_size / size
         out = out * factor  # offsets are in pixels; rescale with the raster
     if params.flip:
@@ -292,17 +286,11 @@ def materialize_sample(
     clip_frames = resize_nn(video.frames[idx.clip_indices], scale_hw).astype(np.float64) / 255.0
     iframe = resize_nn(video.frames[idx.iframe_index], scale_hw).astype(np.float64) / 255.0
 
-    def mv_window(t0: int, indices: np.ndarray | None = None) -> np.ndarray:
-        if indices is None:
-            _, clip = extract_modalities(video.cv, t0, horizon, out_size=scale_hw)
-        else:
-            lo, hi = int(indices[0]), int(indices[-1])
-            _, full = extract_modalities(video.cv, lo, hi - lo + 1, out_size=scale_hw)
-            clip = full[indices - lo]
-        return clip.transpose(1, 0, 2, 3)  # (2, T', h, w)
-
-    pos_mv = mv_window(0, idx.mv_indices)
-    neg_mvs = np.stack([mv_window(s) for s in idx.negative_mv_starts]) if idx.negative_mv_starts else np.zeros((0, 2, horizon, size, size))
+    # the positive window, then each hard negative's, gathered in one call
+    windows = [idx.mv_indices] + [s + np.arange(horizon) for s in idx.negative_mv_starts]
+    maps = extract_modalities(video.cv, np.concatenate(windows), out_size=scale_hw)
+    mvs = maps.reshape(len(windows), horizon, 2, size, size).transpose(0, 2, 1, 3, 4)  # (1 + k, 2, T', h, w)
+    pos_mv, neg_mvs = mvs[0], mvs[1:]
 
     if train:
         if rng is None:
@@ -375,6 +363,21 @@ def collate(samples: list[TrainingSample]) -> dict:
 # -- losses ------------------------------------------------------------------------
 
 
+def _info_nce(anchors: Tensor, positives: Tensor, negatives: Tensor | None, tau: float):
+    """InfoNCE over (P, C) rows: anchor i is scored against positive i and,
+    in the denominator, against every positive and every negative row.
+
+    Returns (mean loss, cosine logits as numpy (P, Q))."""
+    an = T.l2_normalize(anchors, axis=1)
+    pool = T.l2_normalize(positives, axis=1)
+    if negatives is not None:
+        pool = T.concat([pool, T.l2_normalize(negatives, axis=1)], axis=0)
+    logits = T.scale(T.matmul(an, T.transpose(pool, (1, 0))), 1.0 / tau)  # [i, k] = cos(pool_k, a_i)/tau
+    log_z = T.logsumexp(logits, axis=1)
+    diag = T.tsum(T.mul(logits, Tensor(np.eye(*logits.shape))), axis=1)
+    return T.tmean(T.sub(log_z, diag)), logits.data * tau
+
+
 def context_matching_loss(clip_emb: Tensor, iframe_emb: Tensor, tau: float):
     """Batch InfoNCE between clip anchors and I-frame candidates.
 
@@ -384,13 +387,7 @@ def context_matching_loss(clip_emb: Tensor, iframe_emb: Tensor, tau: float):
         raise ValueError("empty batch")
     if iframe_emb.shape[0] != B:
         raise ValueError(f"batch mismatch: {B} clips vs {iframe_emb.shape[0]} iframes")
-    xn = T.l2_normalize(clip_emb, axis=1)
-    zn = T.l2_normalize(iframe_emb, axis=1)
-    logits = T.scale(T.matmul(xn, T.transpose(zn, (1, 0))), 1.0 / tau)  # [i, k] = cos(z_k, x_i)/tau
-    log_z = T.logsumexp(logits, axis=1)
-    diag = T.tsum(T.mul(logits, Tensor(np.eye(B))), axis=1)
-    loss = T.tmean(T.sub(log_z, diag))
-    return loss, logits.data * tau
+    return _info_nce(clip_emb, iframe_emb, None, tau)
 
 
 def motion_prediction_loss(pred: Tensor, truth: Tensor, negatives: Tensor | None, tau: float):
@@ -400,20 +397,12 @@ def motion_prediction_loss(pred: Tensor, truth: Tensor, negatives: Tensor | None
     B, C, N = pred.shape
     if tuple(truth.shape) != (B, C, N):
         raise ValueError(f"pred {tuple(pred.shape)} vs truth {tuple(truth.shape)} shape mismatch")
-    P = B * N
-    anchors = T.l2_normalize(T.reshape(T.transpose(pred, (0, 2, 1)), (P, C)), axis=1)
-    pool = T.l2_normalize(T.reshape(T.transpose(truth, (0, 2, 1)), (P, C)), axis=1)
-    if negatives is not None and negatives.shape[0] > 0:
-        Q_extra = negatives.shape[0] * N
-        neg = T.l2_normalize(T.reshape(T.transpose(negatives, (0, 2, 1)), (Q_extra, C)), axis=1)
-        pool = T.concat([pool, neg], axis=0)
-    logits = T.scale(T.matmul(anchors, T.transpose(pool, (1, 0))), 1.0 / tau)  # (P, Q)
-    log_z = T.logsumexp(logits, axis=1)
-    mask = np.zeros((P, pool.shape[0]))
-    mask[np.arange(P), np.arange(P)] = 1.0
-    diag = T.tsum(T.mul(logits, Tensor(mask)), axis=1)
-    loss = T.tmean(T.sub(log_z, diag))
-    return loss, logits.data * tau
+
+    def points(x):  # (M, C, N) -> (M * N, C), one row per feature point
+        return T.reshape(T.transpose(x, (0, 2, 1)), (x.shape[0] * N, C))
+
+    neg = points(negatives) if negatives is not None and negatives.shape[0] > 0 else None
+    return _info_nce(points(pred), points(truth), neg, tau)
 
 
 def motion_mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
@@ -455,12 +444,8 @@ class PretextOutput:
     motion_logits: np.ndarray | None
 
 
-def pretext_forward(
-    bundle: ModelBundle, batch: dict, cfg: PretextConfig, training: bool = True,
-    rng: np.random.Generator | None = None,
-) -> PretextOutput:
+def pretext_forward(bundle: ModelBundle, batch: dict, cfg: PretextConfig) -> PretextOutput:
     """Run every branch the configured objective needs and combine losses."""
-    del training, rng  # no dropout in the pretext path; kept for interface parity
     c3, t3, h3, w3 = bundle.config.motion_feat_shape
     n_points = t3 * h3 * w3
     j_i = j_m = None

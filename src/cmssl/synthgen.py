@@ -42,9 +42,6 @@ class LabeledVideo:
     video: RawVideo
     context_class: int
     motion_class: int
-    split: str = "unassigned"
-    seed: int = 0
-    padded_from: tuple | None = None
 
 
 def _round_px(v: float) -> int:
@@ -197,13 +194,10 @@ def generate_video(spec: SceneSpec, codec_block_size: int = 8) -> LabeledVideo:
         for s in sprites:
             s.paint(frame, t)
         frames[t] = np.clip(frame, 0, 255).astype(np.uint8)
-    padded, orig = pad_frames_to_block(frames, codec_block_size)
     return LabeledVideo(
-        video=RawVideo(frames=padded),
+        video=RawVideo(frames=pad_frames_to_block(frames, codec_block_size)),
         context_class=spec.context_class,
         motion_class=spec.motion_class,
-        seed=spec.seed,
-        padded_from=None if padded.shape[1:3] == (spec.height, spec.width) else orig,
     )
 
 

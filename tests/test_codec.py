@@ -6,12 +6,12 @@ import pytest
 from cmssl.codec import (
     _HEADER,
     CodecConfig,
+    CompressedVideo,
     RawVideo,
     decode_video,
     encode_video,
     estimate_motion,
     extract_modalities,
-    iframe_image,
     motion_compensate,
     mv_map_at,
     pad_frames_to_block,
@@ -256,24 +256,41 @@ class TestRoundtrip:
     def test_padding_to_block_multiple(self):
         rng = np.random.default_rng(8)
         frames = rng.integers(0, 256, size=(3, 30, 29, 3), dtype=np.uint8)
-        padded, orig = pad_frames_to_block(frames, 8)
+        padded = pad_frames_to_block(frames, 8)
         assert padded.shape[1:3] == (32, 32)
-        assert orig == (30, 29)
         np.testing.assert_array_equal(padded[:, :30, :29], frames)
+
+
+def repeat_then_subsample(cv, frames, out_size):
+    """The maps at full pixel resolution, then every sampled pixel taken from them."""
+    b, h, w = cv.config.block_size, cv.height, cv.width
+    full = np.zeros((len(frames), 2, h, w))
+    for i, t in enumerate(frames):
+        grid = mv_map_at(cv, t)
+        if grid is not None:
+            full[i] = np.repeat(np.repeat(grid, b, axis=0), b, axis=1).transpose(2, 0, 1)
+    oh, ow = out_size
+    out = np.zeros((len(frames), 2, oh, ow))
+    for y in range(oh):
+        for x in range(ow):
+            out[:, :, y, x] = full[:, :, min(y * h // oh, h - 1), min(x * w // ow, w - 1)]
+    out[:, 0] *= ow / w
+    out[:, 1] *= oh / h
+    return out
 
 
 class TestExtractModalities:
     def test_static_window_is_zero(self):
         v = RawVideo(frames=np.full((13, 32, 32, 3), 5, dtype=np.uint8))
         cv = encode_video(v)
-        _, clip = extract_modalities(cv, 2, 8)
+        clip = extract_modalities(cv, np.arange(2, 10))
         assert clip.shape == (8, 2, 32, 32)
         np.testing.assert_array_equal(clip, 0.0)
 
     def test_iframe_slot_is_zero(self):
         rng = np.random.default_rng(9)
         cv = encode_video(random_video(rng, t=24))
-        _, clip = extract_modalities(cv, 10, 4)  # covers I-frame at t=12
+        clip = extract_modalities(cv, np.arange(10, 14))  # covers I-frame at t=12
         np.testing.assert_array_equal(clip[2], 0.0)
         assert np.any(clip[1] != 0.0)
 
@@ -281,7 +298,7 @@ class TestExtractModalities:
         rng = np.random.default_rng(10)
         v = translating_video(rng, t=13, step=(2, 1))
         cv = encode_video(v)
-        _, clip = extract_modalities(cv, 1, 4)
+        clip = extract_modalities(cv, np.arange(1, 5))
         center = (slice(None), slice(12, 20), slice(12, 20))
         for i in range(4):
             np.testing.assert_array_equal(clip[i][0][center[1:]], 2.0)
@@ -290,7 +307,7 @@ class TestExtractModalities:
     def test_matches_per_frame_maps(self):
         rng = np.random.default_rng(11)
         cv = encode_video(random_video(rng, t=13))
-        _, clip = extract_modalities(cv, 3, 6)
+        clip = extract_modalities(cv, np.arange(3, 9))
         for i, t in enumerate(range(3, 9)):
             grid = mv_map_at(cv, t)
             full = np.repeat(np.repeat(grid, 8, axis=0), 8, axis=1).transpose(2, 0, 1)
@@ -300,7 +317,7 @@ class TestExtractModalities:
         rng = np.random.default_rng(12)
         v = translating_video(rng, t=13, h=64, w=64, step=(4, 2))
         cv = encode_video(v)
-        _, clip = extract_modalities(cv, 1, 2, out_size=(32, 32))
+        clip = extract_modalities(cv, np.arange(1, 3), out_size=(32, 32))
         assert clip.shape == (2, 2, 32, 32)
         center = (slice(8, 24), slice(8, 24))
         np.testing.assert_array_equal(clip[0][0][center], 2.0)  # dx 4 * 32/64
@@ -309,24 +326,26 @@ class TestExtractModalities:
     def test_out_of_range_window_rejected(self):
         rng = np.random.default_rng(13)
         cv = encode_video(random_video(rng, t=13))
-        with pytest.raises(ValueError, match="window"):
-            extract_modalities(cv, 10, 8)
+        for frames in (np.arange(10, 18), [-1, 0], [13], [], np.zeros((2, 2), dtype=int)):
+            with pytest.raises(ValueError, match="outside video of 13 frames"):
+                extract_modalities(cv, frames)
 
-    def test_nearby_iframes_reported(self):
+    def test_non_square_non_divisible_resize_matches_oracle(self):
         rng = np.random.default_rng(14)
-        cv = encode_video(random_video(rng, t=36))
-        iframes, _ = extract_modalities(cv, 13, 8)
-        assert iframes == [12, 24]
-        iframes, _ = extract_modalities(cv, 0, 8)
-        assert iframes == [0, 12]
+        cv = encode_video(random_video(rng, t=13, h=48, w=64))
+        frames = np.arange(1, 9)
+        for out_size in ((23, 27), (48, 64), (37, 100)):
+            got = extract_modalities(cv, frames, out_size)
+            np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, out_size))
+            assert np.any(got[:, 0] != 0) and np.any(got[:, 1] != 0)
 
-    def test_iframe_image_lookup(self):
+    def test_scattered_indices_with_iframe_slots_match_oracle(self):
         rng = np.random.default_rng(15)
-        v = random_video(rng, t=24)
-        cv = encode_video(v)
-        np.testing.assert_array_equal(iframe_image(cv, 12), v.frames[12])
-        with pytest.raises(ValueError, match="not an I-frame"):
-            iframe_image(cv, 5)
+        cv = encode_video(random_video(rng, t=30))
+        frames = np.array([24, 3, 12, 3, 29, 0, 17])  # unordered, repeated, I-frames 0/12/24
+        got = extract_modalities(cv, frames, (20, 24))
+        np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, (20, 24)))
+        np.testing.assert_array_equal(got[[0, 2, 5]], 0.0)
 
 
 class TestContainer:
@@ -411,3 +430,32 @@ class TestContainer:
         cv.gops[0].p_frames.pop()
         with pytest.raises(ValueError, match="P-frames"):
             decode_video(cv)
+
+    # a bad header geometry is rejected before any body byte is read, so the
+    # files below hold the header alone; decode_video checks the same fields
+
+    def test_height_not_block_multiple_rejected(self, tmp_path):
+        path = tmp_path / "h12.cmv1"
+        path.write_bytes(_HEADER.pack(b"CMV1", 1, 12, 16, 12, 8, 7, 13))
+        with pytest.raises(ValueError, match="height 12 is not a positive multiple of block_size 8"):
+            read_cmv1(path)
+        cv = encode_video(random_video(np.random.default_rng(28), t=13, h=16, w=16))
+        cv.height = 12
+        with pytest.raises(ValueError, match="height 12 is not a positive multiple of block_size 8"):
+            decode_video(cv)
+
+    def test_zero_height_rejected(self, tmp_path):
+        path = tmp_path / "h0.cmv1"
+        path.write_bytes(_HEADER.pack(b"CMV1", 1, 0, 16, 12, 8, 7, 1))
+        with pytest.raises(ValueError, match="height 0 is not a positive multiple"):
+            read_cmv1(path)
+        with pytest.raises(ValueError, match="height 0 is not a positive multiple"):
+            decode_video(CompressedVideo(CodecConfig(), height=0, width=16, frame_count=1))
+
+    def test_zero_frame_count_rejected(self, tmp_path):
+        path = tmp_path / "t0.cmv1"
+        path.write_bytes(_HEADER.pack(b"CMV1", 1, 16, 16, 12, 8, 7, 0))
+        with pytest.raises(ValueError, match="frame_count 0"):
+            read_cmv1(path)
+        with pytest.raises(ValueError, match="frame_count 0"):
+            decode_video(CompressedVideo(CodecConfig(), height=16, width=16, frame_count=0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cmssl import tensor as T
-from cmssl.codec import CodecConfig, encode_video
+from cmssl.codec import CodecConfig, encode_video, extract_modalities
 from cmssl.networks import ModelBundle, ModelConfig, TransformerConfig
 from cmssl.pretext import (
     AugmentParams,
@@ -250,13 +250,13 @@ class TestSampler:
     def test_future_target_follows_clip(self):
         cfg = PretextConfig(clip_stride=1)
         idx = np.arange(0, 16)
-        target = build_motion_target(0, idx, 8, cfg)
+        target = build_motion_target(idx, 8, cfg)
         np.testing.assert_array_equal(target, np.arange(16, 24))
 
     def test_current_target_rides_clip_window(self):
         cfg = PretextConfig(target_period="current", clip_stride=1)
         idx = np.arange(0, 16)
-        target = build_motion_target(0, idx, 8, cfg)
+        target = build_motion_target(idx, 8, cfg)
         assert target.min() >= 0 and target.max() <= 15
         assert len(target) == 8
 
@@ -332,6 +332,11 @@ class TestAugment:
         params = AugmentParams(crop=(0, 0, 16), flip=False, blur_sigma=0.0, brightness=1.0, contrast=1.0)
         out = augment_mv(mv, params, 32)
         np.testing.assert_allclose(out, 2.0)  # 16 -> 32 upscale doubles offsets
+        # a crop resized to 24: output pixel (y, x) reads crop pixel (y*20//24, x*20//24)
+        mv = np.random.default_rng(9).normal(size=(2, 3, 32, 32))
+        out = augment_mv(mv, AugmentParams((5, 9, 20), False, 0.0, 1.0, 1.0), 24)
+        src = np.arange(24) * 20 // 24
+        np.testing.assert_array_equal(out, mv[..., 5 + src[:, None], 9 + src[None, :]] * (24 / 20))
 
     def test_crop_larger_than_frame_rejected(self):
         with pytest.raises(ValueError, match="crop"):
@@ -355,6 +360,23 @@ class TestAugment:
         expect_mv = augment_mv(plain.future_mv, clip_params, 32)
         np.testing.assert_allclose(sample.clip, expect_clip, atol=1e-12)
         np.testing.assert_allclose(sample.future_mv, expect_mv, atol=1e-12)
+
+    def test_eval_sample_windows_match_extraction(self):
+        video = make_video_record(seed=8, motion=2)
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
+                                  np.random.default_rng(4))
+        assert len(set(idx.negative_mv_starts)) == 3  # distinct, so their order shows
+        sample = materialize_sample(video, idx, mcfg, cfg, train=False)
+        sr = video.cv.config.search_range
+
+        def window(frames):
+            return extract_modalities(video.cv, frames, out_size=(32, 32)).transpose(1, 0, 2, 3) / sr
+
+        np.testing.assert_array_equal(sample.future_mv, window(idx.mv_indices))
+        assert len(sample.hard_negative_mvs) == len(idx.negative_mv_starts) == 3
+        for got, s in zip(sample.hard_negative_mvs, idx.negative_mv_starts):
+            np.testing.assert_array_equal(got, window(np.arange(s, s + mcfg.mv_len)))
 
     def test_blur_preserves_mean_roughly(self):
         rng = np.random.default_rng(8)
