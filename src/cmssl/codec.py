@@ -253,6 +253,13 @@ def validate_compressed(cv: CompressedVideo):
                 raise ValueError(f"GOP {gi} P-frame {pi}: MV grid shape {mv.vectors.shape}, expected {(hb, wb, 2)}")
             if residual.shape != (cv.height, cv.width, 3):
                 raise ValueError(f"GOP {gi} P-frame {pi}: residual shape {residual.shape}")
+            # a uint8 pixel minus a uint8 prediction lies in [-255, 255]
+            if residual.min() < -255 or residual.max() > 255:
+                y, x, c = np.argwhere((residual < -255) | (residual > 255))[0]
+                raise ValueError(
+                    f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
+                    f"residual {residual[y, x, c]} outside [-255, 255]"
+                )
             grids.append(mv.vectors)
         remaining -= expect_p + 1
     if not grids:
@@ -281,13 +288,21 @@ def decode_video(cv: CompressedVideo) -> RawVideo:
     validate_compressed(cv)
     frames = np.empty((cv.frame_count, cv.height, cv.width, 3), dtype=np.uint8)
     t = 0
-    for gop in cv.gops:
+    for gi, gop in enumerate(cv.gops):
         recon = gop.i_frame
         frames[t] = recon
         t += 1
-        for mv, residual in gop.p_frames:
+        for pi, (mv, residual) in enumerate(gop.p_frames):
             pred = motion_compensate(recon, mv)
-            recon = np.clip(pred.astype(np.int32) + residual, 0, 255).astype(np.uint8)
+            # validated residuals lie in [-255, 255], so int16 cannot overflow
+            recon = pred.astype(np.int16) + residual
+            if recon.min() < 0 or recon.max() > 255:
+                y, x, c = np.argwhere((recon < 0) | (recon > 255))[0]
+                raise ValueError(
+                    f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
+                    f"reconstruction {recon[y, x, c]} outside [0, 255]"
+                )
+            recon = recon.astype(np.uint8)
             frames[t] = recon
             t += 1
     return RawVideo(frames=frames)

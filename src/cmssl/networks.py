@@ -11,6 +11,7 @@ reshape), which checkpoint portability depends on.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -418,25 +419,48 @@ def save_arrays(path, arrays: dict, meta: dict | None = None):
 
 
 def load_arrays(path):
+    """Read a save_arrays file. A malformed file raises a ValueError naming
+    the byte offset and, past the metadata, the array it was reading."""
     with open(path, "rb") as fh:
-        head = fh.read(_CKPT_HEADER.size)
-        if len(head) < _CKPT_HEADER.size:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        magic, version, meta_len = _CKPT_HEADER.unpack(head)
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(fh.read(meta_len).decode())
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            arrays[name] = np.frombuffer(fh.read(n * 8), dtype="<f8").reshape(shape).copy()
+        buf = fh.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError(f"{path}: truncated {what} at byte {pos}: needs {n} bytes, {len(buf) - pos} left")
+        pos += n
+        return buf[pos - n : pos]
+
+    magic, version, meta_len = _CKPT_HEADER.unpack(take(_CKPT_HEADER.size, "checkpoint header"))
+    if magic != CKPT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    if version != CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        meta = json.loads(take(meta_len, "metadata").decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: metadata at byte {_CKPT_HEADER.size} is not JSON: {e}") from None
+    (count,) = struct.unpack("<I", take(4, "array count"))
+    arrays = {}
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", take(2, f"array {i} name length"))
+        raw = take(nlen, f"array {i} name")
+        try:
+            name = raw.decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: array {i} name at byte {pos - nlen} is not UTF-8") from None
+        if name in arrays:
+            raise ValueError(f"{path}: array {name} stored twice (second at byte {pos - nlen})")
+        (ndim,) = struct.unpack("<B", take(1, f"array {name} rank"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {name} shape"))
+        arr = np.frombuffer(take(8 * math.prod(shape), f"array {name} body"), dtype="<f8")
+        if not np.isfinite(arr).all():
+            j = int(np.argmin(np.isfinite(arr)))
+            raise ValueError(f"{path}: array {name} holds {arr[j]} at flat index {j}")
+        arrays[name] = arr.reshape(shape).astype(np.float64)
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last array, from byte {pos}")
     return arrays, meta
 
 
@@ -453,7 +477,13 @@ def load_checkpoint(path, bundle: ModelBundle | None = None):
     """Restore (or build) a bundle; returns (bundle, extra_arrays, meta)."""
     arrays, meta = load_arrays(path)
     if bundle is None:
-        bundle = ModelBundle(config=ModelConfig(**meta["model_config"]))
+        if not isinstance(meta, dict) or not isinstance(meta.get("model_config"), dict):
+            raise ValueError(f"{path}: checkpoint metadata has no model_config to build a bundle from")
+        try:
+            config = ModelConfig(**meta["model_config"])
+        except TypeError as e:  # an unknown or missing config key
+            raise ValueError(f"{path}: bad model_config: {e}") from None
+        bundle = ModelBundle(config=config)
     extras = {}
     params = bundle.params()
     for name, arr in arrays.items():

@@ -2,9 +2,19 @@
 
 Every value flowing through the networks and losses is a Tensor wrapping a
 numpy array. Ops build a DAG of closures; Tensor.backward() runs them in
-reverse topological order, accumulating (summing) gradients into .grad.
-Parameters created with requires_grad=True start with a zero grad buffer, so
-an unused parameter reads back an all-zero gradient rather than None.
+reverse topological order, summing the gradients each node receives.
+
+Who owns a gradient array:
+- Leaves (tensors not made by an op) own their .grad buffer and accumulate
+  into it in place. Parameters created with requires_grad=True start with a
+  zero buffer, so an unused parameter reads back an all-zero gradient rather
+  than None, and repeated backward() calls add up.
+- Non-leaves adopt the first gradient array they receive without copying; a
+  sibling may hold the same array, so later contributions are added out of
+  place. Closures therefore never write into the gradient they are given.
+- A non-leaf's .grad is released (set to None) as soon as its closure has
+  run, so after backward() only leaves hold gradients. The graph itself is
+  kept: backward() on the same loss again adds the same gradients once more.
 """
 
 from __future__ import annotations
@@ -66,10 +76,15 @@ class Tensor:
     # -- graph mechanics ----------------------------------------------------
 
     def _accum(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+        if self._backward is None:  # a leaf: its own buffer, in place
+            if self.grad is None:
+                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+            else:
+                self.grad += g
+        elif self.grad is None:
+            self.grad = g
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def backward(self):
         """Populate .grad of everything this scalar depends on."""
@@ -94,6 +109,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -342,7 +358,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             return
         if not keepdims:
             g = np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(g, a.data.shape).copy())
+        a._accum(np.broadcast_to(g, a.data.shape))
 
     return _make(data, (a,), "sum", backward)
 
@@ -358,7 +374,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
             return
         if not keepdims:
             g = np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(g, a.data.shape) / n)
+        a._accum(np.broadcast_to(g / n, a.data.shape))
 
     return _make(data, (a,), "mean", backward)
 
@@ -576,19 +592,22 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
 
     def backward(g):
         gb = g if batched else g[None]
-        gmat = np.ascontiguousarray(gb.reshape(B, cout, N).transpose(1, 0, 2)).reshape(cout, B * N)
+        gmat = np.moveaxis(gb, 1, 0).reshape(cout, B * N)
         if kernels.requires_grad:
             kernels._accum((gmat @ colmat.T).reshape(kd.shape))
         if a.requires_grad:
-            dcol = (kmat.T @ gmat).reshape((cin,) + ksp + (B,) + out_sp)
-            # accumulate in (cin, B, *spatial) order so every slice add walks
-            # contiguous memory; one permuted copy at the end restores layout
+            # one (cin, cout) @ (cout, B*N) product per kernel offset, added
+            # straight into its strided window: the full (K, B*N) patch
+            # gradient is never built. Accumulating in (cin, B, *spatial)
+            # order keeps every slice add on contiguous memory; the permuted
+            # view at the end restores the layout.
+            wt = np.ascontiguousarray(kd.reshape(cout, cin, -1).transpose(2, 1, 0))
             dxp = np.zeros((cin, B) + xp.shape[2:])
-            for off in np.ndindex(*ksp):
+            for k, off in enumerate(np.ndindex(*ksp)):
                 sl = tuple(
                     slice(off[i], off[i] + stride[i] * out_sp[i], stride[i]) for i in range(nd)
                 )
-                dxp[(slice(None), slice(None)) + sl] += dcol[(slice(None),) + off]
+                dxp[(slice(None), slice(None)) + sl] += (wt[k] @ gmat).reshape((cin, B) + out_sp)
             dx = np.moveaxis(dxp, 1, 0)
             if any(padding):
                 core = tuple(slice(p, dx.shape[2 + i] - p) for i, p in enumerate(padding))

@@ -27,15 +27,36 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / denom)
 
 
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from root through the recorded parents."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        todo.extend(node._parents)
+    return out
+
+
+def assert_non_leaf_grads_released(loss: Tensor):
+    """After backward(), only leaves may still hold a gradient."""
+    kept = [n.op for n in graph_nodes(loss) if n._backward is not None and n.grad is not None]
+    assert not kept, f"non-leaf grads kept after backward(): {kept}"
+
+
 def assert_grad_matches(build_loss, arrays, tol: float = 1e-4, h: float = 1e-5):
     """Check analytic grads of build_loss(*tensors) against central differences.
 
     build_loss must be deterministic and accept Tensors positionally. Every
-    array in `arrays` is treated as a differentiable input.
+    array in `arrays` is treated as a differentiable input. Also checks that
+    backward() released every non-leaf gradient.
     """
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     loss = build_loss(*tensors)
     loss.backward()
+    assert_non_leaf_grads_released(loss)
     for idx, (t, a) in enumerate(zip(tensors, arrays)):
         def f(x, _idx=idx):
             args = [Tensor(arr.copy()) for arr in arrays]

@@ -392,18 +392,59 @@ class TestContainer:
             decode_video(cv)
 
     @staticmethod
-    def write_with_mv(path, cv, gop, p_frame, block, mv):
-        """Write cv as CMV1, then overwrite one block's (dx, dy) in the file."""
+    def write_patched(path, cv, gop, p_frame, at, values):
+        """Write cv as CMV1, then overwrite i16 samples of one P-frame record
+        (its MV grid, then its residual), starting `at` samples in."""
         write_cmv1(cv, path)
         h, w, b, g = cv.height, cv.width, cv.config.block_size, cv.config.gop_size
-        mv_bytes = (h // b) * (w // b) * 4
-        p_bytes = mv_bytes + h * w * 3 * 2
+        p_bytes = (h // b) * (w // b) * 4 + h * w * 3 * 2
         gop_bytes = h * w * 3 + (g - 1) * p_bytes
-        offset = _HEADER.size + gop * gop_bytes + h * w * 3 + p_frame * p_bytes
-        offset += (block[0] * (w // b) + block[1]) * 4
+        offset = _HEADER.size + gop * gop_bytes + h * w * 3 + p_frame * p_bytes + 2 * at
+        patch = np.array(values, dtype="<i2").tobytes()
         data = bytearray(path.read_bytes())
-        data[offset : offset + 4] = np.array(mv, dtype="<i2").tobytes()
+        data[offset : offset + len(patch)] = patch
         path.write_bytes(bytes(data))
+
+    @classmethod
+    def write_with_mv(cls, path, cv, gop, p_frame, block, mv):
+        """Write cv as CMV1, then overwrite one block's (dx, dy) in the file."""
+        cls.write_patched(path, cv, gop, p_frame, 2 * (block[0] * (cv.width // cv.config.block_size) + block[1]), mv)
+
+    @classmethod
+    def write_with_residual(cls, path, cv, gop, p_frame, pixel, value):
+        """Write cv as CMV1, then overwrite one residual sample (y, x, c) in the file."""
+        b = cv.config.block_size
+        grid = (cv.height // b) * (cv.width // b) * 2
+        y, x, c = pixel
+        cls.write_patched(path, cv, gop, p_frame, grid + (y * cv.width + x) * 3 + c, [value])
+
+    def test_residual_out_of_range_rejected(self, tmp_path):
+        rng = np.random.default_rng(29)
+        cv = encode_video(random_video(rng, t=25))
+        path = tmp_path / "res.cmv1"
+        self.write_with_residual(path, cv, 1, 3, (5, 7, 2), 256)
+        want = r"GOP 1 P-frame 3 pixel \(5, 7\) channel 2: residual 256 outside \[-255, 255\]"
+        with pytest.raises(ValueError, match=want):
+            read_cmv1(path)
+        cv.gops[0].p_frames[2][1][4, 6, 0] = -256
+        with pytest.raises(ValueError, match=r"GOP 0 P-frame 2 pixel \(4, 6\) channel 0: residual -256 outside"):
+            decode_video(cv)
+
+    def test_reconstruction_out_of_range_rejected(self, tmp_path):
+        rng = np.random.default_rng(30)
+        v = random_video(rng, t=25)
+        cv = encode_video(v)
+        for (gop, p_frame, (y, x, c)), past in (((1, 4, (9, 2, 1)), 256), ((0, 7, (30, 31, 0)), -1)):
+            # a residual inside [-255, 255] that takes the pixel just past the range
+            residual = cv.gops[gop].p_frames[p_frame][1]
+            pred = int(v.frames[12 * gop + p_frame + 1][y, x, c]) - int(residual[y, x, c])
+            assert -255 <= past - pred <= 255
+            path = tmp_path / "recon.cmv1"
+            self.write_with_residual(path, cv, gop, p_frame, (y, x, c), past - pred)
+            cv2 = read_cmv1(path)
+            want = rf"GOP {gop} P-frame {p_frame} pixel \({y}, {x}\) channel {c}: reconstruction {past} outside \[0, 255\]"
+            with pytest.raises(ValueError, match=want):
+                decode_video(cv2)
 
     def test_mv_leaving_top_left_rejected(self, tmp_path):
         rng = np.random.default_rng(26)

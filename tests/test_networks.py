@@ -5,10 +5,13 @@ import pytest
 
 from cmssl import tensor as T
 from cmssl.networks import (
+    _CKPT_HEADER,
     ModelBundle,
     ModelConfig,
     TransformerConfig,
+    load_arrays,
     load_checkpoint,
+    save_arrays,
     save_checkpoint,
 )
 from cmssl.tensor import Tensor
@@ -190,8 +193,6 @@ class TestCheckpoint:
             assert np.array_equal(p.data, b2.params()[name].data), name
 
     def test_missing_param_rejected(self, tmp_path):
-        from cmssl.networks import load_arrays, save_arrays
-
         b = ModelBundle(seed=4)
         path = tmp_path / "model.ckpt"
         save_checkpoint(b, path)
@@ -211,6 +212,71 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        """A default checkpoint and what load_arrays reads back from it."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ModelBundle(seed=7), path)
+        arrays, meta = load_arrays(path)
+        return path, arrays, meta
+
+    def test_metadata_without_model_config_rejected(self, tmp_path):
+        path, arrays, meta = self.saved(tmp_path)
+        del meta["model_config"]
+        save_arrays(path, arrays, meta)
+        with pytest.raises(ValueError, match="no model_config"):
+            load_checkpoint(path)
+        # a caller that brings its own bundle needs no config
+        load_checkpoint(path, ModelBundle(seed=7))
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path, arrays, meta = self.saved(tmp_path)
+        meta["model_config"]["extra"] = 1
+        save_arrays(path, arrays, meta)
+        with pytest.raises(ValueError, match="bad model_config.*'extra'"):
+            load_checkpoint(path)
+        meta["model_config"].pop("extra")
+        meta["model_config"]["transformer"]["depth"] = 3
+        save_arrays(path, arrays, meta)
+        with pytest.raises(ValueError, match="bad model_config.*'depth'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("part", ["name", "shape", "body"])
+    def test_truncated_array_rejected(self, tmp_path, part):
+        path, arrays, meta = self.saved(tmp_path)
+        data = path.read_bytes()
+        first = sorted(arrays)[0]
+        # the first array record: u16 name length, name, u8 rank, u32 dims, f8 body
+        start = _CKPT_HEADER.size + _CKPT_HEADER.unpack(data[: _CKPT_HEADER.size])[2] + 4
+        name_at = start + 2
+        shape_at = name_at + len(first) + 1
+        body_at = shape_at + 4 * arrays[first].ndim
+        cut = {"name": name_at + 1, "shape": shape_at + 2, "body": body_at + 8}[part]
+        path.write_bytes(data[:cut])
+        want = {
+            "name": f"truncated array 0 name at byte {name_at}",
+            "shape": f"truncated array {first} shape at byte {shape_at}",
+            "body": f"truncated array {first} body at byte {body_at}",
+        }[part]
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, _, _ = self.saved(tmp_path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(ValueError, match=f"3 trailing bytes after the last array, from byte {size}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        path, arrays, meta = self.saved(tmp_path)
+        name = "g_m1.w2"
+        arrays[name].reshape(-1)[5] = bad
+        save_arrays(path, arrays, meta)
+        with pytest.raises(ValueError, match=f"array {name} holds {bad} at flat index 5"):
             load_checkpoint(path)
 
 

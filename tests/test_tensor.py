@@ -10,7 +10,13 @@ import pytest
 from cmssl import tensor as T
 from cmssl.tensor import Tensor
 
-from conftest import assert_grad_matches, finite_difference_grad, max_rel_error
+from conftest import (
+    assert_grad_matches,
+    assert_non_leaf_grads_released,
+    finite_difference_grad,
+    graph_nodes,
+    max_rel_error,
+)
 
 SEEDS = list(range(10))
 
@@ -294,6 +300,42 @@ class TestConv:
             single = T.conv3d(Tensor(x[b]), Tensor(k), padding=(1, 1, 1)).data
             np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
+    @staticmethod
+    def col2im_oracle(g, k, x_shape, stride, padding):
+        """dL/dx of a convolution with upstream gradient g, by scattering every
+        (kernel offset, output position) product with np.add.at."""
+        B, cin = x_shape[:2]
+        cout, nd = k.shape[0], len(stride)
+        out_sp = g.shape[2:]
+        dpatch = np.einsum("ocp,bon->bcpn", k.reshape(cout, cin, -1), g.reshape(B, cout, -1))
+        offs = np.array(list(np.ndindex(*k.shape[2:])))
+        outs = np.array(list(np.ndindex(*out_sp)))
+        pos = offs[:, None, :] + outs[None, :, :] * np.array(stride)
+        dxp = np.zeros((B, cin) + tuple(n + 2 * p for n, p in zip(x_shape[2:], padding)))
+        np.add.at(dxp, (slice(None), slice(None)) + tuple(pos[..., i] for i in range(nd)), dpatch)
+        core = tuple(slice(p, p + n) for n, p in zip(x_shape[2:], padding))
+        return dxp[(slice(None), slice(None)) + core]
+
+    @pytest.mark.parametrize("nd", [2, 3])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_input_grad_matches_col2im_oracle(self, nd, s, p):
+        r = rng_for(10 * nd + 2 * s + p)
+        x = r.normal(size=(2, 3) + (5, 7, 6)[-nd:])
+        k = r.normal(size=(4, 3) + (3, 2, 3)[-nd:])
+        conv = T.conv3d if nd == 3 else T.conv2d
+        stride, padding = (s,) * nd, (p,) * nd
+        xt = Tensor(x, requires_grad=True)
+        out = conv(xt, Tensor(k), stride=stride, padding=padding)
+        g = r.normal(size=out.shape)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        want = self.col2im_oracle(g, k, x.shape, stride, padding)
+        np.testing.assert_allclose(xt.grad, want, rtol=0, atol=1e-12)
+        # an unbatched input takes the same path
+        xu = Tensor(x[1], requires_grad=True)
+        T.tsum(T.mul(conv(xu, Tensor(k), stride=stride, padding=padding), Tensor(g[1]))).backward()
+        np.testing.assert_allclose(xu.grad, want[1], rtol=0, atol=1e-12)
+
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):
             T.conv3d(Tensor(np.ones((3, 4, 4, 4))), Tensor(np.ones((2, 4, 3, 3, 3))))
@@ -354,6 +396,94 @@ class TestBackwardSemantics:
         a = T.tsum(T.relu(T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1))))
         b = T.tsum(T.relu(T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1))))
         assert a.item() == b.item()
+
+    def test_leaf_never_adopts_a_shared_gradient(self):
+        # add hands one array to the leaf x and to the non-leaf h; x then gets
+        # a second contribution from m while h's closure has yet to run. Both
+        # argument orders are built, so one of them adds into x after it first
+        # received the shared array. A leaf whose grad was set to None must
+        # copy, and a leaf with a buffer must keep accumulating into it.
+        r = rng_for(0)
+        xa, wa = r.normal(size=(3, 4)), r.normal(size=(3, 4))
+
+        def first(x, w):
+            h = T.mul(w, w)
+            return T.tsum(T.mul(T.add(x, h), T.mul(x, h)))
+
+        def second(x, w):
+            h = T.mul(w, w)
+            return T.tsum(T.mul(T.mul(x, h), T.add(x, h)))
+
+        for build in (first, second):
+            assert_grad_matches(build, [xa, wa], tol=1e-6)
+            fresh = [Tensor(a.copy(), requires_grad=True) for a in (xa, wa)]
+            build(*fresh).backward()
+            x, w = Tensor(xa.copy(), requires_grad=True), Tensor(wa.copy(), requires_grad=True)
+            buf = w.grad
+            x.grad = None
+            build(x, w).backward()
+            assert w.grad is buf
+            np.testing.assert_array_equal(x.grad, fresh[0].grad)
+            np.testing.assert_array_equal(w.grad, fresh[1].grad)
+
+    def test_non_leaf_with_three_contributions(self):
+        # h receives one gradient from add (the same array its sibling u
+        # adopts), a broadcast view from tsum and a product from mul; every
+        # order of the three consumers must give FD-correct gradients
+        r = rng_for(1)
+        wa = r.normal(size=(2, 5))
+        c = r.normal(size=(2, 5))
+
+        def consumers(h, u):
+            return {
+                "add": T.tsum(T.mul(T.add(h, u), T.add(h, u))),
+                "sum": T.scale(T.tsum(h), 0.5),
+                "mul": T.tsum(T.mul(h, Tensor(c))),
+            }
+
+        for order in (("add", "sum", "mul"), ("mul", "sum", "add"), ("sum", "add", "mul"), ("sum", "mul", "add")):
+            def build(w, _order=order):
+                h = T.mul(w, w)
+                u = T.scale(w, 3.0)
+                parts = consumers(h, u)
+                return T.add(T.add(parts[_order[0]], parts[_order[1]]), parts[_order[2]])
+
+            assert_grad_matches(build, [wa], tol=1e-6)
+
+    def test_second_backward_doubles_leaf_grads(self):
+        r = rng_for(2)
+        x = Tensor(r.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        k = Tensor(r.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        w = Tensor(r.normal(size=(2, 3)), requires_grad=True)
+        h = T.leaky_relu(T.conv2d(x, k, padding=(1, 1)))
+        # each leaf feeds one op, so a pass adds one array to it and a second
+        # pass with the same array doubles it exactly; the non-leaves h and
+        # logits have two consumers each
+        logits = T.matmul(T.tmean(h, axis=(2, 3)), w)
+        loss = T.add(T.tsum(T.mul(T.softmax(logits, axis=1), logits)), T.tsum(T.mul(h, h)))
+        loss.backward()
+        once = [t.grad.copy() for t in (x, k, w)]
+        loss.backward()
+        for t, g1 in zip((x, k, w), once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g1)
+
+    def test_non_leaf_grads_released_after_backward(self):
+        r = rng_for(3)
+        x = Tensor(r.normal(size=(2, 2, 4, 4)), requires_grad=True)
+        k = Tensor(r.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        gamma = Tensor(np.ones((1, 3, 1, 1)), requires_grad=True)
+        beta = Tensor(np.zeros((1, 3, 1, 1)), requires_grad=True)
+        h = T.layer_norm(T.conv2d(x, k, stride=(2, 2), padding=(1, 1)), gamma, beta, axis=1)
+        tokens = T.transpose(T.reshape(h, (2, 3, -1)), (0, 2, 1))
+        z = T.l2_normalize(T.concat([tokens, T.scale(tokens, 2.0)], axis=1), axis=-1)
+        loss = T.tmean(T.logsumexp(T.matmul(z, T.transpose(z, (0, 2, 1))), axis=-1))
+        loss.backward()
+        non_leaves = [n for n in graph_nodes(loss) if n._backward is not None]
+        assert len(non_leaves) > 10
+        assert all(n.grad is None for n in non_leaves)
+        assert_non_leaf_grads_released(loss)
+        for leaf in (x, k, gamma, beta):
+            assert leaf.grad is not None and np.abs(leaf.grad).max() > 0
 
     def test_no_grad_builds_no_graph(self):
         w = Tensor(np.ones(3), requires_grad=True)
