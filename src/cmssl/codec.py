@@ -24,6 +24,7 @@ Container format CMV1 (all integers little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -384,6 +385,15 @@ def read_cmv1(path) -> CompressedVideo:
         iframe_bytes = h * w * 3
         mv_bytes = hb * wb * 2 * 2
         residual_bytes = h * w * 3 * 2
+        # bound every read below by the file size before allocating any of it
+        n_gops = -(-frame_count // gop_size)
+        body_bytes = n_gops * iframe_bytes + (frame_count - n_gops) * (mv_bytes + residual_bytes)
+        file_body_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body_bytes > file_body_bytes:
+            raise ValueError(
+                f"{path}: truncated body: the header ({h}x{w}, {frame_count} frames) "
+                f"claims {body_bytes} bytes, the file holds {file_body_bytes} after the header"
+            )
         remaining = frame_count
         gi = 0
         while remaining > 0:

@@ -62,14 +62,33 @@ class VideoRecord:
     split: str
 
 
+_MANIFEST_KEYS = ("path", "context_class", "motion_class", "split")
+
+
 def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
-    """Decode every dataset video into memory (desk scale keeps this cheap)."""
+    """Decode every dataset video into memory (desk scale keeps this cheap).
+
+    A manifest record with a missing key, a class id that is not a
+    non-negative int, or a CMV1 file that does not exist raises a ValueError
+    naming the record and the path.
+    """
     dataset_dir = Path(dataset_dir)
     records = []
     for i, rec in enumerate(load_manifest(dataset_dir)):
+        where = f"{dataset_dir / 'manifest.jsonl'} record {i}"
+        missing = [k for k in _MANIFEST_KEYS if k not in rec]
+        if missing:
+            raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+        path = dataset_dir / rec["path"]
+        for key in ("context_class", "motion_class"):
+            if type(rec[key]) is not int or rec[key] < 0:
+                raise ValueError(f"{where} ({path}): {key} {rec[key]!r} is not a non-negative int")
         if split is not None and rec["split"] != split:
             continue
-        cv = read_cmv1(dataset_dir / rec["path"])
+        try:
+            cv = read_cmv1(path)
+        except FileNotFoundError as e:
+            raise ValueError(f"{where}: CMV1 file {path} does not exist") from e
         records.append(
             VideoRecord(
                 video_id=i,

@@ -384,6 +384,13 @@ class TestContainer:
         with pytest.raises(ValueError, match="truncated"):
             read_cmv1(p)
 
+    def test_body_larger_than_file_rejected_before_reading(self, tmp_path):
+        # 90 bytes whose header claims 1000 frames of 65528x65528
+        path = tmp_path / "huge.cmv1"
+        path.write_bytes(_HEADER.pack(b"CMV1", 1, 65528, 65528, 12, 8, 7, 1000).ljust(90, b"\x00"))
+        with pytest.raises(ValueError, match=r"claims 24927272020816 bytes, the file holds 66 after the header"):
+            read_cmv1(path)
+
     def test_corrupt_mv_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
         cv = encode_video(random_video(rng, t=13))

@@ -5,6 +5,8 @@ vectors, sharing nothing with the tensor engine except the documented
 epsilon-stabilized cosine (eps = 1e-8 added to each norm).
 """
 
+import ctypes
+import json
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from cmssl.pretext import (
     draw_sample_indices,
     identity_augment,
     joint_loss,
+    load_videos,
     materialize_sample,
     motion_mse_loss,
     motion_prediction_loss,
@@ -34,7 +37,7 @@ from cmssl.pretext import (
     sample_training_batch,
     valid_clip_start_range,
 )
-from cmssl.synthgen import SceneSpec, generate_video
+from cmssl.synthgen import SceneSpec, generate_dataset, generate_video
 from cmssl.tensor import Tensor
 
 EPS = 1e-8
@@ -431,6 +434,74 @@ class TestPretextForward:
         assert out.context_logits.shape == (4, 4)
         n = bundle.config.n_motion_points
         assert out.motion_logits.shape == (4 * n, 4 * n + 12 * n)
+
+
+class TestManifest:
+    @staticmethod
+    def dataset_with(tmp_path, **changes):
+        """A two-video dataset whose second manifest record gets `changes`
+        (a value of None deletes the key)."""
+        generate_dataset(tmp_path, n_videos=2, k_context=2, k_motion=1, frames=13, seed=0)
+        manifest = tmp_path / "manifest.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for key, value in changes.items():
+            if value is None:
+                del records[1][key]
+            else:
+                records[1][key] = value
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return tmp_path
+
+    def test_unchanged_dataset_loads(self, tmp_path):
+        videos = load_videos(self.dataset_with(tmp_path))
+        assert [(v.video_id, v.context_class) for v in videos] == [(0, 0), (1, 1)]
+
+    def test_missing_cmv1_file_named(self, tmp_path):
+        d = self.dataset_with(tmp_path, path="gone.cmv1")
+        with pytest.raises(ValueError, match=r"manifest.jsonl record 1: CMV1 file .*gone.cmv1 does not exist"):
+            load_videos(d)
+
+    def test_missing_key_named(self, tmp_path):
+        d = self.dataset_with(tmp_path, motion_class=None)
+        with pytest.raises(ValueError, match=r"manifest.jsonl record 1: missing key\(s\) motion_class"):
+            load_videos(d)
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, "1", True])
+    def test_class_id_not_a_non_negative_int_named(self, tmp_path, bad):
+        d = self.dataset_with(tmp_path, context_class=bad)
+        want = rf"manifest.jsonl record 1 \(.*video_00001.cmv1\): context_class {bad!r} is not a non-negative int"
+        with pytest.raises(ValueError, match=want):
+            load_videos(d)
+
+
+def has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+class TestResidentHeap:
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_warm_step_faults_almost_no_pages(self):
+        resource = pytest.importorskip("resource")
+        videos = [make_video_record(seed=s, motion=s % 4) for s in range(8)]
+        cfg = PretextConfig()
+        batch = collate(sample_training_batch(videos, 8, ModelConfig(), cfg, np.random.default_rng(0)))
+        bundle = ModelBundle(seed=0)
+
+        def step():
+            bundle.zero_grads()
+            pretext_forward(bundle, batch, cfg).loss.backward()
+
+        step()  # grows the heap to one step's working set
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # with glibc's default trimming this second step faults ≈28k pages
+        # back in; 1% of that is the bound
+        assert faults < 280, f"{faults} minor page faults in a warmed-up B=8 step"
 
 
 class TestEndToEndGradients:

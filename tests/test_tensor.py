@@ -4,6 +4,9 @@ Every differentiable op is validated against the central finite-difference
 oracle in conftest (h = 1e-5, float64, max-norm relative error < 1e-4).
 """
 
+import ctypes
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,47 @@ class TestElementwise:
             assert_grad_matches(lambda x: T.tsum(T.tsqrt(x)), [a])
             b = r.normal(size=(4, 2)) + 0.1  # keep samples off the relu kink
             assert_grad_matches(lambda x: T.tsum(T.mul(T.relu(x), x)), [b])
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_leaky_relu_matches_where_form(self, slope):
+        # the max form must give the same bits as the select it replaced
+        x = np.concatenate([rng_for(4).normal(size=200), [0.0, -0.0, 1e-300, -1e-300]])
+        a = Tensor(x, requires_grad=True)
+        out = T.leaky_relu(a, slope)
+
+        def bits(v):  # tells -0.0 from 0.0
+            return v.view(np.int64)
+
+        np.testing.assert_array_equal(bits(out.data), bits(np.where(x > 0, x, slope * x)))
+        g = rng_for(5).normal(size=x.shape)
+        T.tsum(T.mul(out, g)).backward()
+        # the leaf adds its gradient into a zero buffer, which turns -0.0 into 0.0
+        np.testing.assert_array_equal(bits(a.grad), bits(0.0 + g * np.where(x > 0, 1.0, slope)))
+        assert_grad_matches(lambda t: T.tsum(T.mul(T.leaky_relu(t, slope), t)), [rng_for(6).normal(size=(4, 3)) + 0.05])
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
+    def test_leaky_relu_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match=r"slope must be in \[0, 1\]"):
+            T.leaky_relu(Tensor(np.ones(3)), slope)
+
+
+class TestHeapSettings:
+    @pytest.mark.parametrize("no_mallopt", ["symbol_missing", "no_c_library"])
+    def test_import_without_mallopt(self, monkeypatch, no_mallopt):
+        calls = []
+
+        def cdll(name, *args, **kwargs):
+            calls.append(name)
+            if no_mallopt == "no_c_library":
+                raise OSError("no C library handle")
+            return object()  # a library without a mallopt symbol
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        spec = importlib.util.spec_from_file_location("tensor_without_mallopt", T.__file__)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        assert calls == [None]
+        np.testing.assert_array_equal(mod.leaky_relu(mod.Tensor([-2.0, 3.0])).data, [-0.02, 3.0])
 
 
 class TestShapeOps:
