@@ -273,7 +273,8 @@ class Transformer:
 
     def decode(self, memory: Tensor) -> Tensor:
         B = memory.shape[0]
-        q = T.add(T.add(self.queries, self.query_pos), Tensor(np.zeros((B, self.n_queries, self.cfg.width))))
+        zeros = np.zeros((B, self.n_queries, self.cfg.width), dtype=self.queries.data.dtype)
+        q = T.add(T.add(self.queries, self.query_pos), Tensor(zeros))
         for layer in self.dec_layers:
             q = T.add(q, layer["self_attn"](layer["ln1"](q), layer["ln1"](q), self.cfg.heads))
             q = T.add(q, layer["cross_attn"](layer["ln2"](q), memory, self.cfg.heads))
@@ -313,9 +314,16 @@ def _check_batch(x, want: tuple, what: str):
 
 class ModelBundle:
     """All learnable state: three backbones, the Transformer, four MLP heads,
-    and a tiny per-point value head for the direct-regression loss variant."""
+    and a tiny per-point value head for the direct-regression loss variant.
 
-    def __init__(self, config: ModelConfig | None = None, seed: int = 0):
+    Parameters are drawn in float64 from `seed`, then cast once to `dtype`
+    (float32 or float64), so both dtypes start from the same values rounded.
+    Every forward computes in that dtype."""
+
+    def __init__(self, config: ModelConfig | None = None, seed: int = 0, dtype=np.float32):
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"ModelBundle dtype must be float32 or float64, got {self.dtype}")
         self.config = config or ModelConfig()
         cfg = self.config
         rng = np.random.default_rng(np.random.PCG64(seed))
@@ -339,26 +347,33 @@ class ModelBundle:
         self.g_m1 = MlpHead("g_m1", rng, c3, cfg.head_hidden, cfg.embed_dim)
         self.g_m2 = MlpHead("g_m2", rng, c3, cfg.head_hidden, cfg.embed_dim)
         self.value_head = _Linear("value_head", rng, c3, 2)
+        for p in self.params().values():
+            p.data = p.data.astype(self.dtype, copy=False)
+            p.grad = np.zeros_like(p.data)
 
     # -- forward passes: batches only, numpy arrays or Tensors ---------------
+
+    def _batch(self, x) -> Tensor:
+        """A numpy batch as a Tensor of the parameters' dtype; a Tensor as is."""
+        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
 
     def v_forward(self, clip) -> Tensor:
         """(B, 3, clip_len, S, S) clips -> (B, C1, T1, H1, W1) features."""
         cfg = self.config
         _check_batch(clip, (3, cfg.clip_len, cfg.input_size, cfg.input_size), "clip")
-        return self.v_net.forward(clip)
+        return self.v_net.forward(self._batch(clip))
 
     def i_forward(self, iframe) -> Tensor:
         """(B, 3, S, S) I-frames -> (B, C2, H2, W2) features."""
         cfg = self.config
         _check_batch(iframe, (3, cfg.input_size, cfg.input_size), "iframe")
-        return self.i_net.forward(iframe)
+        return self.i_net.forward(self._batch(iframe))
 
     def m_forward(self, mv_clip) -> Tensor:
         """(B, 2, mv_len, S, S) motion clips -> (B, C3, T3, H3, W3) features."""
         cfg = self.config
         _check_batch(mv_clip, (2, cfg.mv_len, cfg.input_size, cfg.input_size), "mv clip")
-        return self.m_net.forward(mv_clip)
+        return self.m_net.forward(self._batch(mv_clip))
 
     def transformer_predict(self, x) -> Tensor:
         """(B, C1, T1, H1, W1) clip features -> (B, C3, T3, H3, W3)."""
@@ -401,7 +416,9 @@ _CKPT_HEADER = struct.Struct("<4sHI")
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None):
-    """Versioned binary of named float64 arrays plus a JSON metadata blob."""
+    """Versioned binary of named arrays plus a JSON metadata blob. Every array
+    is stored as little-endian float64 (`<f8`), whatever its dtype; a float32
+    array widens exactly."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes)))
@@ -468,13 +485,17 @@ def save_checkpoint(bundle: ModelBundle, path, extra_arrays: dict | None = None,
     arrays = {name: p.data for name, p in bundle.params().items()}
     if extra_arrays:
         arrays.update(extra_arrays)
-    full_meta = {"model_config": asdict(bundle.config)}
+    full_meta = {"model_config": asdict(bundle.config), "dtype": bundle.dtype.name}
     full_meta.update(meta or {})
     save_arrays(path, arrays, full_meta)
 
 
 def load_checkpoint(path, bundle: ModelBundle | None = None):
-    """Restore (or build) a bundle; returns (bundle, extra_arrays, meta)."""
+    """Restore (or build) a bundle; returns (bundle, extra_arrays, meta).
+
+    A bundle built here gets the config and dtype the checkpoint recorded.
+    Every parameter is checked before any is written, so a checkpoint that
+    fails leaves a given bundle as it was."""
     arrays, meta = load_arrays(path)
     if bundle is None:
         if not isinstance(meta, dict) or not isinstance(meta.get("model_config"), dict):
@@ -483,18 +504,30 @@ def load_checkpoint(path, bundle: ModelBundle | None = None):
             config = ModelConfig(**meta["model_config"])
         except TypeError as e:  # an unknown or missing config key
             raise ValueError(f"{path}: bad model_config: {e}") from None
-        bundle = ModelBundle(config=config)
-    extras = {}
+        dtype = meta.get("dtype", "float32")
+        if dtype not in ("float32", "float64"):
+            raise ValueError(f"{path}: checkpoint dtype {dtype!r} is not float32 or float64")
+        bundle = ModelBundle(config=config, dtype=dtype)
+    extras, loaded = {}, {}
     params = bundle.params()
     for name, arr in arrays.items():
-        if name in params:
-            if params[name].data.shape != arr.shape:
-                raise ValueError(f"{path}: parameter {name} shape {arr.shape} != {params[name].data.shape}")
-            params[name].data[...] = arr
-        else:
+        if name not in params:
             extras[name] = arr
-    missing = set(params) - set(arrays)
+            continue
+        dest = params[name].data
+        if dest.shape != arr.shape:
+            raise ValueError(f"{path}: parameter {name} shape {arr.shape} != {dest.shape}")
+        with np.errstate(over="ignore"):
+            loaded[name] = arr.astype(dest.dtype)
+        if not np.isfinite(loaded[name]).all():
+            j = int(np.argmin(np.isfinite(loaded[name])))
+            raise ValueError(
+                f"{path}: parameter {name} holds {arr.flat[j]} at flat index {j}, not finite in {dest.dtype}"
+            )
+    missing = set(params) - set(loaded)
     if missing:
         raise ValueError(f"{path}: checkpoint missing parameters: {sorted(missing)[:4]}...")
+    for name, value in loaded.items():
+        params[name].data[...] = value
     return bundle, extras, meta
 

@@ -62,33 +62,22 @@ class VideoRecord:
     split: str
 
 
-_MANIFEST_KEYS = ("path", "context_class", "motion_class", "split")
-
-
 def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
     """Decode every dataset video into memory (desk scale keeps this cheap).
 
-    A manifest record with a missing key, a class id that is not a
-    non-negative int, or a CMV1 file that does not exist raises a ValueError
-    naming the record and the path.
+    The manifest is read and checked by `synthgen.load_manifest`; a CMV1 file
+    that does not exist raises a ValueError naming the record and the path.
     """
     dataset_dir = Path(dataset_dir)
     records = []
     for i, rec in enumerate(load_manifest(dataset_dir)):
-        where = f"{dataset_dir / 'manifest.jsonl'} record {i}"
-        missing = [k for k in _MANIFEST_KEYS if k not in rec]
-        if missing:
-            raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
-        path = dataset_dir / rec["path"]
-        for key in ("context_class", "motion_class"):
-            if type(rec[key]) is not int or rec[key] < 0:
-                raise ValueError(f"{where} ({path}): {key} {rec[key]!r} is not a non-negative int")
         if split is not None and rec["split"] != split:
             continue
+        path = dataset_dir / rec["path"]
         try:
             cv = read_cmv1(path)
         except FileNotFoundError as e:
-            raise ValueError(f"{where}: CMV1 file {path} does not exist") from e
+            raise ValueError(f"{dataset_dir / 'manifest.jsonl'} record {i}: CMV1 file {path} does not exist") from e
         records.append(
             VideoRecord(
                 video_id=i,
@@ -393,7 +382,7 @@ def _info_nce(anchors: Tensor, positives: Tensor, negatives: Tensor | None, tau:
         pool = T.concat([pool, T.l2_normalize(negatives, axis=1)], axis=0)
     logits = T.scale(T.matmul(an, T.transpose(pool, (1, 0))), 1.0 / tau)  # [i, k] = cos(pool_k, a_i)/tau
     log_z = T.logsumexp(logits, axis=1)
-    diag = T.tsum(T.mul(logits, Tensor(np.eye(*logits.shape))), axis=1)
+    diag = T.tsum(T.mul(logits, Tensor(np.eye(*logits.shape, dtype=logits.data.dtype))), axis=1)
     return T.tmean(T.sub(log_z, diag)), logits.data * tau
 
 
@@ -486,7 +475,7 @@ def pretext_forward(bundle: ModelBundle, batch: dict, cfg: PretextConfig) -> Pre
             pred_pts = T.transpose(bundle.value_head(T.transpose(flat, (0, 2, 1))), (0, 2, 1))
             pred = T.reshape(pred_pts, (B, 2, t3, h3, w3))
             target = pool_mv_values(batch["mv"], (2, t3, h3, w3))
-            j_m = motion_mse_loss(pred, Tensor(target))
+            j_m = motion_mse_loss(pred, Tensor(target.astype(pred.data.dtype, copy=False)))
         else:
             vm = bundle.m_forward(batch["mv"])
             truth = bundle.g_m1.forward_points(T.reshape(vm, (B, c3, n_points)))

@@ -306,14 +306,45 @@ def generate_dataset(
     return manifest
 
 
+_MANIFEST_KEYS = ("path", "context_class", "motion_class", "split")
+
+
 def load_manifest(dataset_dir) -> list[dict]:
-    dataset_dir = Path(dataset_dir)
+    """The records of `dataset_dir/manifest.jsonl`, one JSON object per
+    non-blank line.
+
+    A line that is not UTF-8 JSON or not an object raises a ValueError naming
+    the manifest and the line. A record missing one of path, context_class,
+    motion_class and split, with a path that is not a string, or with a class
+    id that is not a non-negative int raises one naming the manifest and the
+    record's index.
+    """
+    manifest = Path(dataset_dir) / "manifest.jsonl"
     records = []
-    with open(dataset_dir / "manifest.jsonl") as fh:
-        for line in fh:
+    with open(manifest, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line.decode())
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{manifest} line {lineno}: not UTF-8 ({e.reason} at byte {e.start})") from None
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{manifest} line {lineno}: not JSON ({e.msg} at column {e.colno})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{manifest} line {lineno}: {type(rec).__name__} {rec!r} is not a JSON object")
+            where = f"{manifest} record {len(records)}"
+            missing = [k for k in _MANIFEST_KEYS if k not in rec]
+            if missing:
+                raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+            if not isinstance(rec["path"], str):
+                raise ValueError(f"{where}: path {rec['path']!r} is not a string")
+            for key in ("context_class", "motion_class"):
+                if type(rec[key]) is not int or rec[key] < 0:
+                    path = manifest.parent / rec["path"]
+                    raise ValueError(f"{where} ({path}): {key} {rec[key]!r} is not a non-negative int")
+            records.append(rec)
     return records
 
 

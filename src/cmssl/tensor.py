@@ -1,8 +1,17 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the networks and losses is a Tensor wrapping a
 numpy array. Ops build a DAG of closures; Tensor.backward() runs them in
 reverse topological order, summing the gradients each node receives.
+
+Dtypes: a Tensor keeps a float32 or float64 array as it is and turns any
+other input (ints, bools, float16, Python numbers, lists) into float64. An op
+computes in numpy's promotion of its operands' dtypes, so float32 in gives
+float32 out and float32 gradients, and a float32/float64 mix computes in
+float64. A Python-number operand (`add(x, eps)`) takes its partner's dtype
+and never promotes it. A leaf's gradient buffer has the leaf's own dtype.
+The model picks float32 through ModelBundle; the finite-difference checks
+and numpy oracles in the tests run in float64.
 
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
@@ -17,15 +26,15 @@ Who owns a gradient array:
   kept: backward() on the same loss again adds the same gradients once more.
 
 Memory between steps: a training step allocates its activations and
-gradients (≈280 MB live after a B=8 forward of the default model) and frees
-all of them at the end of the step. By default glibc hands the freed heap top
-back to the OS and unmaps every array above its mmap threshold, so each step
-faults the same amount of fresh, zeroed pages in again (≈12k minor faults per
-B=8 step). Importing this module therefore tells glibc malloc, once, never to
-trim the heap and never to serve a request by mmap; the heap then grows to
-the largest step and stays mapped, and a warmed-up step faults a few pages at
-most. Where the C library has no mallopt this is skipped; no array op depends
-on it.
+gradients (≈145 MiB live after a B=8 forward of the default float32 model,
+≈280 MiB at float64) and frees all of them at the end of the step. By
+default glibc hands the freed heap top back to the OS and unmaps every array
+above its mmap threshold, so each step faults the same amount of fresh,
+zeroed pages in again (≈12k minor faults per float64 B=8 step). Importing
+this module therefore tells glibc malloc, once, never to trim the heap and
+never to serve a request by mmap; the heap then grows to the largest step
+and stays mapped, and a warmed-up step faults a few pages at most. Where the
+C library has no mallopt this is skipped; no array op depends on it.
 """
 
 from __future__ import annotations
@@ -50,11 +59,12 @@ def _keep_heap_mapped():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # -1 disables trimming: the ≈280 MB a B=8 step frees stays mapped for the
-    # next step. No mmap threshold is enough on its own: the largest array
-    # grows with the batch (the patch matrix of v_net's second conv is 27 MiB
-    # at 8 clips and 54 MiB at 16), and glibc caps the threshold at 32 MiB, so a
-    # 16-clip forward would still map and fault in 54 MiB per batch.
+    # -1 disables trimming: the ≈145 MiB a float32 B=8 step frees stays mapped
+    # for the next step. No mmap threshold is enough on its own: the largest
+    # array grows with the batch (the float32 patch matrix of v_net's second
+    # conv is 13.5 MiB at 8 clips and 54 MiB at 32), and glibc caps the
+    # threshold at 32 MiB, so a 32-clip forward would still map and fault in
+    # 54 MiB per batch.
     mallopt(_M_MMAP_MAX, 0)
     mallopt(_M_TRIM_THRESHOLD, -1)
 
@@ -78,7 +88,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "op")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), op: str = "leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if (requires_grad and op == "leaf") else None
         self._backward = None
@@ -114,7 +125,7 @@ class Tensor:
     def _accum(self, g: np.ndarray):
         if self._backward is None:  # a leaf: its own buffer, in place
             if self.grad is None:
-                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
             else:
                 self.grad += g
         elif self.grad is None:
@@ -177,8 +188,14 @@ class Tensor:
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like=None) -> Tensor:
+    """x as a Tensor; a Python scalar paired with the Tensor `like` takes its
+    dtype, so that `add(x, eps)` keeps a float32 x in float32."""
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(like, Tensor) and isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
@@ -207,7 +224,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data + b.data
 
     def backward(g):
@@ -220,7 +237,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data - b.data
 
     def backward(g):
@@ -233,7 +250,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data * b.data
 
     def backward(g):
@@ -246,7 +263,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data / b.data
 
     def backward(g):
@@ -320,13 +337,14 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
     a = _as_tensor(a)
+    slope = float(slope)  # a numpy float64 slope would promote a float32 input
     mask = a.data > 0
     data = a.data * slope
     np.maximum(data, a.data, out=data)
 
     def backward(g):
         if a.requires_grad:
-            f = mask.astype(np.float64)
+            f = mask.astype(a.data.dtype)
             np.maximum(f, slope, out=f)
             f *= g
             a._accum(f)
@@ -536,7 +554,8 @@ def dropout(a, p: float, rng: np.random.Generator | None = None, training: bool 
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    mask = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
+    mask /= 1.0 - p
     data = a.data * mask
 
     def backward(g):
@@ -647,7 +666,7 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
             # order keeps every slice add on contiguous memory; the permuted
             # view at the end restores the layout.
             wt = np.ascontiguousarray(kd.reshape(cout, cin, -1).transpose(2, 1, 0))
-            dxp = np.zeros((cin, B) + xp.shape[2:])
+            dxp = np.zeros((cin, B) + xp.shape[2:], dtype=np.result_type(wt, gmat))
             for k, off in enumerate(np.ndindex(*ksp)):
                 sl = tuple(
                     slice(off[i], off[i] + stride[i] * out_sp[i], stride[i]) for i in range(nd)

@@ -1,13 +1,18 @@
 """Shared oracles for the test suite."""
 
 import numpy as np
+import pytest
 
 from cmssl.tensor import Tensor
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar f w.r.t. every element of x."""
-    g = np.zeros_like(x, dtype=np.float64)
+    """Central finite differences of scalar f w.r.t. every element of x.
+
+    x must be float64: at h = 1e-5 a float32 difference quotient is mostly
+    rounding noise, so a gradcheck run at float32 would prove nothing."""
+    assert x.dtype == np.float64, f"finite differences need a float64 input, got {x.dtype}"
+    g = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = g.reshape(-1)
     for i in range(flat.size):
@@ -40,6 +45,21 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
     return out
 
 
+@pytest.fixture
+def grad_dtypes(monkeypatch):
+    """The set of dtypes of every gradient that backward() hands to a node
+    during the test (a leaf's own buffer would hide a promoted one)."""
+    seen = set()
+    accum = Tensor._accum
+
+    def recording(self, g):
+        seen.add(g.dtype)
+        accum(self, g)
+
+    monkeypatch.setattr(Tensor, "_accum", recording)
+    return seen
+
+
 def assert_non_leaf_grads_released(loss: Tensor):
     """After backward(), only leaves may still hold a gradient."""
     kept = [n.op for n in graph_nodes(loss) if n._backward is not None and n.grad is not None]
@@ -50,14 +70,18 @@ def assert_grad_matches(build_loss, arrays, tol: float = 1e-4, h: float = 1e-5):
     """Check analytic grads of build_loss(*tensors) against central differences.
 
     build_loss must be deterministic and accept Tensors positionally. Every
-    array in `arrays` is treated as a differentiable input. Also checks that
+    array in `arrays` is treated as a differentiable input and must be
+    float64, and so must every analytic gradient. Also checks that
     backward() released every non-leaf gradient.
     """
+    for idx, a in enumerate(arrays):
+        assert a.dtype == np.float64, f"input {idx}: gradcheck needs float64, got {a.dtype}"
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     loss = build_loss(*tensors)
     loss.backward()
     assert_non_leaf_grads_released(loss)
     for idx, (t, a) in enumerate(zip(tensors, arrays)):
+        assert t.grad.dtype == np.float64, f"input {idx}: analytic gradient is {t.grad.dtype}, not float64"
         def f(x, _idx=idx):
             args = [Tensor(arr.copy()) for arr in arrays]
             args[_idx] = Tensor(x)

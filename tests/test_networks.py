@@ -279,6 +279,49 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"array {name} holds {bad} at flat index 5"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_bit_exact_in_the_bundle_dtype(self, tmp_path, dtype):
+        b = ModelBundle(seed=8, dtype=dtype)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(b, path)
+        b2, _, _ = load_checkpoint(path)
+        for name, p in b.params().items():
+            got = b2.params()[name].data
+            assert got.dtype == dtype, name
+            assert np.array_equal(p.data, got), name
+        # a float32 file widens exactly into a float64 bundle
+        b64, _, _ = load_checkpoint(path, ModelBundle(seed=0, dtype=np.float64))
+        for name, p in b.params().items():
+            assert np.array_equal(p.data.astype(np.float64), b64.params()[name].data), name
+
+    @pytest.mark.parametrize("bad", ["float16", "complex", 5])
+    def test_unknown_checkpoint_dtype_rejected(self, tmp_path, bad):
+        path, arrays, meta = self.saved(tmp_path)
+        meta["dtype"] = bad
+        save_arrays(path, arrays, meta)
+        with pytest.raises(ValueError, match=f"checkpoint dtype {bad!r} is not float32 or float64"):
+            load_checkpoint(path)
+
+    def test_value_beyond_float32_rejected(self, tmp_path):
+        b = ModelBundle(seed=9, dtype=np.float64)
+        b.value_head.w.data.reshape(-1)[3] = 1e39  # the parameter that sorts last
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(b, path)
+        dest = ModelBundle(seed=10)
+        before = {name: p.data.copy() for name, p in dest.params().items()}
+        want = r"parameter value_head.w holds 1e\+39 at flat index 3, not finite in float32"
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path, dest)
+        # a failed load writes none of the parameters of the bundle it was given
+        assert all(np.array_equal(p.data, before[name]) for name, p in dest.params().items())
+        # the bundle built from the file's own dtype holds the value
+        b64, _, _ = load_checkpoint(path)
+        assert b64.dtype == np.float64 and b64.value_head.w.data.reshape(-1)[3] == 1e39
+
+    def test_bundle_dtype_other_than_float32_or_float64_rejected(self):
+        with pytest.raises(ValueError, match="float32 or float64, got float16"):
+            ModelBundle(dtype=np.float16)
+
 
 class TestGradAudit:
     def test_zero_grad_fraction_helper(self):

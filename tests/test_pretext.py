@@ -40,6 +40,8 @@ from cmssl.pretext import (
 from cmssl.synthgen import SceneSpec, generate_dataset, generate_video
 from cmssl.tensor import Tensor
 
+from conftest import graph_nodes
+
 EPS = 1e-8
 
 
@@ -504,6 +506,48 @@ class TestResidentHeap:
         assert faults < 280, f"{faults} minor page faults in a warmed-up B=8 step"
 
 
+class TestFloat32Step:
+    @pytest.fixture(scope="class")
+    def batches(self):
+        videos = [make_video_record(seed=s, motion=s % 4) for s in range(8)]
+        return {
+            mode: collate(sample_training_batch(videos, 8, ModelConfig(), PretextConfig(motion_loss=mode),
+                                                np.random.default_rng(0)))
+            for mode in ("pointwise_infonce", "mse")
+        }
+
+    @staticmethod
+    def step(batch, mode, **bundle_kw):
+        bundle = ModelBundle(seed=0, **bundle_kw)
+        out = pretext_forward(bundle, batch, PretextConfig(motion_loss=mode))
+        nodes = graph_nodes(out.loss)
+        out.loss.backward()
+        return bundle, out.loss, nodes
+
+    @pytest.mark.parametrize("mode", ["pointwise_infonce", "mse"])
+    def test_default_bundle_runs_in_float32(self, batches, mode, grad_dtypes):
+        bundle, _, nodes = self.step(batches[mode], mode)
+        assert grad_dtypes == {np.dtype(np.float32)}
+        assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+        assert {p.grad.dtype for p in bundle.params().values()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("mode", ["pointwise_infonce", "mse"])
+    def test_float32_step_tracks_float64(self, batches, mode):
+        b32, loss32, _ = self.step(batches[mode], mode, dtype=np.float32)
+        b64, loss64, _ = self.step(batches[mode], mode, dtype=np.float64)
+        assert abs(loss32.item() - loss64.item()) <= 1e-6 * abs(loss64.item())
+        g64 = {name: p.grad for name, p in b64.params().items()}
+        for name, p in b32.params().items():
+            scale = np.abs(g64[name]).max()
+            if name.endswith(".k.b"):
+                # softmax is shift-invariant, so a key bias's true gradient is
+                # exactly 0 and float32 reads only rounding noise (≈1e-9)
+                assert scale < 1e-12, name
+                scale = 1e-3
+            err = np.abs(p.grad.astype(np.float64) - g64[name]).max()
+            assert err <= 1e-4 * scale, f"{name}: {err:.3e} against max |grad| {scale:.3e}"
+
+
 class TestEndToEndGradients:
     def test_joint_loss_fd_check_tiny_widths(self):
         mcfg = ModelConfig(
@@ -522,7 +566,7 @@ class TestEndToEndGradients:
             "neg_mv": rng.normal(size=(B, 2, 4, 8, 8)) * 0.5,
             "video_ids": np.arange(B),
         }
-        bundle = ModelBundle(config=mcfg, seed=1)
+        bundle = ModelBundle(config=mcfg, seed=1, dtype=np.float64)
         params = bundle.params()
         bundle.zero_grads()
         out = pretext_forward(bundle, batch, cfg)

@@ -1,5 +1,7 @@
 """Generator determinism, labeling balance, and codec compatibility."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,29 @@ class TestGenerateDataset:
         generate_dataset(d1, n_videos=6, k_context=2, k_motion=2, frames=13, seed=7, threads=1)
         generate_dataset(d2, n_videos=6, k_context=2, k_motion=2, frames=13, seed=7, threads=3)
         assert manifest_digest(d1) == manifest_digest(d2)
+
+
+class TestLoadManifest:
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            (b'{"path": "a.cmv1"', r"line 3: not JSON \(Expecting ',' delimiter at column 18\)"),
+            (b"5", r"line 3: int 5 is not a JSON object"),
+            (b"\xff{}", r"line 3: not UTF-8 \(invalid start byte at byte 0\)"),
+        ],
+        ids=["not_json", "not_an_object", "not_utf8"],
+    )
+    def test_bad_line_named(self, tmp_path, line, want):
+        generate_dataset(tmp_path, n_videos=1, k_context=1, k_motion=1, frames=13, seed=0)
+        manifest = tmp_path / "manifest.jsonl"
+        # a blank line 2, so the bad line is line 3 of the file but record 1
+        manifest.write_bytes(manifest.read_bytes() + b"\n" + line + b"\n")
+        with pytest.raises(ValueError, match=r"manifest.jsonl " + want):
+            load_manifest(tmp_path)
+
+    def test_path_not_a_string_named(self, tmp_path):
+        (tmp_path / "manifest.jsonl").write_text(
+            json.dumps({"path": 5, "context_class": 0, "motion_class": 0, "split": "train"}) + "\n"
+        )
+        with pytest.raises(ValueError, match=r"manifest.jsonl record 0: path 5 is not a string"):
+            load_manifest(tmp_path)

@@ -6,6 +6,7 @@ oracle in conftest (h = 1e-5, float64, max-norm relative error < 1e-4).
 
 import ctypes
 import importlib.util
+import inspect
 
 import numpy as np
 import pytest
@@ -99,6 +100,90 @@ class TestHeapSettings:
         spec.loader.exec_module(mod)
         assert calls == [None]
         np.testing.assert_array_equal(mod.leaky_relu(mod.Tensor([-2.0, 3.0])).data, [-0.02, 3.0])
+
+
+# one call of every public op, on inputs of the given shapes; the inputs are
+# kept away from the log/sqrt/div singularities
+DTYPE_CASES = {
+    "add": (T.add, [(3, 4), (4,)]),
+    "sub": (T.sub, [(3, 4), (4,)]),
+    "mul": (T.mul, [(3, 4), (4,)]),
+    "div": (T.div, [(3, 4), (4,)]),
+    "scale": (lambda a: T.scale(a, np.float64(2.5)), [(3, 4)]),
+    "texp": (T.texp, [(3, 4)]),
+    "tlog": (T.tlog, [(3, 4)]),
+    "tsqrt": (T.tsqrt, [(3, 4)]),
+    "relu": (T.relu, [(3, 4)]),
+    "leaky_relu": (lambda a: T.leaky_relu(a, np.float64(0.1)), [(3, 4)]),
+    "reshape": (lambda a: T.reshape(a, (4, 3)), [(3, 4)]),
+    "flatten": (T.flatten, [(3, 4)]),
+    "transpose": (lambda a: T.transpose(a, (1, 0)), [(3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), [(3, 4), (2, 4)]),
+    "tsum": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
+    "tmean": (lambda a: T.tmean(a, axis=0), [(3, 4)]),
+    "matmul": (lambda a, b, c: T.matmul(T.matmul(a, b), c), [(2, 3, 4), (4, 5), (2, 5, 3)]),
+    "softmax": (lambda a: T.softmax(a, axis=1), [(3, 4)]),
+    "logsumexp": (lambda a: T.logsumexp(a, axis=1), [(3, 4)]),
+    "layer_norm": (lambda a, g, b: T.layer_norm(a, g, b, axis=1), [(2, 3, 4), (1, 3, 1), (1, 3, 1)]),
+    "dropout": (lambda a: T.dropout(a, 0.25, rng=np.random.default_rng(0)), [(3, 4)]),
+    "global_avg_pool": (T.global_avg_pool, [(3, 2, 2)]),
+    "cosine_similarity": (T.cosine_similarity, [(5,), (5,)]),
+    "l2_normalize": (lambda a: T.l2_normalize(a, axis=1), [(3, 4)]),
+    "conv2d": (lambda a, k: T.conv2d(a, k, stride=(2, 1), padding=(1, 1)), [(2, 2, 5, 5), (3, 2, 3, 3)]),
+    "conv3d": (lambda a, k: T.conv3d(a, k, stride=(1, 2, 1), padding=(1, 0, 1)), [(2, 2, 3, 5, 4), (3, 2, 3, 3, 3)]),
+}
+
+
+class TestDtypes:
+    def test_cases_cover_every_public_op(self):
+        public = {
+            name for name, f in vars(T).items()
+            if inspect.isfunction(f) and f.__module__ == T.__name__ and not name.startswith("_")
+        }
+        assert public - {"no_grad"} == DTYPE_CASES.keys()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+    def test_output_and_grads_keep_the_input_dtype(self, name, dtype, grad_dtypes):
+        build, shapes = DTYPE_CASES[name]
+        r = rng_for(0)
+        leaves = [Tensor((r.uniform(0.5, 1.5, size=s) * r.choice([-1, 1], size=s)).astype(dtype), requires_grad=True)
+                  for s in shapes]
+        if name in ("tlog", "tsqrt"):
+            leaves = [Tensor(np.abs(leaves[0].data), requires_grad=True)]
+        out = build(*leaves)
+        loss = T.tsum(T.mul(out, out))
+        assert {n.data.dtype for n in graph_nodes(loss)} == {np.dtype(dtype)}
+        loss.backward()
+        assert grad_dtypes == {np.dtype(dtype)}
+        for i, leaf in enumerate(leaves):
+            assert leaf.grad.dtype == dtype, f"input {i}"
+            assert np.isfinite(leaf.grad).all() and np.abs(leaf.grad).max() > 0, f"input {i}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_scalar_takes_the_tensor_dtype(self, dtype, grad_dtypes):
+        x = Tensor(np.array([1.0, 2.0], dtype=dtype), requires_grad=True)
+        for out in (T.add(x, 1e-8), T.add(1e-8, x), T.sub(x, 2), T.sub(2, x), T.mul(x, np.float64(0.5)),
+                    T.div(x, 3.0), T.div(3.0, x), x + 1.0, x * 2, x / 4.0, -x):
+            assert out.data.dtype == dtype
+            T.tsum(out).backward()
+        assert x.grad.dtype == dtype and grad_dtypes == {np.dtype(dtype)}
+
+    def test_tensor_keeps_float32_and_float64_and_widens_the_rest(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        for data in (np.ones(2), np.ones(2, dtype=np.float16), np.ones(2, dtype=np.int64),
+                     np.ones(2, dtype=">f4"), [1, 2], 3.0, True):
+            assert Tensor(data).data.dtype == np.float64, repr(data)
+
+    def test_mixed_dtypes_promote_and_each_leaf_keeps_its_own(self):
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.full(3, 2.0), requires_grad=True)
+        out = T.tsum(T.mul(a, b))
+        assert out.data.dtype == np.float64
+        a.grad = None  # a's buffer is then made from its first (float64) gradient
+        out.backward()
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+        np.testing.assert_array_equal(a.grad, 2.0)
 
 
 class TestShapeOps:
