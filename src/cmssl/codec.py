@@ -15,6 +15,14 @@ wide enough for 255*b, and block sums are floats of integers below 2**24
 (float32) or 2**53 (float64), where addition never rounds. Encodes are
 therefore the same on every platform.
 
+In memory a CompressedVideo of T frames, gop_size g and block_size b is
+three arrays:
+  iframes    (G, H, W, 3) uint8, G = ceil(T / g): frame t = g*i is iframes[i];
+  mvs        (P, H/b, W/b, 2) int16, P = T - G: (dx, dy) per block;
+  residuals  (P, H, W, 3) int16.
+P-frames are in frame order: frame t (t % g != 0) is P-frame p = t - t//g - 1,
+which is P-frame p % (g - 1) of GOP p // (g - 1).
+
 Container format CMV1 (all integers little-endian):
   magic 'CMV1', version u16, H u32, W u32, gop_size u16, block_size u16,
   search_range u16, frame_count u32; then per GOP the raw I-frame bytes,
@@ -24,9 +32,10 @@ Container format CMV1 (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +43,7 @@ CMV1_MAGIC = b"CMV1"
 CMV1_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodecConfig:
     block_size: int = 8
     search_range: int = 7
@@ -71,28 +80,100 @@ class RawVideo:
         return self.frames.shape[2]
 
 
-@dataclass
-class MotionVectorMap:
-    vectors: np.ndarray  # (Hb, Wb, 2) int16, [..., 0] = dx, [..., 1] = dy
-    block_size: int
+_ARRAYS = (("iframes", np.uint8), ("mvs", np.int16), ("residuals", np.int16))
 
 
-@dataclass
-class Gop:
-    i_frame: np.ndarray  # (H, W, 3) uint8
-    p_frames: list  # of (MotionVectorMap, residual int16 (H, W, 3))
+def _shapes(cfg: CodecConfig, height: int, width: int, frame_count: int) -> tuple:
+    """The shapes of iframes, mvs and residuals of a video of this geometry."""
+    b = cfg.block_size
+    n_i = -(-frame_count // cfg.gop_size)
+    n_p = frame_count - n_i
+    return (n_i, height, width, 3), (n_p, height // b, width // b, 2), (n_p, height, width, 3)
 
 
-@dataclass
+def _allocate(cfg: CodecConfig, height: int, width: int, frame_count: int) -> list:
+    """Uninitialised iframes, mvs and residuals of a video of this geometry."""
+    return [np.empty(shape, dtype) for shape, (_, dtype) in zip(_shapes(cfg, height, width, frame_count), _ARRAYS)]
+
+
+def _check_geometry(cfg: CodecConfig, height: int, width: int, frame_count: int):
+    """The geometry a video is laid out by: a whole block grid, one frame or more."""
+    b = cfg.block_size
+    for name, size in (("height", height), ("width", width)):
+        if size < 1 or size % b:
+            raise ValueError(f"{name} {size} is not a positive multiple of block_size {b}")
+    if frame_count < 1:
+        raise ValueError(f"frame_count {frame_count}: a video needs at least one frame")
+
+
+@dataclass(frozen=True, eq=False)
 class CompressedVideo:
+    """I-frames, then every P-frame's MV grid and residual in frame order
+    (see the module docstring). Building one checks everything but the
+    reconstruction range, which only decoding can see, and the arrays it
+    holds are read-only, so a CompressedVideo stays valid."""
+
     config: CodecConfig
-    height: int
-    width: int
-    frame_count: int
-    gops: list = field(default_factory=list)
+    iframes: np.ndarray  # (G, H, W, 3) uint8
+    mvs: np.ndarray  # (P, Hb, Wb, 2) int16, [..., 0] = dx, [..., 1] = dy
+    residuals: np.ndarray  # (P, H, W, 3) int16
+
+    def __post_init__(self):
+        for name, dtype in _ARRAYS:
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.ndim != 4:
+                got = f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise ValueError(f"{name} must be a 4-d {np.dtype(dtype)} array, got {got}")
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        cfg = self.config
+        g, b = cfg.gop_size, cfg.block_size
+        h, w, n = self.height, self.width, self.frame_count
+        _check_geometry(cfg, h, w, n)
+        for (name, _), want in zip(_ARRAYS, _shapes(cfg, h, w, n)):
+            got = getattr(self, name).shape
+            if got != want:
+                raise ValueError(f"{name} of shape {got}, expected {want} for {n} frames at gop_size {g}")
+        if len(self.mvs) == 0:
+            return
+        res = self.residuals
+        # a uint8 pixel minus a uint8 prediction lies in [-255, 255]
+        if res.min() < -255 or res.max() > 255:
+            p, y, x, c = np.argwhere((res < -255) | (res > 255))[0]
+            gi, pi = divmod(int(p), g - 1)
+            raise ValueError(
+                f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: residual {res[p, y, x, c]} outside [-255, 255]"
+            )
+        # per block, the (dx, dy) bounds of the search window cut to the frame
+        r = cfg.search_range
+        x, y = np.arange(w // b) * b, np.arange(h // b)[:, None] * b
+        low = np.empty((h // b, w // b, 2), dtype=np.int64)
+        high = np.empty_like(low)
+        low[..., 0], low[..., 1] = np.maximum(-r, -x), np.maximum(-r, -y)
+        high[..., 0], high[..., 1] = np.minimum(r, w - b - x), np.minimum(r, h - b - y)
+        bad = (self.mvs < low) | (self.mvs > high)
+        if bad.any():
+            p, by, bx, _ = np.argwhere(bad)[0]
+            gi, pi = divmod(int(p), g - 1)
+            dx, dy = (int(v) for v in self.mvs[p, by, bx])
+            what = f"exceeds search_range {r}" if max(abs(dx), abs(dy)) > r else f"moves the block outside the {h}x{w} frame"
+            raise ValueError(f"GOP {gi} P-frame {pi} block ({by}, {bx}): motion vector ({dx}, {dy}) {what}")
+
+    @property
+    def height(self) -> int:
+        return self.iframes.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.iframes.shape[2]
+
+    @property
+    def frame_count(self) -> int:
+        return len(self.iframes) + len(self.mvs)
 
     def iframe_indices(self) -> list[int]:
-        return [g * self.config.gop_size for g in range(len(self.gops))]
+        return list(range(0, self.frame_count, self.config.gop_size))
 
 
 def pad_frames_to_block(frames: np.ndarray, block_size: int) -> np.ndarray:
@@ -163,16 +244,16 @@ def _estimate_motion_batch(refs: np.ndarray, tgts: np.ndarray, cfg: CodecConfig)
     return np.ascontiguousarray(best.transpose(1, 0, 2, 3))
 
 
-def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig) -> MotionVectorMap:
+def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """Exhaustive-search block matching minimizing SAD over all 3 channels.
 
-    The vector (dx, dy) of each target block points to its best match in the
-    reference: ref[y+dy : y+dy+b, x+dx : x+dx+b], over every offset with
-    |dx|, |dy| <= search_range. Candidates that would read outside the
-    reference are excluded from that block's window; (0, 0) never is. Among
-    equal SADs the smallest |dx|+|dy| wins, then the smallest dy, then the
-    smallest dx. Every sum is exact, so the result is the same on every
-    platform.
+    Returns the (Hb, Wb, 2) int16 grid of (dx, dy). The vector of each target
+    block points to its best match in the reference: ref[y+dy : y+dy+b,
+    x+dx : x+dx+b], over every offset with |dx|, |dy| <= search_range.
+    Candidates that would read outside the reference are excluded from that
+    block's window; (0, 0) never is. Among equal SADs the smallest |dx|+|dy|
+    wins, then the smallest dy, then the smallest dx. Every sum is exact, so
+    the result is the same on every platform.
     """
     if reference.shape != target.shape:
         raise ValueError(f"frame shape mismatch: reference {reference.shape} vs target {target.shape}")
@@ -180,141 +261,64 @@ def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig)
     b = cfg.block_size
     if h % b or w % b:
         raise ValueError(f"frame dims ({h}, {w}) not divisible by block_size {b}")
-    vectors = _estimate_motion_batch(reference[None], target[None], cfg)[0]
-    return MotionVectorMap(vectors=vectors, block_size=b)
+    return _estimate_motion_batch(reference[None], target[None], cfg)[0]
 
 
-def motion_compensate(reference: np.ndarray, mv: MotionVectorMap) -> np.ndarray:
-    """Predict a frame by copying each block from its reference position."""
+def motion_compensate(reference: np.ndarray, vectors: np.ndarray, block_size: int) -> np.ndarray:
+    """Predict a frame by copying each block from its reference position.
+    Every vector must keep its block inside the frame."""
     h, w, _ = reference.shape
-    b = mv.block_size
-    dx = np.repeat(np.repeat(mv.vectors[:, :, 0], b, axis=0), b, axis=1).astype(np.int64)
-    dy = np.repeat(np.repeat(mv.vectors[:, :, 1], b, axis=0), b, axis=1).astype(np.int64)
-    rows = np.arange(h)[:, None] + dy
-    cols = np.arange(w)[None, :] + dx
-    return reference[rows, cols]
+    b = block_size
+    v = vectors.astype(np.intp)
+    # the flat source of every pixel: its own position plus its block's shift
+    shift = (v[:, :, 1] * w + v[:, :, 0])[:, None, :, None]
+    source = np.arange(h * w).reshape(h // b, b, w // b, b) + shift
+    return np.take(reference.reshape(h * w, 3), source.reshape(h, w), axis=0)
 
 
 def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedVideo:
-    """Frame t becomes an I-frame iff t % gop_size == 0; P-frames reference
-    the immediately preceding reconstructed frame."""
+    """Frame t becomes an I-frame iff t % gop_size == 0; a P-frame predicts
+    from frame t - 1. Residuals are lossless, so every reconstructed frame
+    equals its source, and a GOP's motion search runs as one batch."""
     cfg = cfg or CodecConfig()
     if video.n_frames == 0:
         raise ValueError("cannot encode an empty video")
     frames = pad_frames_to_block(video.frames, cfg.block_size)
-    cv = CompressedVideo(
-        config=cfg, height=frames.shape[1], width=frames.shape[2], frame_count=frames.shape[0]
-    )
-    n = frames.shape[0]
-    for start in range(0, n, cfg.gop_size):
-        end = min(start + cfg.gop_size, n)
-        gop = Gop(i_frame=frames[start].copy(), p_frames=[])
-        # residuals are lossless, so every reconstructed frame equals its
-        # source; the whole GOP's motion search can run as one batch
+    n, h, w, _ = frames.shape
+    g, b = cfg.gop_size, cfg.block_size
+    iframes, mvs, residuals = _allocate(cfg, h, w, n)
+    iframes[...] = frames[::g]
+    for start in range(0, n, g):
+        end = min(start + g, n)
         if end - start > 1:
-            vectors = _estimate_motion_batch(frames[start : end - 1], frames[start + 1 : end], cfg)
-            recon = frames[start]
-            for i, t in enumerate(range(start + 1, end)):
-                mv = MotionVectorMap(vectors=vectors[i], block_size=cfg.block_size)
-                pred = motion_compensate(recon, mv)
-                residual = frames[t].astype(np.int16) - pred.astype(np.int16)
-                gop.p_frames.append((mv, residual))
-                recon = (pred.astype(np.int32) + residual).astype(np.uint8)
-        cv.gops.append(gop)
-    return cv
-
-
-def _check_header(cv: CompressedVideo):
-    """The geometry a CMV1 body is laid out by: a whole block grid, one frame or more."""
-    b = cv.config.block_size
-    for name, size in (("height", cv.height), ("width", cv.width)):
-        if size < 1 or size % b:
-            raise ValueError(f"{name} {size} is not a positive multiple of block_size {b}")
-    if cv.frame_count < 1:
-        raise ValueError(f"frame_count {cv.frame_count}: a video needs at least one frame")
-
-
-def validate_compressed(cv: CompressedVideo):
-    """Structural checks; raises naming the offending field, or GOP, P-frame and block."""
-    _check_header(cv)
-    g = cv.config.gop_size
-    expected_gops = (cv.frame_count + g - 1) // g
-    if len(cv.gops) != expected_gops:
-        raise ValueError(f"expected {expected_gops} GOPs for {cv.frame_count} frames, found {len(cv.gops)}")
-    remaining = cv.frame_count
-    b = cv.config.block_size
-    hb, wb = cv.height // b, cv.width // b
-    grids = []
-    for gi, gop in enumerate(cv.gops):
-        expect_p = min(remaining, g) - 1
-        if len(gop.p_frames) != expect_p:
-            raise ValueError(f"GOP {gi}: expected {expect_p} P-frames, found {len(gop.p_frames)}")
-        for pi, (mv, residual) in enumerate(gop.p_frames):
-            if mv.vectors.shape != (hb, wb, 2):
-                raise ValueError(f"GOP {gi} P-frame {pi}: MV grid shape {mv.vectors.shape}, expected {(hb, wb, 2)}")
-            if residual.shape != (cv.height, cv.width, 3):
-                raise ValueError(f"GOP {gi} P-frame {pi}: residual shape {residual.shape}")
-            # a uint8 pixel minus a uint8 prediction lies in [-255, 255]
-            if residual.min() < -255 or residual.max() > 255:
-                y, x, c = np.argwhere((residual < -255) | (residual > 255))[0]
-                raise ValueError(
-                    f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
-                    f"residual {residual[y, x, c]} outside [-255, 255]"
-                )
-            grids.append(mv.vectors)
-        remaining -= expect_p + 1
-    if not grids:
-        return
-    vectors = np.concatenate(grids).reshape(-1, hb, wb, 2)
-    # per block, the (dx, dy) bounds of the search window cut to the frame
-    r = cv.config.search_range
-    x, y = np.arange(wb) * b, np.arange(hb)[:, None] * b
-    low = np.empty((hb, wb, 2), dtype=np.int64)
-    high = np.empty_like(low)
-    low[..., 0], low[..., 1] = np.maximum(-r, -x), np.maximum(-r, -y)
-    high[..., 0], high[..., 1] = np.minimum(r, cv.width - b - x), np.minimum(r, cv.height - b - y)
-    bad = (vectors < low) | (vectors > high)
-    if bad.any():
-        p, by, bx, _ = np.argwhere(bad)[0]
-        gi, pi = divmod(int(p), g - 1)  # every GOP but the last has g - 1 P-frames
-        dx, dy = (int(v) for v in vectors[p, by, bx])
-        if max(abs(dx), abs(dy)) > r:
-            what = f"exceeds search_range {r}"
-        else:
-            what = f"moves the block outside the {cv.height}x{cv.width} frame"
-        raise ValueError(f"GOP {gi} P-frame {pi} block ({by}, {bx}): motion vector ({dx}, {dy}) {what}")
+            p = start - start // g
+            mvs[p : p + end - start - 1] = _estimate_motion_batch(frames[start : end - 1], frames[start + 1 : end], cfg)
+    for p, t in enumerate(np.flatnonzero(np.arange(n) % g)):
+        np.subtract(frames[t], motion_compensate(frames[t - 1], mvs[p], b), out=residuals[p], dtype=np.int16)
+    return CompressedVideo(cfg, iframes, mvs, residuals)
 
 
 def decode_video(cv: CompressedVideo) -> RawVideo:
-    validate_compressed(cv)
+    """Rebuild every frame; raises naming the GOP, P-frame and pixel whose
+    prediction plus residual leaves [0, 255]."""
+    g, b = cv.config.gop_size, cv.config.block_size
     frames = np.empty((cv.frame_count, cv.height, cv.width, 3), dtype=np.uint8)
-    t = 0
-    for gi, gop in enumerate(cv.gops):
-        recon = gop.i_frame
+    for t in range(cv.frame_count):
+        if t % g == 0:
+            frames[t] = cv.iframes[t // g]
+            continue
+        p = t - t // g - 1
+        # residuals lie in [-255, 255], so the int16 sum cannot overflow
+        recon = motion_compensate(frames[t - 1], cv.mvs[p], b) + cv.residuals[p]
+        if recon.min() < 0 or recon.max() > 255:
+            y, x, c = np.argwhere((recon < 0) | (recon > 255))[0]
+            gi, pi = divmod(p, g - 1)
+            raise ValueError(
+                f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
+                f"reconstruction {recon[y, x, c]} outside [0, 255]"
+            )
         frames[t] = recon
-        t += 1
-        for pi, (mv, residual) in enumerate(gop.p_frames):
-            pred = motion_compensate(recon, mv)
-            # validated residuals lie in [-255, 255], so int16 cannot overflow
-            recon = pred.astype(np.int16) + residual
-            if recon.min() < 0 or recon.max() > 255:
-                y, x, c = np.argwhere((recon < 0) | (recon > 255))[0]
-                raise ValueError(
-                    f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
-                    f"reconstruction {recon[y, x, c]} outside [0, 255]"
-                )
-            recon = recon.astype(np.uint8)
-            frames[t] = recon
-            t += 1
     return RawVideo(frames=frames)
-
-
-def mv_map_at(cv: CompressedVideo, t: int) -> np.ndarray | None:
-    """Pixel-offset grid of frame t, or None when t is an I-frame."""
-    g = cv.config.gop_size
-    if t % g == 0:
-        return None
-    return cv.gops[t // g].p_frames[t % g - 1][0].vectors
 
 
 def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | None = None) -> np.ndarray:
@@ -325,13 +329,17 @@ def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | 
     values are rescaled by the spatial scale factor.
     """
     frames = np.asarray(frames)
+    if frames.size and frames.dtype.kind not in "iu":
+        raise ValueError(f"frame indices must be integers, got dtype {frames.dtype}")
     if frames.ndim != 1 or frames.size == 0 or frames.min() < 0 or frames.max() >= cv.frame_count:
         raise ValueError(f"frame indices {frames.tolist()} outside video of {cv.frame_count} frames")
-    b = cv.config.block_size
+    g, b = cv.config.gop_size, cv.config.block_size
     h, w = cv.height, cv.width
     oh, ow = out_size or (h, w)
-    grids = [mv_map_at(cv, int(t)) for t in frames]
-    grids = np.stack([np.zeros((h // b, w // b, 2), np.int16) if g is None else g for g in grids])
+    grids = np.zeros((len(frames), h // b, w // b, 2), dtype=np.int16)
+    p_slots = frames % g != 0
+    t = frames[p_slots]
+    grids[p_slots] = cv.mvs[t - t // g - 1]
     # the block under each output pixel of the nearest-neighbor raster
     by = np.minimum((np.arange(oh) * h) // oh, h - 1) // b
     bx = np.minimum((np.arange(ow) * w) // ow, w - 1) // b
@@ -346,8 +354,32 @@ def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | 
 _HEADER = struct.Struct("<4sHIIHHHI")
 
 
+def _body_bytes(cfg: CodecConfig, height: int, width: int, frame_count: int) -> int:
+    """A CMV1 body holds the bytes of the three arrays, only interleaved."""
+    shapes = _shapes(cfg, height, width, frame_count)
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, (_, dtype) in zip(shapes, _ARRAYS))
+
+
+def _gop_records(cfg: CodecConfig, height: int, width: int, frame_count: int):
+    """The CMV1 body as records of its first, longest GOP: the record dtype
+    (I-frame, then an (MV grid, residual) pair per P-frame) and the (record,
+    pair) index of every P-frame in frame order. The last GOP may be
+    shorter, so the body is a prefix of one record per GOP."""
+    b = cfg.block_size
+    n = min(cfg.gop_size, frame_count)
+    pframe = np.dtype([("mv", "<i2", (height // b, width // b, 2)), ("res", "<i2", (height, width, 3))])
+    gop = np.dtype([("i", "u1", (height, width, 3)), ("p", pframe, (n - 1,))])
+    n_p = frame_count - -(-frame_count // cfg.gop_size)
+    return gop, divmod(np.arange(n_p), max(n - 1, 1))
+
+
 def write_cmv1(cv: CompressedVideo, path):
-    validate_compressed(cv)
+    cfg = cv.config
+    gop, slots = _gop_records(cfg, cv.height, cv.width, cv.frame_count)
+    records = np.zeros(len(cv.iframes), dtype=gop)
+    records["i"] = cv.iframes
+    records["p"]["mv"][slots] = cv.mvs
+    records["p"]["res"][slots] = cv.residuals
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
@@ -355,66 +387,55 @@ def write_cmv1(cv: CompressedVideo, path):
                 CMV1_VERSION,
                 cv.height,
                 cv.width,
-                cv.config.gop_size,
-                cv.config.block_size,
-                cv.config.search_range,
+                cfg.gop_size,
+                cfg.block_size,
+                cfg.search_range,
                 cv.frame_count,
             )
         )
-        for gop in cv.gops:
-            fh.write(gop.i_frame.astype("<u1").tobytes())
-            for mv, residual in gop.p_frames:
-                fh.write(mv.vectors.astype("<i2").tobytes())
-                fh.write(residual.astype("<i2").tobytes())
+        fh.write(records.view(np.uint8)[: _body_bytes(cfg, cv.height, cv.width, cv.frame_count)])
 
 
 def read_cmv1(path) -> CompressedVideo:
+    """Read and check a CMV1 file; every ValueError names the file."""
+    try:
+        return _read_cmv1(path)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _read_cmv1(path) -> CompressedVideo:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise ValueError("truncated header")
         magic, version, h, w, gop_size, block_size, search_range, frame_count = _HEADER.unpack(raw)
         if magic != CMV1_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise ValueError(f"bad magic {magic!r}")
         if version != CMV1_VERSION:
-            raise ValueError(f"{path}: unsupported CMV1 version {version}")
+            raise ValueError(f"unsupported CMV1 version {version}")
         cfg = CodecConfig(block_size=block_size, search_range=search_range, gop_size=gop_size)
-        cv = CompressedVideo(config=cfg, height=h, width=w, frame_count=frame_count)
-        _check_header(cv)
-        hb, wb = h // block_size, w // block_size
-        iframe_bytes = h * w * 3
-        mv_bytes = hb * wb * 2 * 2
-        residual_bytes = h * w * 3 * 2
-        # bound every read below by the file size before allocating any of it
-        n_gops = -(-frame_count // gop_size)
-        body_bytes = n_gops * iframe_bytes + (frame_count - n_gops) * (mv_bytes + residual_bytes)
+        _check_geometry(cfg, h, w, frame_count)
+        # bound the body by the file size before allocating any of it
+        body_bytes = _body_bytes(cfg, h, w, frame_count)
         file_body_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
         if body_bytes > file_body_bytes:
             raise ValueError(
-                f"{path}: truncated body: the header ({h}x{w}, {frame_count} frames) "
+                f"truncated body: the header ({h}x{w}, {frame_count} frames) "
                 f"claims {body_bytes} bytes, the file holds {file_body_bytes} after the header"
             )
-        remaining = frame_count
-        gi = 0
-        while remaining > 0:
-            data = fh.read(iframe_bytes)
-            if len(data) < iframe_bytes:
-                raise ValueError(f"{path}: GOP {gi}: truncated I-frame")
-            iframe = np.frombuffer(data, dtype="<u1").reshape(h, w, 3).copy()
-            gop = Gop(i_frame=iframe, p_frames=[])
-            n_p = min(remaining, gop_size) - 1
-            for pi in range(n_p):
-                mv_raw = fh.read(mv_bytes)
-                res_raw = fh.read(residual_bytes)
-                if len(mv_raw) < mv_bytes or len(res_raw) < residual_bytes:
-                    raise ValueError(f"{path}: GOP {gi} P-frame {pi}: truncated")
-                vectors = np.frombuffer(mv_raw, dtype="<i2").reshape(hb, wb, 2).copy()
-                residual = np.frombuffer(res_raw, dtype="<i2").reshape(h, w, 3).copy()
-                gop.p_frames.append((MotionVectorMap(vectors=vectors, block_size=block_size), residual))
-            cv.gops.append(gop)
-            remaining -= n_p + 1
-            gi += 1
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after {frame_count} frames")
-    validate_compressed(cv)
-    return cv
+        if body_bytes < file_body_bytes:
+            raise ValueError(f"{file_body_bytes - body_bytes} trailing bytes after {frame_count} frames")
+        # what the video keeps is allocated before the body it is copied
+        # from; a body freed below it would leave a heap hole per video that
+        # the next, equally large body cannot reuse
+        iframes, mvs, residuals = _allocate(cfg, h, w, frame_count)
+        body = fh.read(body_bytes)
+    if len(body) < body_bytes:
+        raise ValueError(f"truncated body: read {len(body)} of {body_bytes} bytes")
+    gop, slots = _gop_records(cfg, h, w, frame_count)
+    records = np.frombuffer(body.ljust(len(iframes) * gop.itemsize, b"\0"), dtype=gop)
+    iframes[...] = records["i"]
+    mvs[...] = records["p"]["mv"][slots]
+    residuals[...] = records["p"]["res"][slots]
+    return CompressedVideo(cfg, iframes, mvs, residuals)

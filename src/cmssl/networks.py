@@ -78,24 +78,42 @@ class ModelConfig:
         return t * h * w
 
 
-def _he(rng, shape, fan_in):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+class _Init:
+    """Makes every parameter of a bundle: values drawn in float64 from one
+    seeded generator in call order, stored once in the bundle's dtype, with
+    their gradient buffers."""
+
+    def __init__(self, seed: int, dtype):
+        self.rng = np.random.default_rng(np.random.PCG64(seed))
+        self.dtype = dtype
+
+    def normal(self, std: float, shape) -> Tensor:
+        return self._param(self.rng.normal(0.0, std, size=shape))
+
+    def he(self, shape, fan_in: int) -> Tensor:
+        return self.normal(np.sqrt(2.0 / fan_in), shape)
+
+    def full(self, value: float, shape) -> Tensor:
+        return self._param(np.full(shape, value, dtype=self.dtype))
+
+    def _param(self, values: np.ndarray) -> Tensor:
+        return Tensor(values.astype(self.dtype, copy=False), requires_grad=True)
 
 
 class ConvStack:
     """conv -> layer norm over channels -> relu, repeated; 2-D or 3-D."""
 
-    def __init__(self, name, rng, in_channels, channels, strides, nd, kernels=None):
+    def __init__(self, name, init, in_channels, channels, strides, nd, kernels=None):
         self.name = name
         self.nd = nd
         self.layers = []
         kernels = kernels or [(3,) * nd] * len(channels)
         c_prev = in_channels
         for c, s, k in zip(channels, strides, kernels):
-            kernel = Tensor(_he(rng, (c, c_prev) + tuple(k), c_prev * int(np.prod(k))), requires_grad=True)
+            kernel = init.he((c, c_prev) + tuple(k), c_prev * int(np.prod(k)))
             gshape = (1, c) + (1,) * nd
-            gamma = Tensor(np.ones(gshape), requires_grad=True)
-            beta = Tensor(np.zeros(gshape), requires_grad=True)
+            gamma = init.full(1.0, gshape)
+            beta = init.full(0.0, gshape)
             self.layers.append((kernel, gamma, beta, s, tuple(d // 2 for d in k)))
             c_prev = c
 
@@ -124,12 +142,12 @@ class MlpHead:
     """Two affine layers with one leaky relu between them: the projection
     heads, and the Transformer's feed-forward blocks."""
 
-    def __init__(self, name, rng, in_dim, hidden, out_dim):
+    def __init__(self, name, init, in_dim, hidden, out_dim):
         self.name = name
-        self.w1 = Tensor(_he(rng, (in_dim, hidden), in_dim), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, np.sqrt(1.0 / hidden), size=(hidden, out_dim)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.w1 = init.he((in_dim, hidden), in_dim)
+        self.b1 = init.full(0.0, hidden)
+        self.w2 = init.normal(np.sqrt(1.0 / hidden), (hidden, out_dim))
+        self.b2 = init.full(0.0, out_dim)
 
     def forward(self, x: Tensor) -> Tensor:
         """(..., in_dim) -> (..., out_dim)."""
@@ -150,10 +168,10 @@ class MlpHead:
 
 
 class _Linear:
-    def __init__(self, name, rng, d_in, d_out):
+    def __init__(self, name, init, d_in, d_out):
         self.name = name
-        self.w = Tensor(rng.normal(0.0, np.sqrt(1.0 / d_in), size=(d_in, d_out)), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True)
+        self.w = init.normal(np.sqrt(1.0 / d_in), (d_in, d_out))
+        self.b = init.full(0.0, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.w), self.b)
@@ -163,10 +181,10 @@ class _Linear:
 
 
 class _LayerNormParams:
-    def __init__(self, name, dim):
+    def __init__(self, name, init, dim):
         self.name = name
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
+        self.gamma = init.full(1.0, dim)
+        self.beta = init.full(0.0, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, axis=-1)
@@ -191,11 +209,11 @@ def _attention(q, k, v, heads):
 
 
 class _AttentionBlock:
-    def __init__(self, name, rng, d):
-        self.q = _Linear(f"{name}.q", rng, d, d)
-        self.k = _Linear(f"{name}.k", rng, d, d)
-        self.v = _Linear(f"{name}.v", rng, d, d)
-        self.o = _Linear(f"{name}.o", rng, d, d)
+    def __init__(self, name, init, d):
+        self.q = _Linear(f"{name}.q", init, d, d)
+        self.k = _Linear(f"{name}.k", init, d, d)
+        self.v = _Linear(f"{name}.v", init, d, d)
+        self.o = _Linear(f"{name}.o", init, d, d)
 
     def __call__(self, x_q, x_kv, heads):
         return self.o(_attention(self.q(x_q), self.k(x_kv), self.v(x_kv), heads))
@@ -211,7 +229,7 @@ class Transformer:
     """Pre-LN encoder-decoder predicting motion feature maps from clip
     feature maps, both flattened t-major/h/w into token sequences."""
 
-    def __init__(self, rng, model_cfg: ModelConfig):
+    def __init__(self, init, model_cfg: ModelConfig):
         cfg = model_cfg.transformer
         self.cfg = cfg
         c1, t1, h1, w1 = model_cfg.clip_feat_shape
@@ -222,20 +240,20 @@ class Transformer:
         self.n_queries = t3 * h3 * w3
         d = cfg.width
 
-        self.in_proj = _Linear("transformer.in_proj", rng, c1, d)
-        self.pos_enc = Tensor(rng.normal(0.0, 0.02, size=(self.seq_in, d)), requires_grad=True)
-        self.queries = Tensor(rng.normal(0.0, 0.02, size=(self.n_queries, d)), requires_grad=True)
-        self.query_pos = Tensor(rng.normal(0.0, 0.02, size=(self.n_queries, d)), requires_grad=True)
+        self.in_proj = _Linear("transformer.in_proj", init, c1, d)
+        self.pos_enc = init.normal(0.02, (self.seq_in, d))
+        self.queries = init.normal(0.02, (self.n_queries, d))
+        self.query_pos = init.normal(0.02, (self.n_queries, d))
 
         self.enc_layers = []
         for i in range(cfg.encoder_layers):
             p = f"transformer.enc{i}"
             self.enc_layers.append(
                 {
-                    "ln1": _LayerNormParams(f"{p}.ln1", d),
-                    "attn": _AttentionBlock(f"{p}.attn", rng, d),
-                    "ln2": _LayerNormParams(f"{p}.ln2", d),
-                    "ff": MlpHead(f"{p}.ff", rng, d, cfg.ff_width, d),
+                    "ln1": _LayerNormParams(f"{p}.ln1", init, d),
+                    "attn": _AttentionBlock(f"{p}.attn", init, d),
+                    "ln2": _LayerNormParams(f"{p}.ln2", init, d),
+                    "ff": MlpHead(f"{p}.ff", init, d, cfg.ff_width, d),
                 }
             )
         self.dec_layers = []
@@ -243,17 +261,17 @@ class Transformer:
             p = f"transformer.dec{i}"
             self.dec_layers.append(
                 {
-                    "ln1": _LayerNormParams(f"{p}.ln1", d),
-                    "self_attn": _AttentionBlock(f"{p}.self_attn", rng, d),
-                    "ln2": _LayerNormParams(f"{p}.ln2", d),
-                    "cross_attn": _AttentionBlock(f"{p}.cross_attn", rng, d),
-                    "ln3": _LayerNormParams(f"{p}.ln3", d),
-                    "ff": MlpHead(f"{p}.ff", rng, d, cfg.ff_width, d),
+                    "ln1": _LayerNormParams(f"{p}.ln1", init, d),
+                    "self_attn": _AttentionBlock(f"{p}.self_attn", init, d),
+                    "ln2": _LayerNormParams(f"{p}.ln2", init, d),
+                    "cross_attn": _AttentionBlock(f"{p}.cross_attn", init, d),
+                    "ln3": _LayerNormParams(f"{p}.ln3", init, d),
+                    "ff": MlpHead(f"{p}.ff", init, d, cfg.ff_width, d),
                 }
             )
-        self.enc_norm = _LayerNormParams("transformer.enc_norm", d)
-        self.dec_norm = _LayerNormParams("transformer.dec_norm", d)
-        self.out_proj = _Linear("transformer.out_proj", rng, d, c3)
+        self.enc_norm = _LayerNormParams("transformer.enc_norm", init, d)
+        self.dec_norm = _LayerNormParams("transformer.dec_norm", init, d)
+        self.out_proj = _Linear("transformer.out_proj", init, d, c3)
 
     def embed_inputs(self, x: Tensor) -> Tensor:
         """(B, C1, T1, H1, W1) -> (B, S, width) tokens with positions added."""
@@ -316,7 +334,7 @@ class ModelBundle:
     """All learnable state: three backbones, the Transformer, four MLP heads,
     and a tiny per-point value head for the direct-regression loss variant.
 
-    Parameters are drawn in float64 from `seed`, then cast once to `dtype`
+    Parameters are drawn in float64 from `seed` and stored in `dtype`
     (float32 or float64), so both dtypes start from the same values rounded.
     Every forward computes in that dtype."""
 
@@ -326,30 +344,27 @@ class ModelBundle:
             raise ValueError(f"ModelBundle dtype must be float32 or float64, got {self.dtype}")
         self.config = config or ModelConfig()
         cfg = self.config
-        rng = np.random.default_rng(np.random.PCG64(seed))
+        init = _Init(seed, self.dtype)
         # spatial-only stem keeps the full-resolution layer cheap; temporal
         # mixing starts at the stride-2 stages
         self.v_net = ConvStack(
-            "v_net", rng, 3, cfg.v_channels,
+            "v_net", init, 3, cfg.v_channels,
             [(1, 1, 1), (2, 2, 2), (2, 2, 2)], nd=3,
             kernels=[(1, 3, 3), (3, 3, 3), (3, 3, 3)],
         )
-        self.i_net = ConvStack("i_net", rng, 3, cfg.i_channels, [(1, 1), (2, 2), (2, 2)], nd=2)
+        self.i_net = ConvStack("i_net", init, 3, cfg.i_channels, [(1, 1), (2, 2), (2, 2)], nd=2)
         self.m_net = ConvStack(
-            "m_net", rng, 2, cfg.m_channels, [(2, 2, 2), (2, 2, 2), (1, 2, 2)], nd=3
+            "m_net", init, 2, cfg.m_channels, [(2, 2, 2), (2, 2, 2), (1, 2, 2)], nd=3
         )
-        self.transformer = Transformer(rng, cfg)
+        self.transformer = Transformer(init, cfg)
         c1 = cfg.clip_feat_shape[0]
         c2 = cfg.iframe_feat_shape[0]
         c3 = cfg.motion_feat_shape[0]
-        self.g_v = MlpHead("g_v", rng, c1, cfg.head_hidden, cfg.embed_dim)
-        self.g_i = MlpHead("g_i", rng, c2, cfg.head_hidden, cfg.embed_dim)
-        self.g_m1 = MlpHead("g_m1", rng, c3, cfg.head_hidden, cfg.embed_dim)
-        self.g_m2 = MlpHead("g_m2", rng, c3, cfg.head_hidden, cfg.embed_dim)
-        self.value_head = _Linear("value_head", rng, c3, 2)
-        for p in self.params().values():
-            p.data = p.data.astype(self.dtype, copy=False)
-            p.grad = np.zeros_like(p.data)
+        self.g_v = MlpHead("g_v", init, c1, cfg.head_hidden, cfg.embed_dim)
+        self.g_i = MlpHead("g_i", init, c2, cfg.head_hidden, cfg.embed_dim)
+        self.g_m1 = MlpHead("g_m1", init, c3, cfg.head_hidden, cfg.embed_dim)
+        self.g_m2 = MlpHead("g_m2", init, c3, cfg.head_hidden, cfg.embed_dim)
+        self.value_head = _Linear("value_head", init, c3, 2)
 
     # -- forward passes: batches only, numpy arrays or Tensors ---------------
 

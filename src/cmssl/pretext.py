@@ -67,6 +67,8 @@ def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
 
     The manifest is read and checked by `synthgen.load_manifest`; a CMV1 file
     that does not exist raises a ValueError naming the record and the path.
+    `read_cmv1` checks each file once, and decoding adds only the
+    reconstruction-range check.
     """
     dataset_dir = Path(dataset_dir)
     records = []

@@ -1,8 +1,12 @@
 """Codec correctness: SAD search, GOP layout, lossless roundtrip, container."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
+from cmssl import codec
 from cmssl.codec import (
     _HEADER,
     CodecConfig,
@@ -13,11 +17,26 @@ from cmssl.codec import (
     estimate_motion,
     extract_modalities,
     motion_compensate,
-    mv_map_at,
     pad_frames_to_block,
     read_cmv1,
     write_cmv1,
 )
+
+
+def grid_at(cv, t):
+    """The MV grid of frame t, or None when t is an I-frame: every GOP before
+    t's holds gop_size - 1 P-frames."""
+    gop, i = divmod(t, cv.config.gop_size)
+    return None if i == 0 else cv.mvs[gop * (cv.config.gop_size - 1) + i - 1]
+
+
+def empty_arrays(n_iframes, h, w, b=8):
+    """iframes, mvs and residuals of a video with no P-frames."""
+    return (
+        np.zeros((n_iframes, h, w, 3), dtype=np.uint8),
+        np.zeros((0, h // b, w // b, 2), dtype=np.int16),
+        np.zeros((0, h, w, 3), dtype=np.int16),
+    )
 
 
 def random_frame(rng, h=32, w=32):
@@ -91,12 +110,12 @@ class TestMotionEstimation:
         rng = np.random.default_rng(0)
         f = random_frame(rng)
         mv = estimate_motion(f, f, CodecConfig())
-        assert np.all(mv.vectors == 0)
+        assert np.all(mv == 0)
 
     def test_search_range_zero_forces_zero_vectors(self):
         rng = np.random.default_rng(1)
         mv = estimate_motion(random_frame(rng), random_frame(rng), CodecConfig(search_range=0))
-        assert np.all(mv.vectors == 0)
+        assert np.all(mv == 0)
 
     def test_translation_recovered_on_interior_blocks(self):
         rng = np.random.default_rng(2)
@@ -106,7 +125,7 @@ class TestMotionEstimation:
             tgt = translate_frame(ref, dx, dy)
             mv = estimate_motion(ref, tgt, cfg)
             # skip the border ring: edge replication makes those blocks ambiguous
-            interior = mv.vectors[1:-1, 1:-1]
+            interior = mv[1:-1, 1:-1]
             assert np.all(interior[:, :, 0] == dx), f"shift ({dx},{dy})"
             assert np.all(interior[:, :, 1] == dy), f"shift ({dx},{dy})"
 
@@ -119,7 +138,7 @@ class TestMotionEstimation:
             mins, _ = brute_force_sad_search(ref, tgt, cfg)
             for by in range(2):
                 for bx in range(2):
-                    dx, dy = mv.vectors[by, bx]
+                    dx, dy = mv[by, bx]
                     assert block_sad(ref, tgt, by, bx, dx, dy, 8) == mins[by, bx]
 
     @pytest.mark.parametrize("block_size", range(1, 12))
@@ -136,7 +155,7 @@ class TestMotionEstimation:
                 tgt[rng.random((h, w)) < 0.1] = quantised_frame(rng, 1, 1, levels)
                 mv = estimate_motion(ref, tgt, cfg)
                 _, expected = brute_force_sad_search(ref, tgt, cfg)
-                np.testing.assert_array_equal(mv.vectors, expected, err_msg=f"r={r}, levels={levels}")
+                np.testing.assert_array_equal(mv, expected, err_msg=f"r={r}, levels={levels}")
 
     def test_wide_block_accumulators_match_brute_force(self):
         # a 258-pixel block needs 32-bit row sums (258 * 255 > 2**16) and
@@ -155,7 +174,7 @@ class TestMotionEstimation:
         for ref, tgt in ((noise, np.roll(noise, (2, -1), axis=(0, 1))), (wraps, white), (rounds, white)):
             mv = estimate_motion(ref, tgt, cfg)
             _, expected = brute_force_sad_search(ref, tgt, cfg)
-            np.testing.assert_array_equal(mv.vectors, expected)
+            np.testing.assert_array_equal(mv, expected)
 
     def test_batched_gop_search_matches_brute_force(self):
         # encode_video searches all P-frames of a GOP at once; no frame's
@@ -167,13 +186,13 @@ class TestMotionEstimation:
         for t in range(1, 9):
             if t % cfg.gop_size:
                 _, expected = brute_force_sad_search(frames[t - 1], frames[t], cfg)
-                np.testing.assert_array_equal(mv_map_at(cv, t), expected, err_msg=f"frame {t}")
+                np.testing.assert_array_equal(grid_at(cv, t), expected, err_msg=f"frame {t}")
 
     def test_vectors_within_search_range(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             mv = estimate_motion(random_frame(rng), random_frame(rng), CodecConfig())
-            assert np.abs(mv.vectors).max() <= 7
+            assert np.abs(mv).max() <= 7
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -185,33 +204,48 @@ class TestMotionEstimation:
         ref = random_frame(rng)
         tgt = translate_frame(ref, 3, -2)
         mv = estimate_motion(ref, tgt, CodecConfig())
-        pred = motion_compensate(ref, mv)
+        pred = motion_compensate(ref, mv, 8)
         inner = slice(8, 24)
         np.testing.assert_array_equal(pred[inner, inner], tgt[inner, inner])
+
+    def test_compensation_matches_per_block_copy(self):
+        rng = np.random.default_rng(34)
+        for b, hb, wb in ((8, 4, 4), (3, 5, 2), (1, 6, 7)):
+            ref = random_frame(rng, hb * b, wb * b)
+            # any vector that keeps its block inside the frame
+            y, x = np.arange(hb)[:, None] * b, np.arange(wb) * b
+            dy = rng.integers(-y, hb * b - b - y + 1, size=(hb, wb))
+            dx = rng.integers(-x, wb * b - b - x + 1, size=(hb, wb))
+            vectors = np.stack([dx, dy], axis=-1).astype(np.int16)
+            want = np.empty_like(ref)
+            for by in range(hb):
+                for bx in range(wb):
+                    y0, x0, (vx, vy) = by * b, bx * b, vectors[by, bx]
+                    want[y0 : y0 + b, x0 : x0 + b] = ref[y0 + vy : y0 + vy + b, x0 + vx : x0 + vx + b]
+            np.testing.assert_array_equal(motion_compensate(ref, vectors, b), want)
 
 
 class TestGopLayout:
     def test_24_frames_two_gops(self):
         rng = np.random.default_rng(4)
         cv = encode_video(random_video(rng, t=24))
-        assert len(cv.gops) == 2
-        assert [len(g.p_frames) for g in cv.gops] == [11, 11]
+        assert cv.iframes.shape == (2, 32, 32, 3)
+        assert cv.mvs.shape == (22, 4, 4, 2) and cv.residuals.shape == (22, 32, 32, 3)
         assert cv.iframe_indices() == [0, 12]
+        np.testing.assert_array_equal(cv.iframes, random_video(np.random.default_rng(4), t=24).frames[[0, 12]])
 
     def test_single_frame_video(self):
         rng = np.random.default_rng(5)
         cv = encode_video(random_video(rng, t=1))
-        assert len(cv.gops) == 1
-        assert cv.gops[0].p_frames == []
+        assert len(cv.iframes) == 1 and cv.frame_count == 1
+        assert cv.mvs.shape == (0, 4, 4, 2) and cv.residuals.shape == (0, 32, 32, 3)
 
     def test_static_13_frames(self):
         frame = np.full((32, 32, 3), 77, dtype=np.uint8)
         cv = encode_video(RawVideo(frames=np.repeat(frame[None], 13, axis=0)))
-        assert len(cv.gops) == 2
-        for gop in cv.gops:
-            for mv, residual in gop.p_frames:
-                assert np.all(mv.vectors == 0)
-                assert np.all(residual == 0)
+        assert len(cv.iframes) == 2 and len(cv.mvs) == 11
+        assert np.all(cv.mvs == 0)
+        assert np.all(cv.residuals == 0)
 
     def test_iframe_positions_are_gop_multiples(self):
         rng = np.random.default_rng(6)
@@ -250,7 +284,7 @@ class TestRoundtrip:
         x = np.arange(4) * 4  # the frame is one row of four 4x4 blocks
         for t in range(1, 13):
             if t % cfg.gop_size:
-                dx, dy = mv_map_at(cv, t)[0].T
+                dx, dy = grid_at(cv, t)[0].T
                 assert np.all(dy == 0) and np.all((x + dx >= 0) & (x + dx + 4 <= 16))
 
     def test_padding_to_block_multiple(self):
@@ -266,7 +300,7 @@ def repeat_then_subsample(cv, frames, out_size):
     b, h, w = cv.config.block_size, cv.height, cv.width
     full = np.zeros((len(frames), 2, h, w))
     for i, t in enumerate(frames):
-        grid = mv_map_at(cv, t)
+        grid = grid_at(cv, t)
         if grid is not None:
             full[i] = np.repeat(np.repeat(grid, b, axis=0), b, axis=1).transpose(2, 0, 1)
     oh, ow = out_size
@@ -309,7 +343,7 @@ class TestExtractModalities:
         cv = encode_video(random_video(rng, t=13))
         clip = extract_modalities(cv, np.arange(3, 9))
         for i, t in enumerate(range(3, 9)):
-            grid = mv_map_at(cv, t)
+            grid = grid_at(cv, t)
             full = np.repeat(np.repeat(grid, 8, axis=0), 8, axis=1).transpose(2, 0, 1)
             np.testing.assert_array_equal(clip[i], full)
 
@@ -329,6 +363,10 @@ class TestExtractModalities:
         for frames in (np.arange(10, 18), [-1, 0], [13], [], np.zeros((2, 2), dtype=int)):
             with pytest.raises(ValueError, match="outside video of 13 frames"):
                 extract_modalities(cv, frames)
+        # a float index is not rounded to some frame
+        for frames in (np.array([1.7, 2.2]), [True, False]):
+            with pytest.raises(ValueError, match=f"must be integers, got dtype {np.asarray(frames).dtype}"):
+                extract_modalities(cv, frames)
 
     def test_non_square_non_divisible_resize_matches_oracle(self):
         rng = np.random.default_rng(14)
@@ -346,6 +384,33 @@ class TestExtractModalities:
         got = extract_modalities(cv, frames, (20, 24))
         np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, (20, 24)))
         np.testing.assert_array_equal(got[[0, 2, 5]], 0.0)
+
+
+class TestCompressedVideo:
+    def test_arrays_read_only_and_fields_frozen(self):
+        cv = encode_video(random_video(np.random.default_rng(31), t=13, h=16, w=16))
+        for arr in (cv.iframes, cv.mvs, cv.residuals):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cv.mvs = np.zeros_like(cv.mvs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cv.config.gop_size = 5
+
+    def test_wrong_dtype_or_shape_rejected(self):
+        cv = encode_video(random_video(np.random.default_rng(32), t=13, h=16, w=16))
+        for change, want in (
+            ({"mvs": cv.mvs.astype(np.int32)}, r"mvs must be a 4-d int16 array, got int32 \(11, 2, 2, 2\)"),
+            ({"iframes": cv.iframes.astype(np.int16)}, r"iframes must be a 4-d uint8 array, got int16"),
+            ({"residuals": cv.residuals[0]}, r"residuals must be a 4-d int16 array, got int16 \(16, 16, 3\)"),
+            ({"mvs": list(cv.mvs)}, "mvs must be a 4-d int16 array, got list"),
+            ({"residuals": cv.residuals[..., :2]}, r"residuals of shape \(11, 16, 16, 2\), expected \(11, 16, 16, 3\)"),
+            ({"mvs": cv.mvs[:, :1]}, r"mvs of shape \(11, 1, 2, 2\), expected \(11, 2, 2, 2\)"),
+            ({"residuals": cv.residuals[:, :, :8]}, r"residuals of shape \(11, 16, 8, 3\), expected \(11, 16, 16, 3\)"),
+            ({"residuals": cv.residuals[:-1]}, r"residuals of shape \(10, 16, 16, 3\), expected \(11, 16, 16, 3\)"),
+        ):
+            with pytest.raises(ValueError, match=want):
+                dataclasses.replace(cv, **change)
 
 
 class TestContainer:
@@ -394,9 +459,10 @@ class TestContainer:
     def test_corrupt_mv_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
         cv = encode_video(random_video(rng, t=13))
-        cv.gops[0].p_frames[0][0].vectors[0, 0, 0] = 99
-        with pytest.raises(ValueError, match="GOP 0"):
-            decode_video(cv)
+        mvs = cv.mvs.copy()
+        mvs[0, 0, 0, 0] = 99
+        with pytest.raises(ValueError, match=r"GOP 0 P-frame 0 block \(0, 0\): motion vector \(99, 5\) exceeds"):
+            dataclasses.replace(cv, mvs=mvs)
 
     @staticmethod
     def write_patched(path, cv, gop, p_frame, at, values):
@@ -433,9 +499,10 @@ class TestContainer:
         want = r"GOP 1 P-frame 3 pixel \(5, 7\) channel 2: residual 256 outside \[-255, 255\]"
         with pytest.raises(ValueError, match=want):
             read_cmv1(path)
-        cv.gops[0].p_frames[2][1][4, 6, 0] = -256
+        residuals = cv.residuals.copy()
+        residuals[2, 4, 6, 0] = -256
         with pytest.raises(ValueError, match=r"GOP 0 P-frame 2 pixel \(4, 6\) channel 0: residual -256 outside"):
-            decode_video(cv)
+            dataclasses.replace(cv, residuals=residuals)
 
     def test_reconstruction_out_of_range_rejected(self, tmp_path):
         rng = np.random.default_rng(30)
@@ -443,7 +510,7 @@ class TestContainer:
         cv = encode_video(v)
         for (gop, p_frame, (y, x, c)), past in (((1, 4, (9, 2, 1)), 256), ((0, 7, (30, 31, 0)), -1)):
             # a residual inside [-255, 255] that takes the pixel just past the range
-            residual = cv.gops[gop].p_frames[p_frame][1]
+            residual = cv.residuals[11 * gop + p_frame]
             pred = int(v.frames[12 * gop + p_frame + 1][y, x, c]) - int(residual[y, x, c])
             assert -255 <= past - pred <= 255
             path = tmp_path / "recon.cmv1"
@@ -460,9 +527,10 @@ class TestContainer:
         self.write_with_mv(path, cv, 1, 2, (0, 0), (-2, -2))
         with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\).*outside"):
             read_cmv1(path)
-        cv.gops[1].p_frames[2][0].vectors[0, 0] = (-2, -2)
+        mvs = cv.mvs.copy()
+        mvs[11 + 2, 0, 0] = (-2, -2)
         with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\).*outside"):
-            decode_video(cv)
+            dataclasses.replace(cv, mvs=mvs)
 
     def test_mv_leaving_right_edge_rejected(self, tmp_path):
         rng = np.random.default_rng(27)
@@ -475,12 +543,13 @@ class TestContainer:
     def test_wrong_pframe_count_rejected(self):
         rng = np.random.default_rng(20)
         cv = encode_video(random_video(rng, t=13))
-        cv.gops[0].p_frames.pop()
-        with pytest.raises(ValueError, match="P-frames"):
-            decode_video(cv)
+        want = r"iframes of shape \(2, 32, 32, 3\), expected \(1, 32, 32, 3\) for 12 frames at gop_size 12"
+        with pytest.raises(ValueError, match=want):
+            dataclasses.replace(cv, mvs=cv.mvs[:-1], residuals=cv.residuals[:-1])
 
     # a bad header geometry is rejected before any body byte is read, so the
-    # files below hold the header alone; decode_video checks the same fields
+    # files below hold the header alone; building a CompressedVideo checks
+    # the same fields
 
     def test_height_not_block_multiple_rejected(self, tmp_path):
         path = tmp_path / "h12.cmv1"
@@ -488,9 +557,8 @@ class TestContainer:
         with pytest.raises(ValueError, match="height 12 is not a positive multiple of block_size 8"):
             read_cmv1(path)
         cv = encode_video(random_video(np.random.default_rng(28), t=13, h=16, w=16))
-        cv.height = 12
         with pytest.raises(ValueError, match="height 12 is not a positive multiple of block_size 8"):
-            decode_video(cv)
+            dataclasses.replace(cv, iframes=cv.iframes[:, :12], residuals=cv.residuals[:, :12])
 
     def test_zero_height_rejected(self, tmp_path):
         path = tmp_path / "h0.cmv1"
@@ -498,7 +566,7 @@ class TestContainer:
         with pytest.raises(ValueError, match="height 0 is not a positive multiple"):
             read_cmv1(path)
         with pytest.raises(ValueError, match="height 0 is not a positive multiple"):
-            decode_video(CompressedVideo(CodecConfig(), height=0, width=16, frame_count=1))
+            CompressedVideo(CodecConfig(), *empty_arrays(1, 0, 16))
 
     def test_zero_frame_count_rejected(self, tmp_path):
         path = tmp_path / "t0.cmv1"
@@ -506,4 +574,35 @@ class TestContainer:
         with pytest.raises(ValueError, match="frame_count 0"):
             read_cmv1(path)
         with pytest.raises(ValueError, match="frame_count 0"):
-            decode_video(CompressedVideo(CodecConfig(), height=16, width=16, frame_count=0))
+            CompressedVideo(CodecConfig(), *empty_arrays(0, 16, 16))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cv = encode_video(random_video(np.random.default_rng(33), t=13, h=16, w=16))
+        path = tmp_path / "tail.cmv1"
+        write_cmv1(cv, path)
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(ValueError, match=r"tail\.cmv1: 3 trailing bytes after 13 frames"):
+            read_cmv1(path)
+
+    def test_header_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "hdr.cmv1"
+        for (gop_size, block_size), want in (
+            ((1, 8), "gop_size must be >= 2, got 1"),
+            ((12, 0), "block_size must be >= 1, got 0"),
+            ((12, 2052), "height 16 is not a positive multiple of block_size 2052"),
+        ):
+            path.write_bytes(_HEADER.pack(b"CMV1", 1, 16, 16, gop_size, block_size, 7, 13))
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {want}")):
+                read_cmv1(path)
+
+    def test_file_shrinking_while_read_rejected(self, tmp_path, monkeypatch):
+        # the reader bounds the body by the size it saw; a shorter read is not
+        # padded into a video
+        cv = encode_video(random_video(np.random.default_rng(35), t=13, h=16, w=16))
+        path = tmp_path / "shrunk.cmv1"
+        write_cmv1(cv, path)
+        stat = path.stat()
+        path.write_bytes(path.read_bytes()[:-10])
+        monkeypatch.setattr(codec.os, "fstat", lambda fd: stat)
+        with pytest.raises(ValueError, match=rf"shrunk\.cmv1: truncated body: read {stat.st_size - 34} of {stat.st_size - 24}"):
+            read_cmv1(path)

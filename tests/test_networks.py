@@ -322,6 +322,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="float32 or float64, got float16"):
             ModelBundle(dtype=np.float16)
 
+    def test_float32_parameters_are_the_float64_draws_rounded(self):
+        p64 = ModelBundle(seed=3, dtype=np.float64).params()
+        for name, p in ModelBundle(seed=3).params().items():
+            assert p.data.dtype == p.grad.dtype == np.float32, name
+            assert np.array_equal(p.data, p64[name].data.astype(np.float32)), name
+            assert not p.grad.any(), name
+
 
 class TestGradAudit:
     def test_zero_grad_fraction_helper(self):

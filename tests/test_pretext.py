@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cmssl import tensor as T
-from cmssl.codec import CodecConfig, encode_video, extract_modalities
+from cmssl.codec import CodecConfig, CompressedVideo, encode_video, extract_modalities
 from cmssl.networks import ModelBundle, ModelConfig, TransformerConfig
 from cmssl.pretext import (
     AugmentParams,
@@ -457,6 +457,19 @@ class TestManifest:
     def test_unchanged_dataset_loads(self, tmp_path):
         videos = load_videos(self.dataset_with(tmp_path))
         assert [(v.video_id, v.context_class) for v in videos] == [(0, 0), (1, 1)]
+
+    def test_each_video_validated_once(self, tmp_path, monkeypatch):
+        d = self.dataset_with(tmp_path)
+        checked = []
+        check = CompressedVideo.__post_init__
+
+        def counting(cv):
+            checked.append(cv.frame_count)
+            check(cv)
+
+        monkeypatch.setattr(CompressedVideo, "__post_init__", counting)
+        videos = load_videos(d)
+        assert checked == [v.frames.shape[0] for v in videos] == [13, 13]
 
     def test_missing_cmv1_file_named(self, tmp_path):
         d = self.dataset_with(tmp_path, path="gone.cmv1")

@@ -1,6 +1,7 @@
 """Generator determinism, labeling balance, and codec compatibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ class TestGenerateDataset:
             cv = read_cmv1(tmp_path / rec["path"])
             assert cv.frame_count == rec["frames"]
             decode_video(cv)
+
+    def test_reference_dataset_digest_pinned(self, tmp_path):
+        # the dataset every benchmark gate runs on; a change to CMV1 bytes or
+        # to rendering moves this digest
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        want = json.loads(reference.read_text())["dataset_digest"]
+        generate_dataset(tmp_path, n_videos=16, seed=0)
+        assert manifest_digest(tmp_path) == want
 
     def test_threads_do_not_change_content(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
