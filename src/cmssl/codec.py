@@ -322,11 +322,13 @@ def decode_video(cv: CompressedVideo) -> RawVideo:
 
 
 def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | None = None) -> np.ndarray:
-    """Pixel-resolution MV maps of the given frame indices, (n, 2, h, w) float64.
+    """Pixel-resolution MV maps of the given frame indices, (n, 2, h, w) float32.
 
     Channel 0 is dx, channel 1 is dy; I-frame slots are all zero. When
     out_size is given the maps are nearest-neighbor resampled and the offset
-    values are rescaled by the spatial scale factor.
+    values are rescaled by the spatial scale factor. Each block's offset is
+    scaled in float64 and rounded once to float32, so every value is the
+    float64 map's rounded.
     """
     frames = np.asarray(frames)
     if frames.size and frames.dtype.kind not in "iu":
@@ -336,17 +338,18 @@ def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | 
     g, b = cv.config.gop_size, cv.config.block_size
     h, w = cv.height, cv.width
     oh, ow = out_size or (h, w)
-    grids = np.zeros((len(frames), h // b, w // b, 2), dtype=np.int16)
+    hb, wb = h // b, w // b
+    grids = np.zeros((len(frames), 2, hb * wb))
     p_slots = frames % g != 0
     t = frames[p_slots]
-    grids[p_slots] = cv.mvs[t - t // g - 1]
-    # the block under each output pixel of the nearest-neighbor raster
+    grids[p_slots] = cv.mvs[t - t // g - 1].reshape(-1, hb * wb, 2).transpose(0, 2, 1)
+    grids[:, 0] *= ow / w
+    grids[:, 1] *= oh / h
+    # the flat block index under each output pixel of the nearest-neighbor raster
     by = np.minimum((np.arange(oh) * h) // oh, h - 1) // b
     bx = np.minimum((np.arange(ow) * w) // ow, w - 1) // b
-    maps = grids[:, by[:, None], bx[None, :]].transpose(0, 3, 1, 2).astype(np.float64)
-    maps[:, 0] *= ow / w
-    maps[:, 1] *= oh / h
-    return maps
+    blocks = (by[:, None] * wb + bx[None, :]).reshape(-1)
+    return np.take(grids.astype(np.float32), blocks, axis=2).reshape(len(frames), 2, oh, ow)
 
 
 # -- CMV1 container ------------------------------------------------------------

@@ -21,6 +21,18 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
+
+
+def _check_positive_ints(config, names):
+    """A ValueError naming the first of `names` that is not a positive int."""
+    for name in names:
+        value = getattr(config, name)
+        if not _positive_int(value):
+            raise ValueError(f"{type(config).__name__}.{name} must be a positive int, got {value!r}")
+
+
 @dataclass
 class TransformerConfig:
     encoder_layers: int = 2
@@ -30,6 +42,7 @@ class TransformerConfig:
     ff_width: int = 64
 
     def __post_init__(self):
+        _check_positive_ints(self, ("encoder_layers", "decoder_layers", "width", "heads", "ff_width"))
         if self.width % self.heads:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -49,9 +62,14 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.transformer, dict):
             self.transformer = TransformerConfig(**self.transformer)
-        self.v_channels = tuple(self.v_channels)
-        self.i_channels = tuple(self.i_channels)
-        self.m_channels = tuple(self.m_channels)
+        if not isinstance(self.transformer, TransformerConfig):
+            raise ValueError(f"ModelConfig.transformer must be a TransformerConfig, got {self.transformer!r}")
+        _check_positive_ints(self, ("input_size", "clip_len", "mv_len", "embed_dim", "head_hidden"))
+        for name in ("v_channels", "i_channels", "m_channels"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(map(_positive_int, value)):
+                raise ValueError(f"ModelConfig.{name} must be 3 positive ints, one per stage, got {value!r}")
+            setattr(self, name, tuple(value))
         if self.input_size % 8:
             raise ValueError(f"input_size must be divisible by 8, got {self.input_size}")
         if self.clip_len % 4 or self.mv_len % 4:
@@ -285,7 +303,8 @@ class Transformer:
     def encode(self, tokens: Tensor) -> Tensor:
         h = tokens
         for layer in self.enc_layers:
-            h = T.add(h, layer["attn"](layer["ln1"](h), layer["ln1"](h), self.cfg.heads))
+            x = layer["ln1"](h)  # self-attention: the one pre-norm is query, key and value
+            h = T.add(h, layer["attn"](x, x, self.cfg.heads))
             h = T.add(h, layer["ff"].forward(layer["ln2"](h)))
         return self.enc_norm(h)
 
@@ -294,7 +313,8 @@ class Transformer:
         zeros = np.zeros((B, self.n_queries, self.cfg.width), dtype=self.queries.data.dtype)
         q = T.add(T.add(self.queries, self.query_pos), Tensor(zeros))
         for layer in self.dec_layers:
-            q = T.add(q, layer["self_attn"](layer["ln1"](q), layer["ln1"](q), self.cfg.heads))
+            x = layer["ln1"](q)
+            q = T.add(q, layer["self_attn"](x, x, self.cfg.heads))
             q = T.add(q, layer["cross_attn"](layer["ln2"](q), memory, self.cfg.heads))
             q = T.add(q, layer["ff"].forward(layer["ln3"](q)))
         return self.dec_norm(q)
@@ -517,7 +537,7 @@ def load_checkpoint(path, bundle: ModelBundle | None = None):
             raise ValueError(f"{path}: checkpoint metadata has no model_config to build a bundle from")
         try:
             config = ModelConfig(**meta["model_config"])
-        except TypeError as e:  # an unknown or missing config key
+        except (TypeError, ValueError) as e:  # an unknown key, or a value the configs reject
             raise ValueError(f"{path}: bad model_config: {e}") from None
         dtype = meta.get("dtype", "float32")
         if dtype not in ("float32", "float64"):

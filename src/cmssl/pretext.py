@@ -10,6 +10,12 @@ All augmentation happens in model space (frames already resized to the
 network input size), so an identity parameter draw leaves a sample
 bit-identical. Horizontal flips negate the dx channel of motion maps, and
 crops rescale offsets by the resize factor.
+
+Dtypes: every array a sample holds, and so every float array `collate`
+returns, is float32, the default ModelBundle's dtype; a float64 bundle casts
+it up exactly. Frame indices, video ids and the codec's pixels and motion
+vectors stay integer until a sample is built from them. Augmentation
+computes in its input's float dtype.
 """
 
 from __future__ import annotations
@@ -65,21 +71,16 @@ class VideoRecord:
 def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
     """Decode every dataset video into memory (desk scale keeps this cheap).
 
-    The manifest is read and checked by `synthgen.load_manifest`; a CMV1 file
-    that does not exist raises a ValueError naming the record and the path.
-    `read_cmv1` checks each file once, and decoding adds only the
-    reconstruction-range check.
+    The manifest is read and checked by `synthgen.load_manifest`, which names
+    the record of a path that is not a file. `read_cmv1` checks each file
+    once, and decoding adds only the reconstruction-range check.
     """
     dataset_dir = Path(dataset_dir)
     records = []
     for i, rec in enumerate(load_manifest(dataset_dir)):
         if split is not None and rec["split"] != split:
             continue
-        path = dataset_dir / rec["path"]
-        try:
-            cv = read_cmv1(path)
-        except FileNotFoundError as e:
-            raise ValueError(f"{dataset_dir / 'manifest.jsonl'} record {i}: CMV1 file {path} does not exist") from e
+        cv = read_cmv1(dataset_dir / rec["path"])
         records.append(
             VideoRecord(
                 video_id=i,
@@ -99,7 +100,7 @@ def resize_nn(frames: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     oh, ow = size
     ys = np.minimum((np.arange(oh) * h) // oh, h - 1)
     xs = np.minimum((np.arange(ow) * w) // ow, w - 1)
-    return frames[..., ys[:, None], xs[None, :], :]
+    return np.take(np.take(frames, ys, axis=-3), xs, axis=-2)
 
 
 # -- index-level sampling (pure, cheap to audit) --------------------------------
@@ -164,14 +165,12 @@ def draw_sample_indices(
     if mv_indices[-1] >= n_frames:
         return None
 
-    p_lo, p_hi = int(mv_indices[0]), int(mv_indices[-1])
-    max_overlap = horizon / 2.0
-    candidates = []
-    for s in range(0, n_frames - horizon + 1):
-        overlap = max(0, min(s + horizon - 1, p_hi) - max(s, p_lo) + 1)
-        if overlap < max_overlap:
-            candidates.append(s)
-    if not candidates:
+    # hard negatives: every window start overlapping the positive window by
+    # less than half the horizon
+    starts = np.arange(n_frames - horizon + 1)
+    overlap = np.minimum(starts + horizon - 1, mv_indices[-1]) - np.maximum(starts, mv_indices[0]) + 1
+    candidates = starts[overlap < horizon / 2.0]
+    if not len(candidates):
         return None
     neg_starts = [int(candidates[rng.integers(0, len(candidates))]) for _ in range(cfg.hard_negative_count)]
     return SampleIndices(
@@ -189,11 +188,13 @@ def draw_sample_indices(
 
 @dataclass
 class TrainingSample:
+    """One sample's model-space arrays, all float32."""
+
     video_id: int
-    clip: np.ndarray  # (3, T, h, w) float in [0, 1]
-    iframe: np.ndarray  # (3, h, w)
+    clip: np.ndarray  # (3, T, h, w) in [0, 1]
+    iframe: np.ndarray  # (3, h, w) in [0, 1]
     future_mv: np.ndarray  # (2, T', h, w), offsets normalized by search_range
-    hard_negative_mvs: np.ndarray  # (k, 2, T', h, w)
+    hard_negative_mvs: np.ndarray  # (k, 2, T', h, w), normalized the same way
     indices: SampleIndices | None = None
 
 
@@ -226,26 +227,25 @@ def draw_augment_params(size: int, cfg: PretextConfig, rng: np.random.Generator)
 
 
 def _blur(frames: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable 3-tap Gaussian along the last two spatial axes of (..., H, W)."""
+    """Separable 3-tap Gaussian along the last two axes, edge-padded, in the
+    input's float dtype."""
     if sigma <= 0.0:
         return frames
-    k1 = np.exp(-0.5 / (sigma * sigma))
-    kernel = np.array([k1, 1.0, k1])
-    kernel /= kernel.sum()
-    for axis in (-2, -1):
-        p = np.concatenate(
-            [frames.take([0], axis=axis), frames, frames.take([-1], axis=axis)], axis=axis
-        )
-        frames = (
-            kernel[0] * p.take(range(0, frames.shape[axis]), axis=axis)
-            + kernel[1] * p.take(range(1, frames.shape[axis] + 1), axis=axis)
-            + kernel[2] * p.take(range(2, frames.shape[axis] + 2), axis=axis)
-        )
+    # Python floats, so a float32 input stays float32
+    k1 = float(np.exp(-0.5 / (sigma * sigma)))
+    total = k1 + 1.0 + k1
+    side, centre = k1 / total, 1.0 / total
+    for axis in (frames.ndim - 2, frames.ndim - 1):
+        n = frames.shape[axis]
+        p = np.concatenate([frames.take([0], axis=axis), frames, frames.take([-1], axis=axis)], axis=axis)
+        lo, mid, hi = (p[(slice(None),) * axis + (slice(i, i + n),)] for i in range(3))
+        frames = side * lo + centre * mid + side * hi
     return frames
 
 
 def augment_frames(frames: np.ndarray, params: AugmentParams, out_size: int) -> np.ndarray:
-    """Crop/resize/flip/blur/jitter image frames of shape (..., H, W, C) in [0, 1]."""
+    """Crop/resize/flip/blur/jitter float image frames of shape (..., H, W, C)
+    in [0, 1], in their dtype."""
     top, left, size = params.crop
     if size > frames.shape[-3] or size > frames.shape[-2]:
         raise ValueError(f"crop {size} larger than frame {frames.shape[-3:-1]}")
@@ -254,7 +254,7 @@ def augment_frames(frames: np.ndarray, params: AugmentParams, out_size: int) -> 
         out = resize_nn(out, (out_size, out_size))
     if params.flip:
         out = out[..., ::-1, :]
-    out = _blur(out.astype(np.float64), params.blur_sigma)
+    out = _blur(out, params.blur_sigma)
     if params.brightness != 1.0:
         out = out * params.brightness
     if params.contrast != 1.0:
@@ -264,11 +264,12 @@ def augment_frames(frames: np.ndarray, params: AugmentParams, out_size: int) -> 
 
 
 def augment_mv(mv: np.ndarray, params: AugmentParams, out_size: int) -> np.ndarray:
-    """Crop/resize/flip motion maps (..., 2, T, H, W); offsets track the geometry."""
+    """Crop/resize/flip float motion maps (..., 2, T, H, W) in their dtype;
+    offsets track the geometry. The result never shares memory with mv."""
     top, left, size = params.crop
     if size > mv.shape[-2] or size > mv.shape[-1]:
         raise ValueError(f"crop {size} larger than mv map {mv.shape[-2:]}")
-    out = mv[..., top : top + size, left : left + size].astype(np.float64)
+    out = mv[..., top : top + size, left : left + size]
     if size != out_size:
         # a trailing unit axis gives resize_nn the (..., H, W, C) layout it expects
         out = resize_nn(out[..., None], (out_size, out_size))[..., 0]
@@ -277,7 +278,7 @@ def augment_mv(mv: np.ndarray, params: AugmentParams, out_size: int) -> np.ndarr
     if params.flip:
         out = out[..., ::-1].copy()
         out[..., 0, :, :, :] = -out[..., 0, :, :, :]  # dx channel flips sign
-    return out
+    return out if out.base is None else out.copy()
 
 
 def materialize_sample(
@@ -293,8 +294,9 @@ def materialize_sample(
     horizon = model_cfg.mv_len
     scale_hw = (size, size)
 
-    clip_frames = resize_nn(video.frames[idx.clip_indices], scale_hw).astype(np.float64) / 255.0
-    iframe = resize_nn(video.frames[idx.iframe_index], scale_hw).astype(np.float64) / 255.0
+    # float32 u / 255 is float64 u / 255 rounded, for every uint8 u
+    clip_frames = np.divide(resize_nn(video.frames[idx.clip_indices], scale_hw), 255, dtype=np.float32)
+    iframe = np.divide(resize_nn(video.frames[idx.iframe_index], scale_hw), 255, dtype=np.float32)
 
     # the positive window, then each hard negative's, gathered in one call
     windows = [idx.mv_indices] + [s + np.arange(horizon) for s in idx.negative_mv_starts]

@@ -315,9 +315,10 @@ def load_manifest(dataset_dir) -> list[dict]:
 
     A line that is not UTF-8 JSON or not an object raises a ValueError naming
     the manifest and the line. A record missing one of path, context_class,
-    motion_class and split, with a path that is not a string, or with a class
-    id that is not a non-negative int raises one naming the manifest and the
-    record's index.
+    motion_class and split, with a class id that is not a non-negative int, or
+    with a path that is not a string naming a file of the dataset (a null
+    byte, a directory, nothing) raises one naming the manifest, the record's
+    index and the path.
     """
     manifest = Path(dataset_dir) / "manifest.jsonl"
     records = []
@@ -340,10 +341,14 @@ def load_manifest(dataset_dir) -> list[dict]:
                 raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
             if not isinstance(rec["path"], str):
                 raise ValueError(f"{where}: path {rec['path']!r} is not a string")
+            if "\0" in rec["path"]:
+                raise ValueError(f"{where}: path {rec['path']!r} holds a null byte")
+            path = manifest.parent / rec["path"]
             for key in ("context_class", "motion_class"):
                 if type(rec[key]) is not int or rec[key] < 0:
-                    path = manifest.parent / rec["path"]
                     raise ValueError(f"{where} ({path}): {key} {rec[key]!r} is not a non-negative int")
+            if not path.is_file():
+                raise ValueError(f"{where}: CMV1 file {path} {'is not a file' if path.exists() else 'does not exist'}")
             records.append(rec)
     return records
 

@@ -45,6 +45,32 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
     return out
 
 
+def grid_at(cv, t):
+    """The MV grid of frame t, or None when t is an I-frame: every GOP before
+    t's holds gop_size - 1 P-frames."""
+    gop, i = divmod(t, cv.config.gop_size)
+    return None if i == 0 else cv.mvs[gop * (cv.config.gop_size - 1) + i - 1]
+
+
+def repeat_then_subsample(cv, frames, out_size):
+    """extract_modalities in float64: the maps at full pixel resolution, then
+    every sampled pixel taken from them and its offsets rescaled."""
+    b, h, w = cv.config.block_size, cv.height, cv.width
+    full = np.zeros((len(frames), 2, h, w))
+    for i, t in enumerate(frames):
+        grid = grid_at(cv, t)
+        if grid is not None:
+            full[i] = np.repeat(np.repeat(grid, b, axis=0), b, axis=1).transpose(2, 0, 1)
+    oh, ow = out_size
+    out = np.zeros((len(frames), 2, oh, ow))
+    for y in range(oh):
+        for x in range(ow):
+            out[:, :, y, x] = full[:, :, min(y * h // oh, h - 1), min(x * w // ow, w - 1)]
+    out[:, 0] *= ow / w
+    out[:, 1] *= oh / h
+    return out
+
+
 @pytest.fixture
 def grad_dtypes(monkeypatch):
     """The set of dtypes of every gradient that backward() hands to a node

@@ -22,12 +22,7 @@ from cmssl.codec import (
     write_cmv1,
 )
 
-
-def grid_at(cv, t):
-    """The MV grid of frame t, or None when t is an I-frame: every GOP before
-    t's holds gop_size - 1 P-frames."""
-    gop, i = divmod(t, cv.config.gop_size)
-    return None if i == 0 else cv.mvs[gop * (cv.config.gop_size - 1) + i - 1]
+from conftest import grid_at, repeat_then_subsample
 
 
 def empty_arrays(n_iframes, h, w, b=8):
@@ -295,24 +290,6 @@ class TestRoundtrip:
         np.testing.assert_array_equal(padded[:, :30, :29], frames)
 
 
-def repeat_then_subsample(cv, frames, out_size):
-    """The maps at full pixel resolution, then every sampled pixel taken from them."""
-    b, h, w = cv.config.block_size, cv.height, cv.width
-    full = np.zeros((len(frames), 2, h, w))
-    for i, t in enumerate(frames):
-        grid = grid_at(cv, t)
-        if grid is not None:
-            full[i] = np.repeat(np.repeat(grid, b, axis=0), b, axis=1).transpose(2, 0, 1)
-    oh, ow = out_size
-    out = np.zeros((len(frames), 2, oh, ow))
-    for y in range(oh):
-        for x in range(ow):
-            out[:, :, y, x] = full[:, :, min(y * h // oh, h - 1), min(x * w // ow, w - 1)]
-    out[:, 0] *= ow / w
-    out[:, 1] *= oh / h
-    return out
-
-
 class TestExtractModalities:
     def test_static_window_is_zero(self):
         v = RawVideo(frames=np.full((13, 32, 32, 3), 5, dtype=np.uint8))
@@ -374,7 +351,8 @@ class TestExtractModalities:
         frames = np.arange(1, 9)
         for out_size in ((23, 27), (48, 64), (37, 100)):
             got = extract_modalities(cv, frames, out_size)
-            np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, out_size))
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, out_size).astype(np.float32))
             assert np.any(got[:, 0] != 0) and np.any(got[:, 1] != 0)
 
     def test_scattered_indices_with_iframe_slots_match_oracle(self):
@@ -382,7 +360,7 @@ class TestExtractModalities:
         cv = encode_video(random_video(rng, t=30))
         frames = np.array([24, 3, 12, 3, 29, 0, 17])  # unordered, repeated, I-frames 0/12/24
         got = extract_modalities(cv, frames, (20, 24))
-        np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, (20, 24)))
+        np.testing.assert_array_equal(got, repeat_then_subsample(cv, frames, (20, 24)).astype(np.float32))
         np.testing.assert_array_equal(got[[0, 2, 5]], 0.0)
 
 

@@ -1,17 +1,21 @@
-"""Seeded, bounded fuzzing of the two untrusted binary formats, CMV1 and CMCK.
+"""Seeded, bounded fuzzing of the untrusted inputs: the CMV1 and CMCK binary
+formats and the dataset manifest.
 
 Every case is the valid file with some bytes flipped (half of the flips land
 in the header), cut short, or with bytes appended. A case must either load
-or raise a ValueError; a cut or extended file must always raise, and every
-error of the CMV1 reader must name the file.
+or raise a ValueError; a cut or extended binary file must always raise, and
+every error of the CMV1 reader and of the manifest reader must name the file.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
 
 from cmssl.codec import _HEADER, RawVideo, decode_video, encode_video, read_cmv1, write_cmv1
 from cmssl.networks import _CKPT_HEADER, ModelBundle, ModelConfig, TransformerConfig, load_checkpoint, save_checkpoint
+from cmssl.pretext import load_videos
+from cmssl.synthgen import generate_dataset, manifest_digest
 
 CASES = 300
 
@@ -80,3 +84,28 @@ def test_cmck_mutants_load_or_raise_a_value_error(tmp_path):
     (meta_bytes,) = np.frombuffer(path.read_bytes()[6:10], dtype="<u4")
     outcomes = fuzz(load_checkpoint, path, _CKPT_HEADER.size + int(meta_bytes), seed=2)
     assert outcomes["flip", "loaded"] > 0 and outcomes["flip", "rejected"] > 0, outcomes
+
+
+def test_manifest_mutants_load_or_raise_a_named_value_error(tmp_path):
+    generate_dataset(tmp_path, n_videos=4, k_context=2, k_motion=2, frames=13, resolution=(32, 32), seed=0)
+    (tmp_path / "sub").mkdir()
+    manifest = tmp_path / "manifest.jsonl"
+    data = manifest.read_bytes()
+    # the record paths that name no file, with the valid first line kept
+    first, rest = data.split(b"\n", 1)
+    record = json.loads(first)
+    paths = [json.dumps({**record, "path": p}).encode() + b"\n" + rest for p in ("", ".", "sub", "a\0b.cmv1")]
+    cases = [(kind, buf) for kind, buf in mutants(data, len(first) + 1, seed=3)] + [("path", buf) for buf in paths]
+    outcomes = Counter()
+    for kind, buf in cases:
+        manifest.write_bytes(buf)
+        try:
+            load_videos(tmp_path)
+            manifest_digest(tmp_path)
+        except ValueError as e:
+            assert str(manifest) in str(e), f"a {kind} case raised without naming the manifest: {e}"
+            outcomes[kind, "rejected"] += 1
+        else:
+            outcomes[kind, "loaded"] += 1
+    assert outcomes["path", "rejected"] == len(paths), outcomes
+    assert outcomes["flip", "rejected"] > 0 and outcomes["truncate", "rejected"] > 0, outcomes

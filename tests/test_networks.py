@@ -1,5 +1,7 @@
 """Shape contracts, gradient reach, attention audits, checkpoint roundtrip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from cmssl.networks import (
     save_checkpoint,
 )
 from cmssl.tensor import Tensor
+
+from conftest import graph_nodes
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,35 @@ class TestShapeContracts:
     def test_width_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             TransformerConfig(width=30, heads=4)
+
+    @pytest.mark.parametrize("bad", [0, -8, True, 8.0, "8", None])
+    @pytest.mark.parametrize("field", ["encoder_layers", "decoder_layers", "width", "heads", "ff_width"])
+    def test_transformer_size_not_a_positive_int_named(self, field, bad):
+        want = rf"^TransformerConfig\.{field} must be a positive int, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=want):
+            TransformerConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [0, -8, True, 8.0, "8", None])
+    @pytest.mark.parametrize("field", ["input_size", "clip_len", "mv_len", "embed_dim", "head_hidden"])
+    def test_model_size_not_a_positive_int_named(self, field, bad):
+        want = rf"^ModelConfig\.{field} must be a positive int, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=want):
+            ModelConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [[-6, 2, 2], (16, 0, 32), (16, 32), (16, 32, 32, 32), (16, 32.0, 32), 16, "abc"])
+    @pytest.mark.parametrize("field", ["v_channels", "i_channels", "m_channels"])
+    def test_channels_not_three_positive_ints_named(self, field, bad):
+        want = rf"^ModelConfig\.{field} must be 3 positive ints, one per stage, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=want):
+            ModelConfig(**{field: bad})
+
+    def test_transformer_not_a_config_named(self):
+        with pytest.raises(ValueError, match=r"^ModelConfig\.transformer must be a TransformerConfig, got 3$"):
+            ModelConfig(transformer=3)
+
+    def test_numpy_ints_and_lists_accepted(self):
+        cfg = ModelConfig(input_size=np.int64(16), v_channels=[4, 4, 4], transformer={"heads": np.int32(2)})
+        assert cfg.v_channels == (4, 4, 4) and cfg.transformer.heads == 2
 
 
 class TestForwardSemantics:
@@ -165,6 +198,14 @@ class TestTransformer:
         changed = np.where(np.abs(bumped - base).sum(axis=-1)[0] > 1e-12)[0]
         assert list(changed) == [64]
 
+    def test_each_pre_norm_computed_once(self, bundle):
+        x = Tensor(np.random.default_rng(11).normal(size=(2, 32, 2, 8, 8)).astype(np.float32))
+        norms = [n for n in graph_nodes(bundle.transformer.forward(x)) if n.op == "layer_norm"]
+        cfg = bundle.config.transformer
+        # ln1 and ln2 per encoder layer, ln1 to ln3 per decoder layer, and the
+        # two final norms: self-attention reads one pre-norm as query, key and value
+        assert len(norms) == 2 * cfg.encoder_layers + 3 * cfg.decoder_layers + 2 == 18
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -241,6 +282,24 @@ class TestCheckpoint:
         meta["model_config"]["transformer"]["depth"] = 3
         save_arrays(path, arrays, meta)
         with pytest.raises(ValueError, match="bad model_config.*'depth'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "section, key, bad, field",
+        [
+            ("transformer", "heads", 0, "TransformerConfig.heads"),
+            (None, "v_channels", [-6, 2, 2], "ModelConfig.v_channels"),
+            (None, "embed_dim", -1, "ModelConfig.embed_dim"),
+        ],
+        ids=["zero_heads", "negative_channels", "negative_embed_dim"],
+    )
+    def test_bad_config_value_named(self, tmp_path, section, key, bad, field):
+        path, arrays, meta = self.saved(tmp_path)
+        config = meta["model_config"]
+        (config[section] if section else config)[key] = bad
+        save_arrays(path, arrays, meta)
+        want = rf"^{re.escape(str(path))}: bad model_config: {re.escape(field)} must be "
+        with pytest.raises(ValueError, match=want):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("part", ["name", "shape", "body"])

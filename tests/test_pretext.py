@@ -8,6 +8,7 @@ epsilon-stabilized cosine (eps = 1e-8 added to each norm).
 import ctypes
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cmssl.pretext import (
     build_motion_target,
     collate,
     context_matching_loss,
+    draw_augment_params,
     draw_sample_indices,
     identity_augment,
     joint_loss,
@@ -34,13 +36,14 @@ from cmssl.pretext import (
     motion_prediction_loss,
     pool_mv_values,
     pretext_forward,
+    resize_nn,
     sample_training_batch,
     valid_clip_start_range,
 )
-from cmssl.synthgen import SceneSpec, generate_dataset, generate_video
+from cmssl.synthgen import SceneSpec, generate_dataset, generate_video, manifest_digest
 from cmssl.tensor import Tensor
 
-from conftest import graph_nodes
+from conftest import graph_nodes, repeat_then_subsample
 
 EPS = 1e-8
 
@@ -237,7 +240,63 @@ def make_video_record(seed=0, motion=0, frames=36):
     )
 
 
+def draw_sample_indices_loop(n_frames, video_id, iframe_positions, gop_size, model_cfg, cfg, rng):
+    """draw_sample_indices with its hard-negative candidates tested one start
+    at a time, as a loop."""
+    clip_len, horizon = model_cfg.clip_len, model_cfg.mv_len
+    max_start = valid_clip_start_range(n_frames, clip_len, cfg.clip_stride, horizon)
+    if max_start < 0:
+        return None
+    start = int(rng.integers(0, max_start + 1))
+    clip_indices = start + cfg.clip_stride * np.arange(clip_len)
+    clip_end = int(clip_indices[-1])
+    lo = start - cfg.iframe_window_gops * gop_size
+    hi = clip_end + cfg.iframe_window_gops * gop_size
+    nearby = [t for t in iframe_positions if lo <= t <= hi]
+    if not nearby:
+        nearby = [min(iframe_positions, key=lambda t: abs(t - start))]
+    iframe_index = int(nearby[rng.integers(0, len(nearby))])
+    mv_indices = build_motion_target(clip_indices, horizon, cfg)
+    if mv_indices[-1] >= n_frames:
+        return None
+    p_lo, p_hi = int(mv_indices[0]), int(mv_indices[-1])
+    candidates = []
+    for s in range(0, n_frames - horizon + 1):
+        overlap = max(0, min(s + horizon - 1, p_hi) - max(s, p_lo) + 1)
+        if overlap < horizon / 2.0:
+            candidates.append(s)
+    if not candidates:
+        return None
+    neg_starts = [int(candidates[rng.integers(0, len(candidates))]) for _ in range(cfg.hard_negative_count)]
+    return start, clip_indices, iframe_index, mv_indices, neg_starts
+
+
 class TestSampler:
+    def test_draws_equal_the_per_start_loop(self):
+        cases = skipped = 0
+        for clip_len, stride, period in [(8, 2, "future"), (8, 1, "current"), (16, 1, "future"), (8, 3, "current")]:
+            mcfg = ModelConfig(clip_len=clip_len)
+            cfg = PretextConfig(clip_stride=stride, target_period=period)
+            for n_frames in range(12, 50, 3):
+                iframes = list(range(0, n_frames, 12))
+                for seed in range(10):
+                    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = draw_sample_indices(n_frames, 0, iframes, 12, mcfg, cfg, rng_a)
+                    want = draw_sample_indices_loop(n_frames, 0, iframes, 12, mcfg, cfg, rng_b)
+                    if want is None:
+                        assert got is None
+                        skipped += 1
+                    else:
+                        start, clip_indices, iframe_index, mv_indices, neg_starts = want
+                        assert got.clip_start == start and got.iframe_index == iframe_index
+                        assert got.negative_mv_starts == neg_starts
+                        assert all(type(s) is int for s in got.negative_mv_starts)
+                        np.testing.assert_array_equal(got.clip_indices, clip_indices)
+                        np.testing.assert_array_equal(got.mv_indices, mv_indices)
+                        cases += 1
+                    assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)  # the same draws were made
+        assert cases > 300 and skipped > 20, (cases, skipped)
+
     def test_clip_start_range_contract(self):
         # 36 frames, 16-frame window at stride 1, 8-frame horizon -> [0, 12]
         assert valid_clip_start_range(36, 16, 1, 8) == 12
@@ -314,6 +373,14 @@ class TestSampler:
             np.testing.assert_array_equal(sa.clip, sb.clip)
             np.testing.assert_array_equal(sa.future_mv, sb.future_mv)
 
+    def test_collated_batch_is_float32(self):
+        videos = [make_video_record(seed=s, motion=s % 4) for s in range(3)]
+        batch = collate(sample_training_batch(videos, 4, ModelConfig(), PretextConfig(), np.random.default_rng(1)))
+        assert {k: v.dtype for k, v in batch.items() if k != "video_ids"} == dict.fromkeys(
+            ("clip", "iframe", "mv", "neg_mv"), np.dtype(np.float32)
+        )
+        assert batch["video_ids"].dtype.kind == "i"
+
 
 class TestAugment:
     def test_identity_draw_leaves_sample_unchanged(self):
@@ -322,7 +389,9 @@ class TestAugment:
         out = augment_frames(frames, identity_augment(32), 32)
         np.testing.assert_array_equal(out, frames)
         mv = rng.normal(size=(2, 4, 32, 32))
-        np.testing.assert_array_equal(augment_mv(mv, identity_augment(32), 32), mv)
+        out = augment_mv(mv, identity_augment(32), 32)
+        np.testing.assert_array_equal(out, mv)
+        assert not np.shares_memory(out, mv)
 
     def test_flip_negates_dx_only(self):
         rng = np.random.default_rng(4)
@@ -355,16 +424,15 @@ class TestAugment:
         idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg, rng)
         rng_replay = np.random.default_rng(7)
         sample = materialize_sample(video, idx, mcfg, cfg, rng=rng_replay, train=True)
-        # rebuild without augmentation, re-apply the same draw manually
+        # rebuild without augmentation, re-apply the same draw manually in float64
         plain = materialize_sample(video, idx, mcfg, cfg, train=False)
         params_rng = np.random.default_rng(7)
-        from cmssl.pretext import draw_augment_params
-
         clip_params = draw_augment_params(32, cfg, params_rng)
-        expect_clip = augment_frames(plain.clip.transpose(1, 2, 3, 0), clip_params, 32).transpose(3, 0, 1, 2)
-        expect_mv = augment_mv(plain.future_mv, clip_params, 32)
-        np.testing.assert_allclose(sample.clip, expect_clip, atol=1e-12)
-        np.testing.assert_allclose(sample.future_mv, expect_mv, atol=1e-12)
+        clip64 = plain.clip.astype(np.float64).transpose(1, 2, 3, 0)
+        expect_clip = augment_frames(clip64, clip_params, 32).transpose(3, 0, 1, 2)
+        expect_mv = augment_mv(plain.future_mv.astype(np.float64), clip_params, 32)
+        np.testing.assert_allclose(sample.clip, expect_clip, rtol=0, atol=2e-6)
+        np.testing.assert_allclose(sample.future_mv, expect_mv, rtol=1e-6, atol=0)
 
     def test_eval_sample_windows_match_extraction(self):
         video = make_video_record(seed=8, motion=2)
@@ -382,6 +450,64 @@ class TestAugment:
         assert len(sample.hard_negative_mvs) == len(idx.negative_mv_starts) == 3
         for got, s in zip(sample.hard_negative_mvs, idx.negative_mv_starts):
             np.testing.assert_array_equal(got, window(np.arange(s, s + mcfg.mv_len)))
+
+    def test_uint8_over_255_in_float32_is_float64_rounded(self):
+        u = np.arange(256, dtype=np.uint8)
+        got = np.divide(u, 255, dtype=np.float32)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), (u / 255.0).astype(np.float32).view(np.uint32))
+
+    def test_eval_sample_is_the_float64_sample_rounded(self):
+        video = make_video_record(seed=3, motion=3)
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        sr = video.cv.config.search_range
+        for seed in range(4):
+            idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
+                                      np.random.default_rng(seed))
+            sample = materialize_sample(video, idx, mcfg, cfg, train=False)
+            clip64 = resize_nn(video.frames[idx.clip_indices], (32, 32)).transpose(3, 0, 1, 2) / 255.0
+            iframe64 = resize_nn(video.frames[idx.iframe_index], (32, 32)).transpose(2, 0, 1) / 255.0
+            for got, want in ((sample.clip, clip64), (sample.iframe, iframe64)):
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
+            mv64 = repeat_then_subsample(video.cv, idx.mv_indices, (32, 32)).transpose(1, 0, 2, 3) / sr
+            assert sample.future_mv.dtype == sample.hard_negative_mvs.dtype == np.float32
+            np.testing.assert_allclose(sample.future_mv, mv64, rtol=1e-6, atol=0)
+
+    def test_train_sample_tracks_float64_oracle(self):
+        """Every augmentation in float64 from the uint8 frames and the codec's
+        MV grids; the float32 sample stays within float32 rounding of it."""
+        video = make_video_record(seed=5, motion=1)
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        sr, horizon = video.cv.config.search_range, mcfg.mv_len
+        drawn = []
+        for seed in range(8):
+            idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
+                                      np.random.default_rng(seed))
+            sample = materialize_sample(video, idx, mcfg, cfg, rng=np.random.default_rng(100 + seed), train=True)
+            prng = np.random.default_rng(100 + seed)
+            clip_p, iframe_p = draw_augment_params(32, cfg, prng), draw_augment_params(32, cfg, prng)
+            neg_p = [draw_augment_params(32, cfg, prng) for _ in idx.negative_mv_starts]
+            drawn += [clip_p, iframe_p] + neg_p
+
+            clip64 = augment_frames(resize_nn(video.frames[idx.clip_indices], (32, 32)) / 255.0, clip_p, 32)
+            iframe64 = augment_frames(resize_nn(video.frames[idx.iframe_index], (32, 32)) / 255.0, iframe_p, 32)
+
+            def mv64(frames, params):
+                maps = repeat_then_subsample(video.cv, frames, (32, 32)).transpose(1, 0, 2, 3)
+                return augment_mv(maps, params, 32) / sr
+
+            assert {a.dtype for a in (sample.clip, sample.iframe, sample.future_mv, sample.hard_negative_mvs)} == {
+                np.dtype(np.float32)
+            }
+            np.testing.assert_allclose(sample.clip, clip64.transpose(3, 0, 1, 2), rtol=0, atol=2e-6)
+            np.testing.assert_allclose(sample.iframe, iframe64.transpose(2, 0, 1), rtol=0, atol=2e-6)
+            np.testing.assert_allclose(sample.future_mv, mv64(idx.mv_indices, clip_p), rtol=1e-6, atol=0)
+            for got, s, p in zip(sample.hard_negative_mvs, idx.negative_mv_starts, neg_p):
+                np.testing.assert_allclose(got, mv64(s + np.arange(horizon), p), rtol=1e-6, atol=0)
+        # the draws exercised every augmentation
+        assert any(p.flip for p in drawn) and any(p.blur_sigma for p in drawn)
+        assert any(p.crop[2] < 32 for p in drawn)
 
     def test_blur_preserves_mean_roughly(self):
         rng = np.random.default_rng(8)
@@ -480,6 +606,20 @@ class TestManifest:
         d = self.dataset_with(tmp_path, motion_class=None)
         with pytest.raises(ValueError, match=r"manifest.jsonl record 1: missing key\(s\) motion_class"):
             load_videos(d)
+
+    @pytest.mark.parametrize(
+        "path, what",
+        [("", "is not a file"), (".", "is not a file"), ("sub", "is not a file"), ("a\0b.cmv1", "holds a null byte")],
+        ids=["empty", "dot", "subdirectory", "null_byte"],
+    )
+    def test_path_not_a_file_named(self, tmp_path, path, what):
+        (tmp_path / "sub").mkdir()
+        d = self.dataset_with(tmp_path, path=path)
+        named = f"path {path!r}" if "\0" in path else f"CMV1 file {d / path}"
+        want = rf"manifest.jsonl record 1: {re.escape(named)} {what}$"
+        for load in (load_videos, manifest_digest):
+            with pytest.raises(ValueError, match=want):
+                load(d)
 
     @pytest.mark.parametrize("bad", [-1, 1.0, "1", True])
     def test_class_id_not_a_non_negative_int_named(self, tmp_path, bad):
