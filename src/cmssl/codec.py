@@ -9,11 +9,13 @@ Motion search is exhaustive: every block tries every offset (dx, dy) with
 absolute differences (SAD) over all 3 channels. A candidate is excluded
 when its block would leave the frame (y+dy < 0, y+dy+b > H, and the same
 for x), so a range wider than the frame is fine. Ties go to the smallest
-|dx|+|dy|, then the smallest dy, then the smallest dx. The arithmetic is
-exact: absolute differences stay in uint8, row sums in an unsigned type
-wide enough for 255*b, and block sums are floats of integers below 2**24
-(float32) or 2**53 (float64), where addition never rounds. Encodes are
-therefore the same on every platform.
+|dx|+|dy|, then the smallest dy, then the smallest dx. Only moving blocks,
+those that differ from the co-located reference block, are searched; a
+static block gets (0, 0), which is what the full search returns for it:
+its SAD at (0, 0) is 0, no SAD is negative, and (0, 0) comes first in the
+tie-break. The arithmetic is exact: absolute differences stay in uint8,
+and column and block sums in unsigned types wide enough for 255*b and
+765*b*b. Encodes are therefore the same on every platform.
 
 In memory a CompressedVideo of T frames, gop_size g and block_size b is
 three arrays:
@@ -38,6 +40,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CMV1_MAGIC = b"CMV1"
 CMV1_VERSION = 1
@@ -197,51 +200,61 @@ def _sorted_offsets(search_range: int) -> list[tuple[int, int]]:
     return offs
 
 
+def _sad_dtype(block_size: int) -> np.dtype:
+    """The unsigned dtype of block SADs: it holds 765*b*b + 1, so its
+    maximum, the SAD given to an excluded candidate, exceeds every SAD."""
+    return np.min_scalar_type(765 * block_size * block_size + 1)
+
+
 def _estimate_motion_batch(refs: np.ndarray, tgts: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """Exhaustive SAD search for n (reference, target) pairs at once -> (n, Hb, Wb, 2)."""
     n, h, w, _ = tgts.shape
-    b = cfg.block_size
+    b, r = cfg.block_size, cfg.search_range
     hb, wb = h // b, w // b
-    r = cfg.search_range
-    if r == 0:
-        return np.zeros((n, hb, wb, 2), dtype=np.int16)
+    mvs = np.zeros((n, hb, wb, 2), dtype=np.int16)
+    # a static block, equal to its co-located reference block, keeps (0, 0):
+    # its SAD there is 0 and (0, 0) wins every tie, so only moving blocks
+    # are searched
+    differs = (refs != tgts).reshape(n * hb, b, w * 3).any(axis=1)
+    f, by, bx = np.nonzero(differs.reshape(n, hb, wb, 3 * b).any(axis=3))
+    m = len(f)
+    if r == 0 or m == 0:
+        return mvs
     offsets = np.array(_sorted_offsets(r), dtype=np.int16)  # (K, 2) as (dx, dy)
-    # the n frames sit side by side, so pixel row y of all of them is one row
-    # of n*w*3 bytes and a block is b rows of 3b contiguous bytes; the
-    # references get r pixels of zeros around that strip, so every offset's
-    # candidate strip is an in-bounds view
-    row = n * w * 3
-    tgt = np.ascontiguousarray(tgts.transpose(1, 0, 2, 3)).reshape(h, row)
-    ref = np.zeros((h + 2 * r, row + 6 * r), dtype=np.uint8)
-    ref[r : r + h, 3 * r : 3 * r + row] = refs.transpose(1, 0, 2, 3).reshape(h, row)
+    # the m moving blocks sit side by side with the block index innermost:
+    # targets as (b, 3b, m), and the window of every candidate of a block,
+    # r pixels around it, as (b+2r, 3(b+2r), m), cut from references padded
+    # with r pixels of zeros; an offset's candidates are then b rows of 3b*m
+    # contiguous bytes
+    span = b + 2 * r
+    tgt = np.ascontiguousarray(tgts.reshape(n, hb, b, wb, 3 * b).transpose(2, 4, 0, 1, 3)[:, :, f, by, bx])
+    ref = np.zeros((n, h + 2 * r, 3 * (w + 2 * r)), dtype=np.uint8)
+    ref[:, r : r + h, 3 * r : 3 * (r + w)] = refs.reshape(n, h, 3 * w)
+    windows = sliding_window_view(ref, (span, 3 * span), axis=(1, 2))[:, ::b, :: 3 * b]
+    win = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)[:, :, f, by, bx])
     absdiff = np.empty_like(tgt)
     low = np.empty_like(tgt)
-    # exact accumulators chosen from b: a sum of b rows is at most 255*b, and
-    # float sums of integers stay exact while the block SAD 765*b*b < 2**24
-    # (float32) or < 2**53 (float64)
-    rows = np.empty((hb, row), dtype=np.min_scalar_type(255 * b))
-    sum_dtype = np.float32 if 765 * b * b < 2**24 else np.float64
-    rows_f = np.empty((hb * n, w * 3), dtype=sum_dtype)
-    block_of_byte = (np.arange(w * 3)[:, None] // (3 * b) == np.arange(wb)).astype(sum_dtype)
-    sad = np.empty((len(offsets), hb, n, wb), dtype=sum_dtype)
+    # exact accumulators chosen from b: a column of b absolute differences
+    # sums to at most 255*b, a block to 765*b*b
+    cols = np.empty((3 * b, m), dtype=np.min_scalar_type(255 * b))
+    sad = np.empty((len(offsets), m), dtype=_sad_dtype(b))
     for k, (dx, dy) in enumerate(offsets.tolist()):
-        cand = ref[r + dy : r + dy + h, 3 * (r + dx) : 3 * (r + dx) + row]
+        cand = win[r + dy : r + dy + b, 3 * (r + dx) : 3 * (r + dx + b)]
         np.maximum(tgt, cand, out=absdiff)  # |t - c| = max - min without leaving uint8
         np.minimum(tgt, cand, out=low)
         np.subtract(absdiff, low, out=absdiff)
-        np.add.reduce(absdiff.reshape(hb, b, row), axis=1, dtype=rows.dtype, out=rows)
-        rows_f[...] = rows.reshape(hb * n, w * 3)
-        np.matmul(rows_f, block_of_byte, out=sad[k].reshape(hb * n, wb))
-    # a candidate counts only if the whole block stays inside its own frame;
-    # the excluded ones read padding or a neighbouring frame
+        np.add.reduce(absdiff, axis=0, dtype=cols.dtype, out=cols)
+        np.add.reduce(cols, axis=0, dtype=sad.dtype, out=sad[k])
+    # a candidate counts only if the whole block stays inside the frame; the
+    # excluded ones read padding and get a SAD above every real one
     dx, dy = offsets[:, :1], offsets[:, 1:]
     y, x = np.arange(hb) * b, np.arange(wb) * b
     in_y = (y + dy >= 0) & (y + dy + b <= h)  # (K, Hb)
     in_x = (x + dx >= 0) & (x + dx + b <= w)  # (K, Wb)
-    np.copyto(sad, np.inf, where=~(in_y[:, :, None, None] & in_x[:, None, None, :]))
+    np.copyto(sad, np.iinfo(sad.dtype).max, where=~(in_y[:, by] & in_x[:, bx]))
     # argmin returns the first minimum, i.e. the highest-priority offset
-    best = offsets[sad.argmin(axis=0)]  # (Hb, n, Wb, 2)
-    return np.ascontiguousarray(best.transpose(1, 0, 2, 3))
+    mvs[f, by, bx] = offsets[sad.argmin(axis=0)]
+    return mvs
 
 
 def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -252,8 +265,11 @@ def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig)
     x+dx : x+dx+b], over every offset with |dx|, |dy| <= search_range.
     Candidates that would read outside the reference are excluded from that
     block's window; (0, 0) never is. Among equal SADs the smallest |dx|+|dy|
-    wins, then the smallest dy, then the smallest dx. Every sum is exact, so
-    the result is the same on every platform.
+    wins, then the smallest dy, then the smallest dx. Only blocks that differ
+    from the co-located reference block are searched: any other block has
+    SAD 0 at (0, 0), the first offset in that order, so the search would
+    return (0, 0) for it too. Every sum is exact, so the result is the same
+    on every platform.
     """
     if reference.shape != target.shape:
         raise ValueError(f"frame shape mismatch: reference {reference.shape} vs target {target.shape}")
@@ -279,7 +295,8 @@ def motion_compensate(reference: np.ndarray, vectors: np.ndarray, block_size: in
 def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedVideo:
     """Frame t becomes an I-frame iff t % gop_size == 0; a P-frame predicts
     from frame t - 1. Residuals are lossless, so every reconstructed frame
-    equals its source, and a GOP's motion search runs as one batch."""
+    equals its source, and the motion search of all P-frames runs as one
+    batch."""
     cfg = cfg or CodecConfig()
     if video.n_frames == 0:
         raise ValueError("cannot encode an empty video")
@@ -288,12 +305,9 @@ def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedV
     g, b = cfg.gop_size, cfg.block_size
     iframes, mvs, residuals = _allocate(cfg, h, w, n)
     iframes[...] = frames[::g]
-    for start in range(0, n, g):
-        end = min(start + g, n)
-        if end - start > 1:
-            p = start - start // g
-            mvs[p : p + end - start - 1] = _estimate_motion_batch(frames[start : end - 1], frames[start + 1 : end], cfg)
-    for p, t in enumerate(np.flatnonzero(np.arange(n) % g)):
+    pframes = np.flatnonzero(np.arange(n) % g)
+    mvs[...] = _estimate_motion_batch(frames[pframes - 1], frames[pframes], cfg)
+    for p, t in enumerate(pframes):
         np.subtract(frames[t], motion_compensate(frames[t - 1], mvs[p], b), out=residuals[p], dtype=np.int16)
     return CompressedVideo(cfg, iframes, mvs, residuals)
 

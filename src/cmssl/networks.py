@@ -447,6 +447,8 @@ class ModelBundle:
 
 CKPT_MAGIC = b"CMCK"
 CKPT_VERSION = 1
+# the largest rank every supported numpy can build (numpy 1.x caps it at 32)
+_CKPT_MAX_RANK = 32
 _CKPT_HEADER = struct.Struct("<4sHI")
 
 
@@ -505,6 +507,8 @@ def load_arrays(path):
         if name in arrays:
             raise ValueError(f"{path}: array {name} stored twice (second at byte {pos - nlen})")
         (ndim,) = struct.unpack("<B", take(1, f"array {name} rank"))
+        if ndim > _CKPT_MAX_RANK:
+            raise ValueError(f"{path}: array {name} rank {ndim} at byte {pos - 1} exceeds {_CKPT_MAX_RANK}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {name} shape"))
         arr = np.frombuffer(take(8 * math.prod(shape), f"array {name} body"), dtype="<f8")
         if not np.isfinite(arr).all():

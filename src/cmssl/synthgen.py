@@ -16,7 +16,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .codec import CodecConfig, RawVideo, encode_video, pad_frames_to_block, wri
 CONTEXT_FAMILIES = ("gradient", "stripes", "checker", "blobs")
 MOTION_FAMILIES = ("drift", "orbit", "zigzag", "sway")
 STATIC_MOTION = -1
+# a sprite of radius up to 9 keeps its centre one pixel further from each edge
+_MIN_FRAME_SIDE = 2 * (9 + 1)
 
 
 @dataclass
@@ -185,6 +187,9 @@ def generate_video(spec: SceneSpec, codec_block_size: int = 8) -> LabeledVideo:
         raise ValueError(f"motion_class {spec.motion_class} out of range")
     if spec.context_class < 0:
         raise ValueError(f"context_class {spec.context_class} out of range")
+    for name in ("height", "width"):
+        if getattr(spec, name) < _MIN_FRAME_SIDE:
+            raise ValueError(f"{name} {getattr(spec, name)} is below the minimum {_MIN_FRAME_SIDE} that fits a sprite")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     bg = _render_background(spec, rng)
     sprites = [_Sprite(spec, rng, bg.mean(axis=(0, 1))) for _ in range(2)]
@@ -317,8 +322,8 @@ def load_manifest(dataset_dir) -> list[dict]:
     the manifest and the line. A record missing one of path, context_class,
     motion_class and split, with a class id that is not a non-negative int, or
     with a path that is not a string naming a file of the dataset (a null
-    byte, a directory, nothing) raises one naming the manifest, the record's
-    index and the path.
+    byte, an absolute path or one through "..", a directory, nothing) raises
+    one naming the manifest, the record's index and the path.
     """
     manifest = Path(dataset_dir) / "manifest.jsonl"
     records = []
@@ -343,6 +348,10 @@ def load_manifest(dataset_dir) -> list[dict]:
                 raise ValueError(f"{where}: path {rec['path']!r} is not a string")
             if "\0" in rec["path"]:
                 raise ValueError(f"{where}: path {rec['path']!r} holds a null byte")
+            # a path joined to the dataset directory must stay under it
+            relative = PurePath(rec["path"])
+            if relative.anchor or ".." in relative.parts:
+                raise ValueError(f"{where}: path {rec['path']!r} points outside the dataset directory")
             path = manifest.parent / rec["path"]
             for key in ("context_class", "motion_class"):
                 if type(rec[key]) is not int or rec[key] < 0:

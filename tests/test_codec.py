@@ -21,6 +21,7 @@ from cmssl.codec import (
     read_cmv1,
     write_cmv1,
 )
+from cmssl.synthgen import SceneSpec, generate_video
 
 from conftest import grid_at, repeat_then_subsample
 
@@ -172,7 +173,7 @@ class TestMotionEstimation:
             np.testing.assert_array_equal(mv, expected)
 
     def test_batched_gop_search_matches_brute_force(self):
-        # encode_video searches all P-frames of a GOP at once; no frame's
+        # encode_video searches all P-frames of a video at once; no frame's
         # blocks may be matched against another frame's pixels
         rng = np.random.default_rng(25)
         cfg = CodecConfig(block_size=4, search_range=5, gop_size=6)
@@ -218,6 +219,103 @@ class TestMotionEstimation:
                     y0, x0, (vx, vy) = by * b, bx * b, vectors[by, bx]
                     want[y0 : y0 + b, x0 : x0 + b] = ref[y0 + vy : y0 + vy + b, x0 + vx : x0 + vx + b]
             np.testing.assert_array_equal(motion_compensate(ref, vectors, b), want)
+
+
+def moving_blocks(ref, tgt, b):
+    """The (Hb, Wb) mask of target blocks that differ from the co-located reference block."""
+    h, w, _ = tgt.shape
+    return (ref != tgt).reshape(h // b, b, w // b, 3 * b).any(axis=(1, 3))
+
+
+class TestStaticBlockSkip:
+    """Only blocks that differ from their co-located reference block are
+    searched; the rest must still get what the exhaustive search gives."""
+
+    def test_rendered_frames_match_brute_force(self):
+        cfg = CodecConfig()
+        for motion in range(4):
+            scene = SceneSpec(context_class=motion, motion_class=motion, seed=40 + motion, frames=4)
+            frames = generate_video(scene).video.frames
+            for t in range(1, 4):
+                moving = moving_blocks(frames[t - 1], frames[t], 8)
+                assert moving.any() and not moving.all(), f"motion {motion} frame {t}"
+                mv = estimate_motion(frames[t - 1], frames[t], cfg)
+                _, expected = brute_force_sad_search(frames[t - 1], frames[t], cfg)
+                np.testing.assert_array_equal(mv, expected, err_msg=f"motion {motion} frame {t}")
+                assert np.all(mv[~moving] == 0)
+
+    def test_flat_region_ties_match_brute_force(self):
+        # a square moves over a flat background: the blocks it leaves differ
+        # from their reference but match it at many offsets with SAD 0
+        cfg = CodecConfig(block_size=4, search_range=5)
+        ref = np.full((24, 32, 3), 90, dtype=np.uint8)
+        tgt = ref.copy()
+        ref[8:14, 9:15] = (200, 30, 60)
+        tgt[9:15, 12:18] = (200, 30, 60)
+        moving = moving_blocks(ref, tgt, 4)
+        mv = estimate_motion(ref, tgt, cfg)
+        mins, expected = brute_force_sad_search(ref, tgt, cfg)
+        np.testing.assert_array_equal(mv, expected)
+        assert np.any(moving & (mins == 0) & np.any(mv != 0, axis=-1))
+        assert np.all(mv[~moving] == 0)
+
+    def test_moving_block_can_keep_zero_vector(self):
+        rng = np.random.default_rng(41)
+        cfg = CodecConfig()
+        ref = random_frame(rng)
+        tgt = ref.copy()
+        tgt[10, 13, 1] ^= 1  # block (1, 1) differs by one grey level
+        mv = estimate_motion(ref, tgt, cfg)
+        _, expected = brute_force_sad_search(ref, tgt, cfg)
+        assert moving_blocks(ref, tgt, 8).sum() == 1
+        np.testing.assert_array_equal(mv, expected)
+        assert np.all(mv == 0)
+
+    def test_static_video_runs_no_search(self, monkeypatch):
+        def no_search(search_range):
+            raise AssertionError("a static video was searched")
+
+        monkeypatch.setattr(codec, "_sorted_offsets", no_search)
+        rng = np.random.default_rng(42)
+        frames = np.repeat(random_frame(rng, 16, 24)[None], 30, axis=0)
+        cv = encode_video(RawVideo(frames=frames), CodecConfig(block_size=4, gop_size=7))
+        assert cv.mvs.shape == (25, 4, 6, 2) and np.all(cv.mvs == 0) and np.all(cv.residuals == 0)
+
+    def test_short_last_gop_matches_per_pair_search(self):
+        # GOPs of 12, 12 and 5 frames, searched in one batch
+        cfg = CodecConfig()
+        frames = generate_video(SceneSpec(context_class=2, motion_class=1, seed=43, frames=29)).video.frames
+        cv = encode_video(RawVideo(frames=frames), cfg)
+        assert len(cv.iframes) == 3 and len(cv.mvs) == 26
+        for t in range(1, 29):
+            if t % cfg.gop_size:
+                want = estimate_motion(frames[t - 1], frames[t], cfg)
+                np.testing.assert_array_equal(grid_at(cv, t), want, err_msg=f"frame {t}")
+        assert np.any(cv.mvs[-4:] != 0)
+
+    def test_sad_dtype_sentinel_exceeds_every_sad(self):
+        # an excluded candidate gets the SAD dtype's maximum, which must stay
+        # above the largest SAD a block can have, 765*b*b
+        for b in range(1, 2400):
+            assert np.iinfo(codec._sad_dtype(b)).max > 765 * b * b, b
+        assert codec._sad_dtype(9) == np.uint16 and codec._sad_dtype(10) == np.uint32
+        assert codec._sad_dtype(2369) == np.uint32 and codec._sad_dtype(2370) == np.uint64
+
+    @pytest.mark.parametrize("block_size", [1, 8, 9, 10])
+    def test_largest_sad_beats_excluded_candidates(self, block_size):
+        # a black block on white: every in-frame candidate has the largest
+        # SAD, 765*b*b, and every candidate off the top-left edge reads
+        # padding that matches it better
+        b = block_size
+        ref = np.full((2 * b, 2 * b, 3), 255, dtype=np.uint8)
+        tgt = ref.copy()
+        tgt[:b, :b] = 0
+        cfg = CodecConfig(block_size=b, search_range=2)
+        mins, expected = brute_force_sad_search(ref, tgt, cfg)
+        assert mins[0, 0] == 765 * b * b
+        mv = estimate_motion(ref, tgt, cfg)
+        np.testing.assert_array_equal(mv, expected)
+        assert np.all(mv == 0)
 
 
 class TestGopLayout:

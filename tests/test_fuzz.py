@@ -4,7 +4,7 @@ formats and the dataset manifest.
 Every case is the valid file with some bytes flipped (half of the flips land
 in the header), cut short, or with bytes appended. A case must either load
 or raise a ValueError; a cut or extended binary file must always raise, and
-every error of the CMV1 reader and of the manifest reader must name the file.
+every error of the CMV1, CMCK and manifest readers must name the file.
 """
 
 import json
@@ -62,6 +62,14 @@ def read_and_decode(path):
     decode_video(cv)
 
 
+def load_named(path):
+    try:
+        load_checkpoint(path)
+    except ValueError as e:
+        assert str(path) in str(e), f"load_checkpoint error does not name the file: {e}"
+        raise
+
+
 def test_cmv1_mutants_load_or_raise_a_named_value_error(tmp_path):
     rng = np.random.default_rng(0)
     base = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
@@ -82,26 +90,31 @@ def test_cmck_mutants_load_or_raise_a_value_error(tmp_path):
     path = tmp_path / "model.cmck"
     save_checkpoint(ModelBundle(config, seed=0), path)
     (meta_bytes,) = np.frombuffer(path.read_bytes()[6:10], dtype="<u4")
-    outcomes = fuzz(load_checkpoint, path, _CKPT_HEADER.size + int(meta_bytes), seed=2)
+    outcomes = fuzz(load_named, path, _CKPT_HEADER.size + int(meta_bytes), seed=2)
     assert outcomes["flip", "loaded"] > 0 and outcomes["flip", "rejected"] > 0, outcomes
 
 
 def test_manifest_mutants_load_or_raise_a_named_value_error(tmp_path):
-    generate_dataset(tmp_path, n_videos=4, k_context=2, k_motion=2, frames=13, resolution=(32, 32), seed=0)
-    (tmp_path / "sub").mkdir()
-    manifest = tmp_path / "manifest.jsonl"
+    dataset = tmp_path / "data"
+    generate_dataset(dataset, n_videos=4, k_context=2, k_motion=2, frames=13, resolution=(32, 32), seed=0)
+    (dataset / "sub").mkdir()
+    manifest = dataset / "manifest.jsonl"
     data = manifest.read_bytes()
-    # the record paths that name no file, with the valid first line kept
+    # the record paths that name no file of the dataset, with the valid first
+    # line kept; the two outside it name a valid video
     first, rest = data.split(b"\n", 1)
     record = json.loads(first)
-    paths = [json.dumps({**record, "path": p}).encode() + b"\n" + rest for p in ("", ".", "sub", "a\0b.cmv1")]
+    outside = tmp_path / "outside.cmv1"
+    outside.write_bytes((dataset / record["path"]).read_bytes())
+    bad = ("", ".", "sub", "a\0b.cmv1", "../outside.cmv1", str(outside))
+    paths = [json.dumps({**record, "path": p}).encode() + b"\n" + rest for p in bad]
     cases = [(kind, buf) for kind, buf in mutants(data, len(first) + 1, seed=3)] + [("path", buf) for buf in paths]
     outcomes = Counter()
     for kind, buf in cases:
         manifest.write_bytes(buf)
         try:
-            load_videos(tmp_path)
-            manifest_digest(tmp_path)
+            load_videos(dataset)
+            manifest_digest(dataset)
         except ValueError as e:
             assert str(manifest) in str(e), f"a {kind} case raised without naming the manifest: {e}"
             outcomes[kind, "rejected"] += 1

@@ -322,6 +322,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=want):
             load_checkpoint(path)
 
+    def test_rank_above_32_rejected(self, tmp_path):
+        # numpy itself would fail on rank 65 without naming the file
+        path, arrays, meta = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        first = sorted(arrays)[0]
+        rank_at = _CKPT_HEADER.size + _CKPT_HEADER.unpack(data[: _CKPT_HEADER.size])[2] + 4 + 2 + len(first)
+        assert data[rank_at] == arrays[first].ndim
+        data[rank_at] = 65
+        path.write_bytes(bytes(data))
+        want = rf"^{re.escape(str(path))}: array {re.escape(first)} rank 65 at byte {rank_at} exceeds 32$"
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path, _, _ = self.saved(tmp_path)
         size = path.stat().st_size

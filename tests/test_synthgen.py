@@ -76,6 +76,17 @@ class TestGenerateVideo:
         with pytest.raises(ValueError, match="context_class"):
             generate_video(spec(context=-1))
 
+    def test_frame_too_small_for_a_sprite_rejected(self, tmp_path):
+        for motion in (STATIC_MOTION, 0, 1, 2, 3):
+            for seed in range(3):
+                assert generate_video(spec(seed=seed, motion=motion, res=20)).video.height == 24
+        for height, width, name in ((19, 64, "height"), (64, 19, "width")):
+            small = SceneSpec(context_class=0, motion_class=0, seed=0, frames=4, height=height, width=width)
+            with pytest.raises(ValueError, match=f"^{name} 19 is below the minimum 20 "):
+                generate_video(small)
+        with pytest.raises(ValueError, match="^height 16 is below the minimum 20 "):
+            generate_dataset(tmp_path, n_videos=4, k_context=2, k_motion=2, frames=13, resolution=(16, 16))
+
 
 class TestGenerateDataset:
     def test_balance_and_split_counts(self, tmp_path):
@@ -102,7 +113,8 @@ class TestGenerateDataset:
         assert all(d == dists[0] for d in dists)
 
     def test_empty_dataset(self, tmp_path):
-        generate_dataset(tmp_path, n_videos=0, frames=13, seed=3)
+        with pytest.warns(UserWarning, match="below one per"):
+            generate_dataset(tmp_path, n_videos=0, frames=13, seed=3)
         assert load_manifest(tmp_path) == []
 
     def test_regeneration_identical_digest(self, tmp_path):
