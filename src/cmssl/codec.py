@@ -17,6 +17,13 @@ tie-break. The arithmetic is exact: absolute differences stay in uint8,
 and column and block sums in unsigned types wide enough for 255*b and
 765*b*b. Encodes are therefore the same on every platform.
 
+Prediction copies each reference frame whole, so a block with vector
+(0, 0) keeps its pixels with the frame, and then gathers only the moving
+blocks, each as one b x b tile. Encoding predicts all P-frames of a video
+at once. Decoding steps through the GOPs together, P-frame j of every GOP
+in one step, and checks the reconstruction range once at the end; its
+error still names the first out-of-range frame in frame order.
+
 In memory a CompressedVideo of T frames, gop_size g and block_size b is
 three arrays:
   iframes    (G, H, W, 3) uint8, G = ceil(T / g): frame t = g*i is iframes[i];
@@ -281,22 +288,37 @@ def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig)
 
 
 def motion_compensate(reference: np.ndarray, vectors: np.ndarray, block_size: int) -> np.ndarray:
-    """Predict a frame by copying each block from its reference position.
-    Every vector must keep its block inside the frame."""
-    h, w, _ = reference.shape
+    """Predict frames by copying each block from its reference position.
+
+    reference is (..., H, W, 3) and vectors (..., H/b, W/b, 2) with the same
+    leading axes, one vector grid per reference frame. Every vector must keep
+    its block inside the frame. The prediction is a copy of the reference, so
+    a block with vector (0, 0) is already in place; only the moving blocks
+    are then gathered, as b x b tiles. The result shares no memory with the
+    reference.
+    """
+    *_, h, w, _ = reference.shape
     b = block_size
-    v = vectors.astype(np.intp)
-    # the flat source of every pixel: its own position plus its block's shift
-    shift = (v[:, :, 1] * w + v[:, :, 0])[:, None, :, None]
-    source = np.arange(h * w).reshape(h // b, b, w // b, b) + shift
-    return np.take(reference.reshape(h * w, 3), source.reshape(h, w), axis=0)
+    pred = np.array(reference, copy=True)
+    rows = pred.reshape(-1, h, 3 * w)
+    grids = vectors.reshape(len(rows), h // b, w // b, 2)
+    f, by, bx = np.nonzero(grids.any(axis=3))
+    if len(f):
+        v = grids[f, by, bx].astype(np.intp)
+        # every b x 3b tile of samples in the frames, addressed by its
+        # top-left sample; the moving tiles are all gathered before any is
+        # written back
+        tiles = sliding_window_view(rows, (b, 3 * b), axis=(1, 2))
+        moved = tiles[f, by * b + v[:, 1], 3 * (bx * b + v[:, 0])]
+        rows.reshape(-1, h // b, b, w // b, 3 * b)[f, by, :, bx] = moved
+    return pred
 
 
 def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedVideo:
     """Frame t becomes an I-frame iff t % gop_size == 0; a P-frame predicts
     from frame t - 1. Residuals are lossless, so every reconstructed frame
-    equals its source, and the motion search of all P-frames runs as one
-    batch."""
+    equals its source. The motion search and the prediction of all P-frames
+    each run as one batch."""
     cfg = cfg or CodecConfig()
     if video.n_frames == 0:
         raise ValueError("cannot encode an empty video")
@@ -306,32 +328,42 @@ def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedV
     iframes, mvs, residuals = _allocate(cfg, h, w, n)
     iframes[...] = frames[::g]
     pframes = np.flatnonzero(np.arange(n) % g)
-    mvs[...] = _estimate_motion_batch(frames[pframes - 1], frames[pframes], cfg)
-    for p, t in enumerate(pframes):
-        np.subtract(frames[t], motion_compensate(frames[t - 1], mvs[p], b), out=residuals[p], dtype=np.int16)
+    refs, tgts = frames[pframes - 1], frames[pframes]
+    mvs[...] = _estimate_motion_batch(refs, tgts, cfg)
+    np.subtract(tgts, motion_compensate(refs, mvs, b), out=residuals, dtype=np.int16)
     return CompressedVideo(cfg, iframes, mvs, residuals)
 
 
 def decode_video(cv: CompressedVideo) -> RawVideo:
     """Rebuild every frame; raises naming the GOP, P-frame and pixel whose
-    prediction plus residual leaves [0, 255]."""
+    prediction plus residual leaves [0, 255].
+
+    All GOPs are decoded together: step j predicts P-frame j of every GOP
+    from the frames of step j - 1 at once, copying its static blocks with
+    the frame and gathering only the moving ones. The reconstructions are
+    kept and checked once at the end, and the error names the first frame
+    out of range in frame order, as a frame-by-frame decode would: every
+    frame before it was rebuilt from in-range frames only.
+    """
     g, b = cv.config.gop_size, cv.config.block_size
-    frames = np.empty((cv.frame_count, cv.height, cv.width, 3), dtype=np.uint8)
-    for t in range(cv.frame_count):
-        if t % g == 0:
-            frames[t] = cv.iframes[t // g]
-            continue
-        p = t - t // g - 1
+    n = cv.frame_count
+    frames = np.empty((n, cv.height, cv.width, 3), dtype=np.uint8)
+    frames[::g] = cv.iframes
+    recon = np.empty(cv.residuals.shape, dtype=np.int16)
+    for j in range(1, min(g, n)):
+        # frame j of GOP i is frame g*i + j and P-frame (g-1)*i + j - 1
+        out = recon[j - 1 :: g - 1]
+        refs = frames[j - 1 :: g][: len(out)]
         # residuals lie in [-255, 255], so the int16 sum cannot overflow
-        recon = motion_compensate(frames[t - 1], cv.mvs[p], b) + cv.residuals[p]
-        if recon.min() < 0 or recon.max() > 255:
-            y, x, c = np.argwhere((recon < 0) | (recon > 255))[0]
-            gi, pi = divmod(p, g - 1)
-            raise ValueError(
-                f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
-                f"reconstruction {recon[y, x, c]} outside [0, 255]"
-            )
-        frames[t] = recon
+        np.add(motion_compensate(refs, cv.mvs[j - 1 :: g - 1], b), cv.residuals[j - 1 :: g - 1], out=out)
+        frames[j::g] = out
+    if len(recon) and (recon.min() < 0 or recon.max() > 255):
+        p, y, x, c = np.argwhere((recon < 0) | (recon > 255))[0]
+        gi, pi = divmod(int(p), g - 1)
+        raise ValueError(
+            f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
+            f"reconstruction {recon[p, y, x, c]} outside [0, 255]"
+        )
     return RawVideo(frames=frames)
 
 

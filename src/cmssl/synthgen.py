@@ -57,7 +57,7 @@ def _pick_colors(rng: np.random.Generator, n: int) -> np.ndarray:
 def _render_background(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    family = CONTEXT_FAMILIES[spec.context_class % len(CONTEXT_FAMILIES)]
+    family = CONTEXT_FAMILIES[spec.context_class]
     if family == "gradient":
         c0, c1 = _pick_colors(rng, 2)
         theta = rng.uniform(0, 2 * np.pi)
@@ -110,11 +110,7 @@ class _Sprite:
         self.cx0 = rng.uniform(m, w - m)
         self.cy0 = rng.uniform(m, h - m)
         self.h, self.w = h, w
-        family = (
-            "static"
-            if spec.motion_class == STATIC_MOTION
-            else MOTION_FAMILIES[spec.motion_class % len(MOTION_FAMILIES)]
-        )
+        family = "static" if spec.motion_class == STATIC_MOTION else MOTION_FAMILIES[spec.motion_class]
         self.family = family
         if family == "drift":
             theta = rng.uniform(0, 2 * np.pi)
@@ -170,23 +166,37 @@ class _Sprite:
             raise ValueError(self.family)
         return _round_px(cx), _round_px(cy)
 
-    def paint(self, frame: np.ndarray, t: int):
-        cx, cy = self.center_at(t)
-        r = self.radius
-        yy, xx = np.mgrid[0 : frame.shape[0], 0 : frame.shape[1]]
+    def paint(self, frames: np.ndarray):
+        """Paint the sprite into every frame of a contiguous (T, H, W, 3)
+        uint8 video through one (T, H, W) mask; its colour truncates into
+        uint8 as the float background does."""
+        t, h, w, _ = frames.shape
+        cx, cy = np.array([self.center_at(i) for i in range(t)]).reshape(t, 2).T
+        dx2 = (np.arange(w) - cx[:, None]) ** 2  # (T, W)
+        dy2 = (np.arange(h) - cy[:, None]) ** 2  # (T, H)
+        rr = self.radius**2
         if self.shape == "disc":
-            mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+            mask = dx2[:, None, :] <= rr - dy2[:, :, None]
         else:
-            mask = (np.abs(xx - cx) <= r) & (np.abs(yy - cy) <= r)
-        frame[mask] = self.color
+            mask = (dx2 <= rr)[:, None, :] & (dy2 <= rr)[:, :, None]
+        frames.reshape(-1, 3)[np.flatnonzero(mask)] = np.clip(self.color, 0, 255).astype(np.uint8)
 
 
 def generate_video(spec: SceneSpec, codec_block_size: int = 8) -> LabeledVideo:
-    """Render one labeled video; pads to the codec block grid if needed."""
-    if spec.motion_class != STATIC_MOTION and spec.motion_class < 0:
-        raise ValueError(f"motion_class {spec.motion_class} out of range")
-    if spec.context_class < 0:
-        raise ValueError(f"context_class {spec.context_class} out of range")
+    """Render one labeled video; pads to the codec block grid if needed.
+
+    The float64 background is truncated into uint8 once and copied into all
+    T frames; each sprite, the second over the first, is then painted into
+    the whole video at once. A pixel ends up as the float background's or
+    the last sprite's colour clipped to [0, 255] and truncated, the same
+    bytes as compositing each frame in float64 and truncating it.
+    """
+    if spec.motion_class != STATIC_MOTION and not 0 <= spec.motion_class < len(MOTION_FAMILIES):
+        raise ValueError(
+            f"motion_class {spec.motion_class} out of range: 0..{len(MOTION_FAMILIES) - 1} or STATIC_MOTION"
+        )
+    if not 0 <= spec.context_class < len(CONTEXT_FAMILIES):
+        raise ValueError(f"context_class {spec.context_class} out of range: 0..{len(CONTEXT_FAMILIES) - 1}")
     for name in ("height", "width"):
         if getattr(spec, name) < _MIN_FRAME_SIDE:
             raise ValueError(f"{name} {getattr(spec, name)} is below the minimum {_MIN_FRAME_SIDE} that fits a sprite")
@@ -194,11 +204,9 @@ def generate_video(spec: SceneSpec, codec_block_size: int = 8) -> LabeledVideo:
     bg = _render_background(spec, rng)
     sprites = [_Sprite(spec, rng, bg.mean(axis=(0, 1))) for _ in range(2)]
     frames = np.empty((spec.frames, spec.height, spec.width, 3), dtype=np.uint8)
-    for t in range(spec.frames):
-        frame = bg.copy()
-        for s in sprites:
-            s.paint(frame, t)
-        frames[t] = np.clip(frame, 0, 255).astype(np.uint8)
+    frames[...] = np.clip(bg, 0, 255).astype(np.uint8)
+    for s in sprites:
+        s.paint(frames)
     return LabeledVideo(
         video=RawVideo(frames=pad_frames_to_block(frames, codec_block_size)),
         context_class=spec.context_class,
@@ -229,8 +237,16 @@ def generate_dataset(
     Videos cycle through the (context, motion) grid, so every pair appears
     n // (Kc*Km) or one more times. Within each pair the first
     floor(count * split_fraction + 0.5) videos (by index) go to train, the
-    rest to test.
+    rest to test. k_context and k_motion must lie in 1..4 (one per texture or
+    trajectory family), split_fraction in [0, 1] and n_videos be >= 0.
     """
+    for name, k, families in (("k_context", k_context, CONTEXT_FAMILIES), ("k_motion", k_motion, MOTION_FAMILIES)):
+        if not 1 <= k <= len(families):
+            raise ValueError(f"{name} {k} out of range: 1..{len(families)}, one class per family")
+    if not 0 <= split_fraction <= 1:
+        raise ValueError(f"split_fraction {split_fraction} out of range [0, 1]")
+    if n_videos < 0:
+        raise ValueError(f"n_videos {n_videos} is negative")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     codec = codec or CodecConfig()

@@ -208,17 +208,66 @@ class TestMotionEstimation:
         rng = np.random.default_rng(34)
         for b, hb, wb in ((8, 4, 4), (3, 5, 2), (1, 6, 7)):
             ref = random_frame(rng, hb * b, wb * b)
-            # any vector that keeps its block inside the frame
-            y, x = np.arange(hb)[:, None] * b, np.arange(wb) * b
-            dy = rng.integers(-y, hb * b - b - y + 1, size=(hb, wb))
-            dx = rng.integers(-x, wb * b - b - x + 1, size=(hb, wb))
-            vectors = np.stack([dx, dy], axis=-1).astype(np.int16)
-            want = np.empty_like(ref)
-            for by in range(hb):
-                for bx in range(wb):
-                    y0, x0, (vx, vy) = by * b, bx * b, vectors[by, bx]
-                    want[y0 : y0 + b, x0 : x0 + b] = ref[y0 + vy : y0 + vy + b, x0 + vx : x0 + vx + b]
-            np.testing.assert_array_equal(motion_compensate(ref, vectors, b), want)
+            vectors = in_frame_vectors(rng, hb, wb, b)
+            np.testing.assert_array_equal(motion_compensate(ref, vectors, b), per_block_copy(ref, vectors, b))
+
+
+def in_frame_vectors(rng, hb, wb, b):
+    """A random (dx, dy) per block that keeps the block inside the frame."""
+    y, x = np.arange(hb)[:, None] * b, np.arange(wb) * b
+    dy = rng.integers(-y, hb * b - b - y + 1, size=(hb, wb))
+    dx = rng.integers(-x, wb * b - b - x + 1, size=(hb, wb))
+    return np.stack([dx, dy], axis=-1).astype(np.int16)
+
+
+def per_block_copy(ref, vectors, b):
+    """Motion compensation of one frame, one block at a time."""
+    want = np.empty_like(ref)
+    for by in range(vectors.shape[0]):
+        for bx in range(vectors.shape[1]):
+            y0, x0, (vx, vy) = by * b, bx * b, vectors[by, bx]
+            want[y0 : y0 + b, x0 : x0 + b] = ref[y0 + vy : y0 + vy + b, x0 + vx : x0 + vx + b]
+    return want
+
+
+class TestMotionCompensateStack:
+    """motion_compensate on a stack of frames, one vector grid per frame."""
+
+    @pytest.mark.parametrize("b", [1, 4, 8, 16])
+    def test_stack_matches_per_frame_calls(self, b):
+        rng = np.random.default_rng(35 + b)
+        hb, wb = 3, 5
+        h, w = hb * b, wb * b
+        y, x = np.arange(hb)[:, None] * b, np.arange(wb) * b
+        edges = in_frame_vectors(rng, hb, wb, b)
+        # each block touches one frame edge, in turn top, bottom, left, right
+        kind = (np.arange(hb)[:, None] * wb + np.arange(wb)) % 4
+        edges[..., 1] = np.where(kind == 0, -y, np.where(kind == 1, h - b - y, edges[..., 1]))
+        edges[..., 0] = np.where(kind == 2, -x, np.where(kind == 3, w - b - x, edges[..., 0]))
+        static = np.zeros_like(edges)
+        moving = in_frame_vectors(rng, hb, wb, b)
+        # a vertical move as far as the frame allows is never (0, 0)
+        moving[..., 1] = np.where(y > 0, -y, h - b - y)
+        assert np.all(np.any(moving != 0, axis=-1))
+        vectors = np.stack([edges, static, moving, in_frame_vectors(rng, hb, wb, b)])
+        # and some block moves to each edge, not only sits at it
+        dx, dy = edges[..., 0], edges[..., 1]
+        for reach in (y + dy == 0, y + dy + b == h):
+            assert np.any(reach & (dy != 0))
+        for reach in (x + dx == 0, x + dx + b == w):
+            assert np.any(reach & (dx != 0))
+        refs = rng.integers(0, 256, size=(4, h, w, 3), dtype=np.uint8)
+        kept = refs.copy()
+        pred = motion_compensate(refs, vectors, b)
+        assert pred.shape == refs.shape and pred.dtype == np.uint8
+        assert not np.shares_memory(pred, refs)
+        np.testing.assert_array_equal(refs, kept)
+        for i in range(4):
+            single = motion_compensate(refs[i], vectors[i], b)
+            assert not np.shares_memory(single, refs)
+            np.testing.assert_array_equal(pred[i], single, err_msg=f"frame {i}")
+            np.testing.assert_array_equal(single, per_block_copy(refs[i], vectors[i], b), err_msg=f"frame {i}")
+        np.testing.assert_array_equal(pred[1], refs[1])
 
 
 def moving_blocks(ref, tgt, b):
@@ -379,6 +428,16 @@ class TestRoundtrip:
             if t % cfg.gop_size:
                 dx, dy = grid_at(cv, t)[0].T
                 assert np.all(dy == 0) and np.all((x + dx >= 0) & (x + dx + 4 <= 16))
+
+    @pytest.mark.parametrize("t", [25, 29])
+    def test_short_last_gop(self, t):
+        # GOPs of 12, 12 and 1 or 5 frames
+        rng = np.random.default_rng(t)
+        rendered = generate_video(SceneSpec(context_class=1, motion_class=2, seed=t, frames=t)).video
+        for v in (random_video(rng, t=t), translating_video(rng, t=t), rendered):
+            cv = encode_video(v)
+            assert len(cv.iframes) == 3 and len(cv.mvs) == t - 3
+            np.testing.assert_array_equal(decode_video(cv).frames, v.frames)
 
     def test_padding_to_block_multiple(self):
         rng = np.random.default_rng(8)
@@ -595,6 +654,35 @@ class TestContainer:
             want = rf"GOP {gop} P-frame {p_frame} pixel \({y}, {x}\) channel {c}: reconstruction {past} outside \[0, 255\]"
             with pytest.raises(ValueError, match=want):
                 decode_video(cv2)
+
+    def test_first_bad_reconstruction_in_frame_order_named(self, tmp_path):
+        # decoding steps through P-frame j of every GOP at once, so it builds
+        # GOP 1 P-frame 2 (frame 15) before GOP 0 P-frame 7 (frame 8); the
+        # error must still name frame 8, the first bad frame in frame order
+        rng = np.random.default_rng(31)
+        v = random_video(rng, t=29)
+        cv = encode_video(v)
+        residuals = cv.residuals.copy()
+        bad = {(1, 2): (3, 20, 1), (0, 7): (17, 4, 2)}
+        for (gop, p_frame), (y, x, c) in bad.items():
+            t, p = 12 * gop + p_frame + 1, 11 * gop + p_frame
+            pred = int(v.frames[t][y, x, c]) - int(residuals[p][y, x, c])
+            past = 256 if pred >= 1 else -1  # so that past - pred stays in [-255, 255]
+            residuals[p][y, x, c] = past - pred
+            bad[gop, p_frame] += (past,)
+        path = tmp_path / "two_bad.cmv1"
+        write_cmv1(dataclasses.replace(cv, residuals=residuals), path)
+        (y, x, c, past) = bad[0, 7]
+        want = rf"GOP 0 P-frame 7 pixel \({y}, {x}\) channel {c}: reconstruction {past} outside \[0, 255\]"
+        with pytest.raises(ValueError, match=want):
+            decode_video(read_cmv1(path))
+        # the GOP 1 frame alone is found too
+        only_gop_1 = cv.residuals.copy()
+        only_gop_1[13] = residuals[13]
+        (y, x, c, past) = bad[1, 2]
+        want = rf"GOP 1 P-frame 2 pixel \({y}, {x}\) channel {c}: reconstruction {past} outside"
+        with pytest.raises(ValueError, match=want):
+            decode_video(dataclasses.replace(cv, residuals=only_gop_1))
 
     def test_mv_leaving_top_left_rejected(self, tmp_path):
         rng = np.random.default_rng(26)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmssl.codec import decode_video, encode_video, extract_modalities, read_cmv1
+from cmssl import synthgen
+from cmssl.codec import decode_video, encode_video, extract_modalities, pad_frames_to_block, read_cmv1
 from cmssl.synthgen import (
     STATIC_MOTION,
     SceneSpec,
@@ -21,6 +22,60 @@ def spec(seed=0, context=0, motion=0, frames=13, res=64):
     return SceneSpec(
         context_class=context, motion_class=motion, seed=seed, frames=frames, height=res, width=res
     )
+
+
+def per_frame_render(spec, codec_block_size=8):
+    """generate_video one frame at a time: each frame a float64 copy of the
+    background, each sprite painted through its own mask, then clipped and
+    truncated into uint8."""
+    rng = np.random.default_rng(np.random.PCG64(spec.seed))
+    bg = synthgen._render_background(spec, rng)
+    sprites = [synthgen._Sprite(spec, rng, bg.mean(axis=(0, 1))) for _ in range(2)]
+    frames = np.empty((spec.frames, spec.height, spec.width, 3), dtype=np.uint8)
+    for t in range(spec.frames):
+        frame = bg.copy()
+        for s in sprites:
+            cx, cy = s.center_at(t)
+            r = s.radius
+            yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
+            if s.shape == "disc":
+                mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+            else:
+                mask = (np.abs(xx - cx) <= r) & (np.abs(yy - cy) <= r)
+            frame[mask] = s.color
+        frames[t] = np.clip(frame, 0, 255).astype(np.uint8)
+    return pad_frames_to_block(frames, codec_block_size)
+
+
+class TestRenderOracle:
+    @pytest.mark.parametrize("height, width", [(64, 64), (20, 20), (64, 20), (37, 45)])
+    def test_matches_per_frame_render(self, height, width):
+        for context in range(4):
+            for motion in (STATIC_MOTION, 0, 1, 2, 3):
+                scene = SceneSpec(context, motion, seed=100 * context + motion + 1, frames=9, height=height, width=width)
+                got = generate_video(scene).video.frames
+                assert got.shape == (9, -(-height // 8) * 8, -(-width // 8) * 8, 3)
+                np.testing.assert_array_equal(got, per_frame_render(scene), err_msg=f"{context}, {motion}")
+
+    def test_fallback_sprite_colour_truncates_like_astype(self, monkeypatch):
+        class NearTheMean:
+            """Every colour drawn lies within 2 of the background mean."""
+
+            def integers(self, low, high, size):
+                return np.floor(mean).astype(np.int64)
+
+        mean = np.array([100.25, 30.5, 200.75])
+        np.testing.assert_array_equal(synthgen._sprite_color(NearTheMean(), mean), 255.0 - mean)
+        # a gradient's mean, so 255 - mean is not an integer
+        monkeypatch.setattr(synthgen, "_sprite_color", lambda rng, bg_mean: 255.0 - bg_mean)
+        for motion in (STATIC_MOTION, 0, 2):
+            scene = SceneSpec(0, motion, seed=11 + motion, frames=7, height=37, width=45)
+            rng = np.random.default_rng(np.random.PCG64(scene.seed))
+            colour = 255.0 - synthgen._render_background(scene, rng).mean(axis=(0, 1))
+            assert np.all(colour != np.floor(colour))
+            got = generate_video(scene).video.frames
+            np.testing.assert_array_equal(got, per_frame_render(scene))
+            assert np.any(np.all(got == colour.astype(np.uint8), axis=-1))
 
 
 class TestGenerateVideo:
@@ -75,6 +130,11 @@ class TestGenerateVideo:
             generate_video(spec(motion=-2))
         with pytest.raises(ValueError, match="context_class"):
             generate_video(spec(context=-1))
+        # one class per family: class 4 would repeat family 0 under a new label
+        with pytest.raises(ValueError, match=r"^motion_class 4 out of range: 0..3 or STATIC_MOTION"):
+            generate_video(spec(motion=4))
+        with pytest.raises(ValueError, match=r"^context_class 4 out of range: 0..3"):
+            generate_video(spec(context=4))
 
     def test_frame_too_small_for_a_sprite_rejected(self, tmp_path):
         for motion in (STATIC_MOTION, 0, 1, 2, 3):
@@ -111,6 +171,33 @@ class TestGenerateDataset:
             per_context.setdefault(r["context_class"], []).append(r["motion_class"])
         dists = [sorted(v) for v in per_context.values()]
         assert all(d == dists[0] for d in dists)
+
+    @pytest.mark.parametrize(
+        "kwargs, want",
+        [
+            ({"k_context": 5}, r"k_context 5 out of range: 1..4"),
+            ({"k_motion": 5}, r"k_motion 5 out of range: 1..4"),
+            ({"k_context": 0}, r"k_context 0 out of range: 1..4"),
+            ({"k_motion": 0}, r"k_motion 0 out of range: 1..4"),
+            ({"split_fraction": 1.5}, r"split_fraction 1.5 out of range \[0, 1\]"),
+            ({"split_fraction": -0.5}, r"split_fraction -0.5 out of range \[0, 1\]"),
+            ({"split_fraction": float("nan")}, r"split_fraction nan out of range \[0, 1\]"),
+            ({"n_videos": -1}, r"n_videos -1 is negative"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_writing(self, tmp_path, kwargs, want):
+        out = tmp_path / "ds"
+        with pytest.raises(ValueError, match="^" + want):
+            generate_dataset(out, **{"n_videos": 4, "frames": 13, **kwargs})
+        assert not out.exists()
+
+    def test_class_and_split_bounds_accepted(self, tmp_path):
+        generate_dataset(tmp_path / "a", n_videos=4, k_context=4, k_motion=1, frames=13, split_fraction=1.0)
+        assert {r["split"] for r in load_manifest(tmp_path / "a")} == {"train"}
+        generate_dataset(tmp_path / "b", n_videos=4, k_context=1, k_motion=4, frames=13, split_fraction=0.0)
+        records = load_manifest(tmp_path / "b")
+        assert {r["split"] for r in records} == {"test"}
+        assert sorted(r["motion_class"] for r in records) == [0, 1, 2, 3]
 
     def test_empty_dataset(self, tmp_path):
         with pytest.warns(UserWarning, match="below one per"):
