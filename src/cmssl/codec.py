@@ -31,6 +31,9 @@ three arrays:
   residuals  (P, H, W, 3) int16.
 P-frames are in frame order: frame t (t % g != 0) is P-frame p = t - t//g - 1,
 which is P-frame p % (g - 1) of GOP p // (g - 1).
+Residuals are needed only to rebuild pixels. A video whose frames are
+already decoded may drop them (residuals None): its I-frames and MVs are
+still checked when it is built, but decode_video and write_cmv1 refuse it.
 
 Container format CMV1 (all integers little-endian):
   magic 'CMV1', version u16, H u32, W u32, gop_size u16, block_size u16,
@@ -121,16 +124,20 @@ class CompressedVideo:
     """I-frames, then every P-frame's MV grid and residual in frame order
     (see the module docstring). Building one checks everything but the
     reconstruction range, which only decoding can see, and the arrays it
-    holds are read-only, so a CompressedVideo stays valid."""
+    holds are read-only, so a CompressedVideo stays valid. Residuals None
+    means they were dropped after decode: the video serves its I-frames and
+    MVs, and cannot be decoded or written."""
 
     config: CodecConfig
     iframes: np.ndarray  # (G, H, W, 3) uint8
     mvs: np.ndarray  # (P, Hb, Wb, 2) int16, [..., 0] = dx, [..., 1] = dy
-    residuals: np.ndarray  # (P, H, W, 3) int16
+    residuals: np.ndarray | None  # (P, H, W, 3) int16, or None once dropped
 
     def __post_init__(self):
         for name, dtype in _ARRAYS:
             arr = getattr(self, name)
+            if arr is None and name == "residuals":
+                continue
             if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.ndim != 4:
                 got = f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ValueError(f"{name} must be a 4-d {np.dtype(dtype)} array, got {got}")
@@ -142,14 +149,14 @@ class CompressedVideo:
         h, w, n = self.height, self.width, self.frame_count
         _check_geometry(cfg, h, w, n)
         for (name, _), want in zip(_ARRAYS, _shapes(cfg, h, w, n)):
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} of shape {got}, expected {want} for {n} frames at gop_size {g}")
+            arr = getattr(self, name)
+            if arr is not None and arr.shape != want:
+                raise ValueError(f"{name} of shape {arr.shape}, expected {want} for {n} frames at gop_size {g}")
         if len(self.mvs) == 0:
             return
         res = self.residuals
         # a uint8 pixel minus a uint8 prediction lies in [-255, 255]
-        if res.min() < -255 or res.max() > 255:
+        if res is not None and (res.min() < -255 or res.max() > 255):
             p, y, x, c = np.argwhere((res < -255) | (res > 255))[0]
             gi, pi = divmod(int(p), g - 1)
             raise ValueError(
@@ -184,6 +191,11 @@ class CompressedVideo:
 
     def iframe_indices(self) -> list[int]:
         return list(range(0, self.frame_count, self.config.gop_size))
+
+
+def _require_residuals(cv: CompressedVideo, action: str):
+    if cv.residuals is None:
+        raise ValueError(f"cannot {action} a video whose residuals were dropped after decode")
 
 
 def pad_frames_to_block(frames: np.ndarray, block_size: int) -> np.ndarray:
@@ -345,6 +357,7 @@ def decode_video(cv: CompressedVideo) -> RawVideo:
     out of range in frame order, as a frame-by-frame decode would: every
     frame before it was rebuilt from in-range frames only.
     """
+    _require_residuals(cv, "decode")
     g, b = cv.config.gop_size, cv.config.block_size
     n = cv.frame_count
     frames = np.empty((n, cv.height, cv.width, 3), dtype=np.uint8)
@@ -423,6 +436,9 @@ def _gop_records(cfg: CodecConfig, height: int, width: int, frame_count: int):
 
 
 def write_cmv1(cv: CompressedVideo, path):
+    """Write cv as a CMV1 file; a video without residuals raises before
+    the file is opened."""
+    _require_residuals(cv, "write")
     cfg = cv.config
     gop, slots = _gop_records(cfg, cv.height, cv.width, cv.frame_count)
     records = np.zeros(len(cv.iframes), dtype=gop)
@@ -475,9 +491,11 @@ def _read_cmv1(path) -> CompressedVideo:
             )
         if body_bytes < file_body_bytes:
             raise ValueError(f"{file_body_bytes - body_bytes} trailing bytes after {frame_count} frames")
-        # what the video keeps is allocated before the body it is copied
-        # from; a body freed below it would leave a heap hole per video that
-        # the next, equally large body cannot reuse
+        # the arrays are allocated before the body they are copied from; a
+        # body freed below arrays that a caller keeps would leave a heap hole
+        # per video that the next, equally large body cannot reuse (a caller
+        # that drops the residuals, as load_videos does, frees a block the
+        # next video's residuals take)
         iframes, mvs, residuals = _allocate(cfg, h, w, frame_count)
         body = fh.read(body_bytes)
     if len(body) < body_bytes:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -446,35 +447,38 @@ class ModelBundle:
 # -- checkpoint container --------------------------------------------------------
 
 CKPT_MAGIC = b"CMCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 # the largest rank every supported numpy can build (numpy 1.x caps it at 32)
 _CKPT_MAX_RANK = 32
-_CKPT_HEADER = struct.Struct("<4sHI")
+# magic, version, metadata length, CRC32 of every byte after the header
+_CKPT_HEADER = struct.Struct("<4sHII")
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None):
     """Versioned binary of named arrays plus a JSON metadata blob. Every array
     is stored as little-endian float64 (`<f8`), whatever its dtype; a float32
-    array widens exactly."""
+    array widens exactly. The header ends with the zlib CRC32 of the body:
+    the metadata and every array record after it."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode()
+    body = [meta_bytes, struct.pack("<I", len(arrays))]
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        nb = name.encode()
+        body.append(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+        body.append(arr.astype("<f8").tobytes())
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
     with open(path, "wb") as fh:
-        fh.write(_CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes())
+        fh.write(_CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes), crc))
+        fh.writelines(body)
 
 
 def load_arrays(path):
     """Read a save_arrays file. A malformed file raises a ValueError naming
-    the byte offset and, past the metadata, the array it was reading."""
+    the byte offset and, past the metadata, the array it was reading. The
+    body's CRC32 is checked once the whole file has parsed, so a structural
+    fault is named as such; a mismatch names both CRCs."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -486,7 +490,7 @@ def load_arrays(path):
         pos += n
         return buf[pos - n : pos]
 
-    magic, version, meta_len = _CKPT_HEADER.unpack(take(_CKPT_HEADER.size, "checkpoint header"))
+    magic, version, meta_len, stored_crc = _CKPT_HEADER.unpack(take(_CKPT_HEADER.size, "checkpoint header"))
     if magic != CKPT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
     if version != CKPT_VERSION:
@@ -517,6 +521,9 @@ def load_arrays(path):
         arrays[name] = arr.reshape(shape).astype(np.float64)
     if pos != len(buf):
         raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last array, from byte {pos}")
+    crc = zlib.crc32(memoryview(buf)[_CKPT_HEADER.size :])
+    if crc != stored_crc:
+        raise ValueError(f"{path}: body CRC32 {crc:#010x} does not match the header's {stored_crc:#010x}")
     return arrays, meta
 
 

@@ -21,7 +21,7 @@ computes in its input's float dtype.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .codec import CompressedVideo, decode_video, extract_modalities, read_cmv1
 from .networks import ModelBundle, ModelConfig
-from .synthgen import load_manifest
+from .synthgen import SPLITS, load_manifest
 from .tensor import Tensor
 
 
@@ -60,31 +60,45 @@ class PretextConfig:
 
 @dataclass
 class VideoRecord:
+    """A decoded dataset video: what sampling reads and nothing more. `cv`
+    keeps the codec config, the I-frames and the MV grids; its residuals
+    are dropped (None) once `frames` is decoded from them."""
+
     video_id: int
     frames: np.ndarray  # (T, H, W, 3) uint8, decoded
-    cv: CompressedVideo
+    cv: CompressedVideo  # residuals None
     context_class: int
     motion_class: int
     split: str
 
 
 def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
-    """Decode every dataset video into memory (desk scale keeps this cheap).
+    """Decode every dataset video of `split` ("train", "test", or None for
+    all) into memory (desk scale keeps this cheap).
 
     The manifest is read and checked by `synthgen.load_manifest`, which names
     the record of a path that is not a file. `read_cmv1` checks each file
-    once, and decoding adds only the reconstruction-range check.
+    once, and decoding adds only the reconstruction-range check. Each
+    video's residuals are dropped as soon as it is decoded, so a record
+    holds its frames, I-frames and MV grids; the next video's arrays reuse
+    the freed residual block.
     """
+    if split not in (None, *SPLITS):
+        raise ValueError(f"unknown split {split!r}, expected one of {SPLITS} or None")
     dataset_dir = Path(dataset_dir)
     records = []
     for i, rec in enumerate(load_manifest(dataset_dir)):
         if split is not None and rec["split"] != split:
             continue
         cv = read_cmv1(dataset_dir / rec["path"])
+        frames = decode_video(cv).frames
+        # rebinding frees the residuals before the next video is read, so
+        # that its arrays reuse their heap block
+        cv = replace(cv, residuals=None)
         records.append(
             VideoRecord(
                 video_id=i,
-                frames=decode_video(cv).frames,
+                frames=frames,
                 cv=cv,
                 context_class=rec["context_class"],
                 motion_class=rec["motion_class"],
@@ -346,6 +360,9 @@ def sample_training_batch(
         chosen = [videos[perm[i % len(videos)]] for i in range(batch_size)]
     else:
         by_id = {v.video_id: v for v in videos}
+        unknown = [i for i in video_ids if i not in by_id]
+        if unknown:
+            raise ValueError(f"video id(s) {unknown} not in the pool of {len(videos)} videos")
         chosen = [by_id[i] for i in video_ids]
     samples = []
     for video in chosen:

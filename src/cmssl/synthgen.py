@@ -328,6 +328,7 @@ def generate_dataset(
 
 
 _MANIFEST_KEYS = ("path", "context_class", "motion_class", "split")
+SPLITS = ("train", "test")
 
 
 def load_manifest(dataset_dir) -> list[dict]:
@@ -336,10 +337,11 @@ def load_manifest(dataset_dir) -> list[dict]:
 
     A line that is not UTF-8 JSON or not an object raises a ValueError naming
     the manifest and the line. A record missing one of path, context_class,
-    motion_class and split, with a class id that is not a non-negative int, or
-    with a path that is not a string naming a file of the dataset (a null
-    byte, an absolute path or one through "..", a directory, nothing) raises
-    one naming the manifest, the record's index and the path.
+    motion_class and split, with a class id that is not a non-negative int, a
+    split other than "train" or "test", or with a path that is not a string
+    naming a file of the dataset (a null byte, an absolute path or one
+    through "..", a directory, nothing) raises one naming the manifest, the
+    record's index and the path.
     """
     manifest = Path(dataset_dir) / "manifest.jsonl"
     records = []
@@ -372,6 +374,8 @@ def load_manifest(dataset_dir) -> list[dict]:
             for key in ("context_class", "motion_class"):
                 if type(rec[key]) is not int or rec[key] < 0:
                     raise ValueError(f"{where} ({path}): {key} {rec[key]!r} is not a non-negative int")
+            if rec["split"] not in SPLITS:
+                raise ValueError(f"{where} ({path}): split {rec['split']!r} is not one of {SPLITS}")
             if not path.is_file():
                 raise ValueError(f"{where}: CMV1 file {path} {'is not a file' if path.exists() else 'does not exist'}")
             records.append(rec)

@@ -632,8 +632,13 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
         _conv_out_len(spatial[i], ksp[i], stride[i], padding[i], names[i]) for i in range(nd)
     )
 
-    pad_width = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(x, pad_width) if any(padding) else x
+    # the input inside its zero border: a zeros buffer and one slice copy
+    core = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
+    if any(padding):
+        xp = np.zeros(x.shape[:2] + tuple(n + 2 * p for p, n in zip(padding, spatial)), dtype=x.dtype)
+        xp[core] = x
+    else:
+        xp = x
 
     # patch layout (cin, *ksp, B, *out_sp) folds the whole batch into the GEMM
     # columns, so forward and both backward products are single dgemm calls
@@ -672,10 +677,7 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
                     slice(off[i], off[i] + stride[i] * out_sp[i], stride[i]) for i in range(nd)
                 )
                 dxp[(slice(None), slice(None)) + sl] += (wt[k] @ gmat).reshape((cin, B) + out_sp)
-            dx = np.moveaxis(dxp, 1, 0)
-            if any(padding):
-                core = tuple(slice(p, dx.shape[2 + i] - p) for i, p in enumerate(padding))
-                dx = dx[(slice(None), slice(None)) + core]
+            dx = np.moveaxis(dxp, 1, 0)[core]
             a._accum(dx if batched else dx[0])
 
     return _make(out, (a, kernels), op, backward)

@@ -548,6 +548,49 @@ class TestCompressedVideo:
                 dataclasses.replace(cv, **change)
 
 
+class TestResidualFree:
+    """A video whose residuals were dropped after decode (residuals None)."""
+
+    @staticmethod
+    def full_and_free(seed, t=25):
+        cv = encode_video(translating_video(np.random.default_rng(seed), t=t))
+        return cv, dataclasses.replace(cv, residuals=None)
+
+    def test_serves_what_sampling_reads(self):
+        cv, free = self.full_and_free(40)
+        assert free.residuals is None
+        assert (free.frame_count, free.height, free.width) == (cv.frame_count, cv.height, cv.width)
+        assert free.iframe_indices() == cv.iframe_indices() and free.config == cv.config
+        frames = np.arange(cv.frame_count)
+        np.testing.assert_array_equal(extract_modalities(free, frames), extract_modalities(cv, frames))
+        for arr in (free.iframes, free.mvs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0, 0] = 1
+
+    def test_decode_and_write_refuse_it(self, tmp_path):
+        _, free = self.full_and_free(41)
+        with pytest.raises(ValueError, match="^cannot decode a video whose residuals were dropped after decode$"):
+            decode_video(free)
+        path = tmp_path / "free.cmv1"
+        with pytest.raises(ValueError, match="^cannot write a video whose residuals were dropped after decode$"):
+            write_cmv1(free, path)
+        assert not path.exists()
+
+    def test_bad_mvs_and_iframes_still_rejected(self):
+        cv, free = self.full_and_free(42)
+        mvs = cv.mvs.copy()
+        mvs[11 + 2, 0, 0] = (-2, -2)
+        with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\).*outside"):
+            dataclasses.replace(free, mvs=mvs)
+        mvs[11 + 2, 0, 0] = (0, 99)
+        with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\): motion vector \(0, 99\) exceeds"):
+            dataclasses.replace(free, mvs=mvs)
+        with pytest.raises(ValueError, match=r"mvs of shape \(22, 2, 4, 2\), expected \(22, 4, 4, 2\)"):
+            dataclasses.replace(free, mvs=cv.mvs[:, :2])
+        with pytest.raises(ValueError, match=r"iframes must be a 4-d uint8 array, got int16"):
+            dataclasses.replace(free, iframes=cv.iframes.astype(np.int16))
+
+
 class TestContainer:
     def test_roundtrip_bytes(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -3,8 +3,9 @@ formats and the dataset manifest.
 
 Every case is the valid file with some bytes flipped (half of the flips land
 in the header), cut short, or with bytes appended. A case must either load
-or raise a ValueError; a cut or extended binary file must always raise, and
-every error of the CMV1, CMCK and manifest readers must name the file.
+or raise a ValueError; a cut or extended binary file must always raise, a
+flipped CMCK file too (its body has a CRC32), and every error of the CMV1,
+CMCK and manifest readers must name the file.
 """
 
 import json
@@ -91,7 +92,8 @@ def test_cmck_mutants_load_or_raise_a_value_error(tmp_path):
     save_checkpoint(ModelBundle(config, seed=0), path)
     (meta_bytes,) = np.frombuffer(path.read_bytes()[6:10], dtype="<u4")
     outcomes = fuzz(load_named, path, _CKPT_HEADER.size + int(meta_bytes), seed=2)
-    assert outcomes["flip", "loaded"] > 0 and outcomes["flip", "rejected"] > 0, outcomes
+    # the body CRC32 catches every flip the structural checks let through
+    assert outcomes["flip", "loaded"] == 0 and outcomes["flip", "rejected"] == CASES // 3, outcomes
 
 
 def test_manifest_mutants_load_or_raise_a_named_value_error(tmp_path):

@@ -1,6 +1,7 @@
 """Shape contracts, gradient reach, attention audits, checkpoint roundtrip."""
 
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -340,6 +341,36 @@ class TestCheckpoint:
         size = path.stat().st_size
         path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
         with pytest.raises(ValueError, match=f"3 trailing bytes after the last array, from byte {size}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["metadata", "array_body", "stored_crc"])
+    def test_crc_mismatch_names_the_file_and_both_crcs(self, tmp_path, where):
+        path, arrays, meta = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        stored = _CKPT_HEADER.unpack(data[: _CKPT_HEADER.size])[3]
+        assert stored == zlib.crc32(data[_CKPT_HEADER.size :])
+        # a flip that every structural check lets through: a metadata space
+        # becomes a tab, the low mantissa byte of the last float changes,
+        # or the stored CRC itself is wrong
+        at = {
+            "metadata": data.index(b" ", _CKPT_HEADER.size),
+            "array_body": len(data) - 8,
+            "stored_crc": _CKPT_HEADER.size - 1,
+        }[where]
+        data[at] ^= {"metadata": 0x29, "array_body": 0x01, "stored_crc": 0x80}[where]
+        path.write_bytes(bytes(data))
+        got, want = zlib.crc32(data[_CKPT_HEADER.size :]), _CKPT_HEADER.unpack(data[: _CKPT_HEADER.size])[3]
+        assert got != want
+        msg = rf"^{re.escape(str(path))}: body CRC32 {got:#010x} does not match the header's {want:#010x}$"
+        with pytest.raises(ValueError, match=msg):
+            load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path, _, _ = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,6 +6,7 @@ epsilon-stabilized cosine (eps = 1e-8 added to each norm).
 """
 
 import ctypes
+import dataclasses
 import json
 import math
 import re
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from cmssl import tensor as T
-from cmssl.codec import CodecConfig, CompressedVideo, encode_video, extract_modalities
+from cmssl.codec import CodecConfig, CompressedVideo, decode_video, encode_video, extract_modalities, read_cmv1
 from cmssl.networks import ModelBundle, ModelConfig, TransformerConfig
 from cmssl.pretext import (
     AugmentParams,
@@ -40,7 +41,7 @@ from cmssl.pretext import (
     sample_training_batch,
     valid_clip_start_range,
 )
-from cmssl.synthgen import SceneSpec, generate_dataset, generate_video, manifest_digest
+from cmssl.synthgen import SceneSpec, generate_dataset, generate_video, load_manifest, manifest_digest
 from cmssl.tensor import Tensor
 
 from conftest import graph_nodes, repeat_then_subsample
@@ -363,6 +364,11 @@ class TestSampler:
                                           video_ids=[0, 1, 0, 1])
         assert all(s.video_id == 0 for s in batch)
 
+    def test_unknown_video_id_named(self):
+        videos = [make_video_record(seed=0)]
+        with pytest.raises(ValueError, match=r"video id\(s\) \[99\] not in the pool of 1 videos"):
+            sample_training_batch(videos, 2, ModelConfig(), PretextConfig(), np.random.default_rng(0), video_ids=[0, 99])
+
     def test_fixed_seed_reproducible(self):
         videos = [make_video_record(seed=s) for s in range(3)]
         cfg = PretextConfig()
@@ -590,12 +596,15 @@ class TestManifest:
         check = CompressedVideo.__post_init__
 
         def counting(cv):
-            checked.append(cv.frame_count)
+            checked.append((cv.frame_count, cv.residuals is None))
             check(cv)
 
         monkeypatch.setattr(CompressedVideo, "__post_init__", counting)
         videos = load_videos(d)
-        assert checked == [v.frames.shape[0] for v in videos] == [13, 13]
+        # read_cmv1 checks the whole video once; the record's residual-free
+        # copy checks its I-frames and MVs once more, and no residual twice
+        assert [v.frames.shape[0] for v in videos] == [13, 13]
+        assert checked == [(13, False), (13, True)] * 2
 
     def test_missing_cmv1_file_named(self, tmp_path):
         d = self.dataset_with(tmp_path, path="gone.cmv1")
@@ -627,6 +636,72 @@ class TestManifest:
         want = rf"manifest.jsonl record 1 \(.*video_00001.cmv1\): context_class {bad!r} is not a non-negative int"
         with pytest.raises(ValueError, match=want):
             load_videos(d)
+
+    @pytest.mark.parametrize("bad", ["val", "Train", "", 1])
+    def test_unknown_split_value_named(self, tmp_path, bad):
+        d = self.dataset_with(tmp_path, split=bad)
+        want = rf"manifest.jsonl record 1 \(.*video_00001.cmv1\): split {re.escape(repr(bad))} is not one of"
+        for load in (load_videos, manifest_digest):
+            with pytest.raises(ValueError, match=want):
+                load(d)
+
+    def test_unknown_split_argument_rejected(self, tmp_path):
+        d = self.dataset_with(tmp_path)
+        with pytest.raises(ValueError, match=r"unknown split 'tain', expected one of \('train', 'test'\) or None"):
+            load_videos(d, split="tain")
+        assert [v.split for v in load_videos(d, split="train")] == ["train", "train"]
+        assert load_videos(d, split="test") == []
+
+
+class TestResidualFreeRecords:
+    """load_videos keeps no residuals, and sampling does not need them."""
+
+    def test_records_hold_no_residuals(self, tmp_path):
+        generate_dataset(tmp_path, n_videos=2, k_context=2, k_motion=1, frames=13, resolution=(32, 32), seed=1)
+        videos = load_videos(tmp_path)
+        assert len(videos) == 2
+        for v, rec in zip(videos, load_manifest(tmp_path)):
+            full = read_cmv1(tmp_path / rec["path"])
+            assert v.cv.residuals is None
+            np.testing.assert_array_equal(v.frames, decode_video(full).frames)
+            np.testing.assert_array_equal(v.cv.iframes, full.iframes)
+            np.testing.assert_array_equal(v.cv.mvs, full.mvs)
+            assert v.cv.config == full.config
+
+    @staticmethod
+    def full_and_free(seed, motion):
+        full = make_video_record(seed=seed, motion=motion)
+        return full, dataclasses.replace(full, cv=dataclasses.replace(full.cv, residuals=None))
+
+    @staticmethod
+    def assert_same_sample(got, want):
+        for name in ("clip", "iframe", "future_mv", "hard_negative_mvs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.float32, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_samples_bit_identical_to_the_full_video(self, train):
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        for seed in range(3):
+            full, free = self.full_and_free(seed, motion=seed + 1)
+            got, want = (
+                materialize_sample(
+                    v, draw_sample_indices(36, v.video_id, v.cv.iframe_indices(), 12, mcfg, cfg, rng),
+                    mcfg, cfg, rng=rng, train=train,
+                )
+                for v, rng in ((free, np.random.default_rng(seed)), (full, np.random.default_rng(seed)))
+            )
+            self.assert_same_sample(got, want)
+
+    def test_training_batches_bit_identical_to_the_full_videos(self):
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        pools = list(zip(*(self.full_and_free(seed, motion=seed) for seed in range(4))))
+        got, want = (sample_training_batch(list(pool), 3, mcfg, cfg, np.random.default_rng(7)) for pool in pools)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert a.video_id == b.video_id
+            self.assert_same_sample(a, b)
 
 
 def has_mallopt():

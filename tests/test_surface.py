@@ -1,9 +1,11 @@
-"""Names that code outside the package reaches: console scripts and the
-benchmark's tracer, which patches ops and forward methods by name."""
+"""Names that code outside the package reaches: console scripts, the
+benchmark's tracer, which patches ops and forward methods by name, and the
+benchmark's workloads, which read the records load_videos returns."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmssl import codec, pretext, synthgen
@@ -39,3 +41,24 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         now = vars(obj)
         assert now.keys() == old.keys(), obj
         assert all(now[k] is old[k] for k in old), obj
+
+
+def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
+    """The benchmark's embed and train units run on load_videos records: a
+    record refactor that drops a name they read fails here."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    synthgen.generate_dataset(tmp_path, n_videos=2, k_context=2, k_motion=1, resolution=(32, 32), seed=0)
+    videos = pretext.load_videos(tmp_path)
+    assert all(v.cv.residuals is None for v in videos)
+    for v in videos:  # what workloads.embed_batch passes to draw_sample_indices
+        assert v.frames.shape[0] == len(v.cv.iframes) + len(v.cv.mvs)
+        assert v.cv.iframe_indices()[1] == v.cv.config.gop_size
+    bundle = ModelBundle(seed=0)
+    feats = workloads.embed_batch(bundle, videos, seed=0)
+    assert feats.shape == (2, bundle.config.v_channels[-1]) and np.isfinite(feats).all()
+    np.testing.assert_array_equal(workloads.embed_batch(bundle, videos, seed=0), feats)
+    params = list(bundle.params().values())
+    loss = workloads.train_step(bundle, params, videos, np.random.default_rng(0), batch_size=2)
+    assert np.isfinite(loss)
