@@ -26,8 +26,8 @@ Who owns a gradient array:
   kept: backward() on the same loss again adds the same gradients once more.
 
 Memory between steps: a training step allocates its activations and
-gradients (≈145 MiB live after a B=8 forward of the default float32 model,
-≈280 MiB at float64) and frees all of them at the end of the step. By
+gradients (≈123 MiB live after a B=8 forward of the default float32 model,
+≈248 MiB at float64) and frees all of them at the end of the step. By
 default glibc hands the freed heap top back to the OS and unmaps every array
 above its mmap threshold, so each step faults the same amount of fresh,
 zeroed pages in again (≈12k minor faults per float64 B=8 step). Importing
@@ -59,7 +59,7 @@ def _keep_heap_mapped():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # -1 disables trimming: the ≈145 MiB a float32 B=8 step frees stays mapped
+    # -1 disables trimming: the ≈123 MiB a float32 B=8 step frees stays mapped
     # for the next step. No mmap threshold is enough on its own: the largest
     # array grows with the batch (the float32 patch matrix of v_net's second
     # conv is 13.5 MiB at 8 clips and 54 MiB at 32), and glibc caps the
@@ -607,6 +607,61 @@ def _conv_out_len(n: int, k: int, s: int, p: int, name: str) -> int:
     return m // s + 1
 
 
+def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
+    """dL/dx of a convolution, channel-major (cin, B, *spatial), from the
+    upstream gradient gmat (cout, B*N) and the kernels kd (cout, cin, *ksp).
+
+    Kernel offset k = q*s + r at output o reads padded input cell
+    (o + q)*s + r, so along each axis its product goes to phase r = k mod s
+    at position o + q. The gradient is zero-extended once to
+    E = O + (k - 1) // s per axis; then the shift by q is one flat offset of
+    a (cin, B*prod(E)) phase buffer, and the cells a flat shift wraps across
+    rows or samples read only the extension's exact zeros. Every add is a
+    contiguous row add, and each phase is written into dx once at the end.
+    """
+    B, cin = x_shape[:2]
+    spatial = x_shape[2:]
+    cout, ksp = kd.shape[0], kd.shape[2:]
+    nd = len(ksp)
+    ext = tuple(o + (k - 1) // s for o, k, s in zip(out_sp, ksp, stride))
+    if ext == tuple(out_sp):
+        gext = gmat
+    else:
+        gext = np.zeros((cout, B) + ext, dtype=gmat.dtype)
+        gext[(slice(None), slice(None)) + tuple(slice(0, o) for o in out_sp)] = gmat.reshape((cout, B) + out_sp)
+        gext = gext.reshape(cout, -1)
+    L = gext.shape[1]
+    ext_strides = [int(np.prod(ext[d + 1:])) for d in range(nd)]
+    # one (k_last*cin, cout) @ (cout, L) product per row of kernel offsets
+    kl = ksp[-1]
+    wt = np.ascontiguousarray(kd.reshape(cout, cin, -1).transpose(2, 1, 0)).reshape(-1, kl * cin, cout)
+    offsets = list(np.ndindex(*ksp))
+    phases = {}
+    for row, w in enumerate(wt):
+        prod = (w @ gext).reshape(kl, cin, L)
+        for off, p in zip(offsets[row * kl:(row + 1) * kl], prod):
+            r = tuple(k % s for k, s in zip(off, stride))
+            shift = sum((k // s) * e for k, s, e in zip(off, stride, ext_strides))
+            if r not in phases:  # a phase's first offset in ndindex order is r itself: no shift
+                phases[r] = p.copy()
+            else:
+                phases[r][:, shift:] += p[:, :L - shift]
+    # phases no offset reaches (a kernel shorter than its stride) and cells
+    # past the last window stay zero
+    dx = np.zeros((cin, B) + tuple(spatial), dtype=np.result_type(wt, gext))
+    for r, acc in phases.items():
+        src, dst = [slice(None)] * 2, [slice(None)] * 2
+        for d in range(nd):
+            s, p = stride[d], padding[d]
+            j0 = max(0, -((r[d] - p) // s))  # first phase position inside the padding
+            j1 = max(j0, min(ext[d], -((r[d] - p - spatial[d]) // s)))
+            x0 = j0 * s + r[d] - p
+            src.append(slice(j0, j1))
+            dst.append(slice(x0, x0 + (j1 - j0) * s, s))
+        dx[tuple(dst)] = acc.reshape((cin, B) + ext)[tuple(src)]
+    return dx
+
+
 def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Tensor:
     """Shared 2-D/3-D convolution via strided patch extraction + matmul.
 
@@ -641,7 +696,7 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
         xp = x
 
     # patch layout (cin, *ksp, B, *out_sp) folds the whole batch into the GEMM
-    # columns, so forward and both backward products are single dgemm calls
+    # columns, so the forward and the kernel gradient are single GEMM calls
     sx = xp.strides
     view_shape = (B, cin) + ksp + out_sp
     view_strides = (
@@ -663,21 +718,10 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
         gb = g if batched else g[None]
         gmat = np.moveaxis(gb, 1, 0).reshape(cout, B * N)
         if kernels.requires_grad:
-            kernels._accum((gmat @ colmat.T).reshape(kd.shape))
+            # (K, B*N) @ (B*N, cout) runs faster in BLAS than the transposed product
+            kernels._accum((colmat @ gmat.T).T.reshape(kd.shape))
         if a.requires_grad:
-            # one (cin, cout) @ (cout, B*N) product per kernel offset, added
-            # straight into its strided window: the full (K, B*N) patch
-            # gradient is never built. Accumulating in (cin, B, *spatial)
-            # order keeps every slice add on contiguous memory; the permuted
-            # view at the end restores the layout.
-            wt = np.ascontiguousarray(kd.reshape(cout, cin, -1).transpose(2, 1, 0))
-            dxp = np.zeros((cin, B) + xp.shape[2:], dtype=np.result_type(wt, gmat))
-            for k, off in enumerate(np.ndindex(*ksp)):
-                sl = tuple(
-                    slice(off[i], off[i] + stride[i] * out_sp[i], stride[i]) for i in range(nd)
-                )
-                dxp[(slice(None), slice(None)) + sl] += (wt[k] @ gmat).reshape((cin, B) + out_sp)
-            dx = np.moveaxis(dxp, 1, 0)[core]
+            dx = np.moveaxis(_conv_input_grad(gmat, kd, (B, cin) + spatial, out_sp, stride, padding), 1, 0)
             a._accum(dx if batched else dx[0])
 
     return _make(out, (a, kernels), op, backward)

@@ -1,0 +1,127 @@
+"""tools/bench_pairs.py: the paired summary, the run.py output it reads and
+the BENCH_<sha>.json it writes, on hand-made results."""
+
+import importlib.util
+import json
+import textwrap
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bp():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def result(items, ms, extra, failed=0, correct=True):
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "items_per_s": {"value": items, "unit": "1/s"},
+            "iter_ms_p50": {"value": ms, "unit": "ms"},
+            "unlisted": {"value": extra, "unit": "count"},
+        },
+    }
+
+
+BETTER = {"items_per_s": "higher", "iter_ms_p50": "lower"}
+
+
+def test_summary_medians_quartiles_and_pairs_better(bp):
+    parent = [result(40, 200, 1), result(42, 190, 1), result(41, 195, 1), result(39, 205, 1)]
+    # pair 3 ties on items_per_s and is slower on iter_ms_p50
+    change = [result(44, 180, 2), result(46, 170, 2), result(41, 196, 2), result(43, 185, 2)]
+    s = bp.summarize(parent, change, BETTER)
+    items = s["metrics"]["items_per_s"]
+    assert items["parent"] == {"median": 40.5, "q1": 39.75, "q3": 41.25}
+    assert items["change"] == {"median": 43.5, "q1": 42.5, "q3": 44.5}
+    assert items["ratio"] == pytest.approx(43.5 / 40.5)
+    assert items["pairs_better"] == 3  # the tie counts for neither side
+    assert items["better"] == "higher" and items["unit"] == "1/s"
+    ms = s["metrics"]["iter_ms_p50"]
+    assert ms["pairs_better"] == 3 and ms["better"] == "lower"
+    assert ms["parent"]["median"] == 197.5 and ms["change"]["median"] == 182.5
+    # a metric BENCHMARK.json does not list has no direction and no count
+    assert s["metrics"]["unlisted"]["better"] is None and "pairs_better" not in s["metrics"]["unlisted"]
+    assert s["pairs"] == 4
+    assert (s["parent_attempted"], s["change_attempted"], s["parent_failed"], s["change_failed"]) == (40, 40, 0, 0)
+    assert s["all_correct"] is True
+
+
+def test_summary_counts_failures_and_rejects_unpaired_runs(bp):
+    s = bp.summarize([result(40, 200, 1)], [result(41, 199, 1, failed=2, correct=False)], BETTER)
+    assert s["change_failed"] == 2 and s["all_correct"] is False
+    with pytest.raises(ValueError, match="same, non-zero number"):
+        bp.summarize([result(40, 200, 1)], [], BETTER)
+
+
+def test_reads_only_the_stamp_and_result_lines(bp):
+    res = result(40, 200, 1)
+    out = "\n".join([
+        "e2e  items_per_s (train_samples_per_s)   40 1/s",
+        'gates {"digest": true}',
+        'stamp {"nproc": 2, "git": {"sha": "abc", "dirty": false}, "seed": 3}',
+        json.dumps(res),
+        "",
+    ])
+    got, stamp = bp.read_run(out)
+    assert got == res and stamp["git"]["sha"] == "abc"
+    with pytest.raises(ValueError, match="stamp"):
+        bp.read_run(json.dumps(res))
+
+
+def test_seed_lists_and_directions(bp):
+    assert bp.parse_seeds("30-33") == [30, 31, 32, 33]
+    assert bp.parse_seeds("1,5,9-10") == [1, 5, 9, 10]
+    better = bp.better_directions(json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text()))
+    assert better["items_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
+    assert better["tensor.conv3d.bwd_ms"] == "lower"
+
+
+FAKE_RUN = '''
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+side = Path.cwd().name
+log = Path.cwd().parent / "order.txt"
+log.write_text(log.read_text() + side + "\\n" if log.exists() else side + "\\n")
+seed = int(args["--seed"])
+items = seed + (5 if side == "change" else 0)
+print("stamp " + json.dumps({"git": {"sha": side * 4, "dirty": False}, "seed": seed}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"items_per_s": {"value": items, "unit": "1/s"}}}))
+'''
+
+
+def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(textwrap.dedent(FAKE_RUN))
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "items_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(bp, "ROOT", root)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1-3", "--seconds", "1"]
+    assert bp.main(argv + ["--workload", "pretrain_joint"]) == 0
+    assert bp.main(argv + ["--workload", "embed_frozen", "--trace", "1"]) == 0
+    assert bp.main(argv[:2] + ["--seeds", "7", "--seconds", "1", "--workload", "pretrain_joint"]) == 0
+    order = (tmp_path / "order.txt").read_text().split()
+    assert order[:6] == ["parent", "change", "change", "parent", "parent", "change"]
+    doc = json.loads((root / "BENCH_changechange.json").read_text())
+    assert sorted(doc["workloads"]) == ["embed_frozen-trace", "pretrain_joint"]
+    # a second set of the same workload is appended, not written over the first
+    assert [s["seeds"] for s in doc["workloads"]["pretrain_joint"]] == [[1, 2, 3], [7]]
+    w = doc["workloads"]["pretrain_joint"][0]
+    assert w["seeds"] == [1, 2, 3] and w["first"] == ["parent", "change", "parent"]
+    assert w["metrics"]["items_per_s"]["pairs_better"] == 3
+    assert w["metrics"]["items_per_s"]["parent"]["median"] == 2
+    assert w["parent_stamp"]["git"]["sha"] == "parentparentparentparent"
+    assert "seed" not in w["change_stamp"]

@@ -445,25 +445,107 @@ class TestConv:
         core = tuple(slice(p, p + n) for n, p in zip(x_shape[2:], padding))
         return dxp[(slice(None), slice(None)) + core]
 
+    def check_input_grad(self, seed, x_shape, k_shape, stride, padding, dtype=np.float64):
+        """The input gradient, batched and unbatched, against col2im_oracle in
+        float64; returns the batched gradient."""
+        r = rng_for(seed)
+        x = r.normal(size=x_shape)
+        k = r.normal(size=k_shape)
+        conv = T.conv3d if len(stride) == 3 else T.conv2d
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        out = conv(xt, Tensor(k.astype(dtype)), stride=stride, padding=padding)
+        g = r.normal(size=out.shape)
+        T.tsum(T.mul(out, Tensor(g.astype(dtype)))).backward()
+        want = self.col2im_oracle(g, k, x.shape, stride, padding)
+        # float32: rounding of a sum of ~cout*prod(k) products of unit scale
+        tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
+        assert xt.grad.dtype == dtype
+        np.testing.assert_allclose(xt.grad, want, **tol)
+        # an unbatched input takes the same path
+        xu = Tensor(x[1].astype(dtype), requires_grad=True)
+        T.tsum(T.mul(conv(xu, Tensor(k.astype(dtype)), stride=stride, padding=padding),
+                     Tensor(g[1].astype(dtype)))).backward()
+        np.testing.assert_allclose(xu.grad, want[1], **tol)
+        return xt.grad
+
     @pytest.mark.parametrize("nd", [2, 3])
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("p", [0, 1])
     def test_input_grad_matches_col2im_oracle(self, nd, s, p):
-        r = rng_for(10 * nd + 2 * s + p)
-        x = r.normal(size=(2, 3) + (5, 7, 6)[-nd:])
-        k = r.normal(size=(4, 3) + (3, 2, 3)[-nd:])
-        conv = T.conv3d if nd == 3 else T.conv2d
-        stride, padding = (s,) * nd, (p,) * nd
-        xt = Tensor(x, requires_grad=True)
-        out = conv(xt, Tensor(k), stride=stride, padding=padding)
+        self.check_input_grad(
+            10 * nd + 2 * s + p, (2, 3) + (5, 7, 6)[-nd:], (4, 3) + (3, 2, 3)[-nd:], (s,) * nd, (p,) * nd
+        )
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, padding",
+        [
+            # m_net's last stage: stride 1 in time, 2 in space
+            ((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+            ((2, 3, 7, 5, 9), (4, 3, 3, 2, 3), (2, 1, 3), (1, 0, 1)),
+            # n + 2p - k not divisible by s on every axis: the last rows are read by no window
+            ((2, 3, 8, 9, 10), (2, 3, 3, 2, 3), (2, 3, 4), (0, 1, 0)),
+            ((3, 2, 11, 6), (3, 2, 4, 3), (3, 2), (1, 1)),
+        ],
+        ids=["strides_1_2_2", "strides_2_1_3", "ragged_3d", "ragged_2d"],
+    )
+    def test_input_grad_matches_col2im_oracle_per_axis(self, x_shape, k_shape, stride, padding):
+        self.check_input_grad(7, x_shape, k_shape, stride, padding)
+
+    def test_input_grad_zero_where_no_window_reads(self):
+        # kernel 2 < stride 3 along H: padded rows 2, 5, 8 are read by no
+        # window; kernel 1 < stride 2 along W: odd columns are never read
+        dx = self.check_input_grad(8, (2, 3, 9, 8), (4, 3, 2, 1), (3, 2), (0, 0))
+        unread = np.zeros(dx.shape, dtype=bool)
+        unread[:, :, 2::3, :] = True
+        unread[:, :, :, 1::2] = True
+        assert np.all(dx[unread] == 0.0)
+        assert np.all(dx[~unread] != 0.0)
+        # the same with padding: padded row i is input row i - 1
+        dx = self.check_input_grad(9, (2, 3, 5, 9, 8), (4, 3, 3, 2, 1), (2, 3, 2), (1, 1, 0))
+        assert np.all(dx[:, :, :, 1::3, :] == 0.0) and np.all(dx[:, :, :, :, 1::2] == 0.0)
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, padding",
+        [
+            ((2, 16, 4, 16, 16), (8, 16, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+            ((2, 8, 2, 8, 8), (8, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+            ((2, 8, 16, 16), (8, 8, 3, 3), (2, 2), (1, 1)),
+        ],
+        ids=["v_net_stage2", "m_net_stage3", "i_net_stage2"],
+    )
+    def test_float32_input_grad_matches_float64_oracle(self, x_shape, k_shape, stride, padding):
+        self.check_input_grad(11, x_shape, k_shape, stride, padding, dtype=np.float32)
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, padding",
+        [
+            ((2, 3, 5, 7, 6), (4, 3, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+            # unbatched, and a kernel no longer than its stride: the gradient
+            # needs no zero extension and is read through a view
+            ((3, 6, 8), (2, 3, 2, 2), (2, 2), (0, 0)),
+        ],
+        ids=["extended", "unextended_unbatched"],
+    )
+    def test_backward_leaves_its_gradient_unchanged(self, x_shape, k_shape, stride, padding):
+        r = rng_for(12)
+        conv = T.conv3d if len(stride) == 3 else T.conv2d
+        x = Tensor(r.normal(size=x_shape), requires_grad=True)
+        k = Tensor(r.normal(size=k_shape), requires_grad=True)
+        out = conv(x, k, stride=stride, padding=padding)
         g = r.normal(size=out.shape)
-        T.tsum(T.mul(out, Tensor(g))).backward()
-        want = self.col2im_oracle(g, k, x.shape, stride, padding)
-        np.testing.assert_allclose(xt.grad, want, rtol=0, atol=1e-12)
-        # an unbatched input takes the same path
-        xu = Tensor(x[1], requires_grad=True)
-        T.tsum(T.mul(conv(xu, Tensor(k), stride=stride, padding=padding), Tensor(g[1]))).backward()
-        np.testing.assert_allclose(xu.grad, want[1], rtol=0, atol=1e-12)
+        before = g.copy()
+        out._backward(g)
+        np.testing.assert_array_equal(g, before)
+        assert np.any(x.grad != 0.0) and np.any(k.grad != 0.0)
+
+    def test_backward_does_not_hold_the_padded_input(self):
+        x = Tensor(rng_for(13).normal(size=(2, 3, 4, 6, 6)), requires_grad=True)
+        out = T.conv3d(x, Tensor(np.ones((2, 3, 3, 3, 3))), stride=(1, 2, 2), padding=(1, 1, 1))
+        padded = (2, 3, 6, 8, 8)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert arrays, "the closure should hold the patch matrix"
+        assert all(v.shape != padded and (v.base is None or v.base.shape != padded) for v in arrays)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):

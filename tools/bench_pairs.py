@@ -1,0 +1,148 @@
+"""Run perfbench on two source trees in alternating pairs and summarise them.
+
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload pretrain_joint \
+        --seeds 30-39 --seconds 25 --trace 0
+
+Each tree must hold perfbench/run.py and its own src/. For every seed the two
+trees run `perfbench/run.py` one after the other; the first pair starts with
+the parent, the next with the change, and so on. Only two lines of each run's
+standard output are read: the `stamp` line and the final result line.
+
+The summary goes into BENCH_<sha>.json at the root of this repository, where
+<sha> is the first 12 characters of the change tree's git sha from its stamp.
+Each run of this script appends one set of pairs to the list kept under its
+workload's key (<workload>-trace for a traced set), so the three workloads and
+any repeated sets all land in one file. Each set holds both sides' stamps (machine, numpy, BLAS, git sha and
+dirty flag) and, per metric, each side's median and quartiles, the
+change/parent ratio of the medians and the number of pairs in which the
+change was better (ties count for neither side). Which direction is
+better comes from BENCHMARK.json; a metric it does not list gets no count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'30-39' or '1,5,9' (or a mix, '1,30-32') as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def read_run(stdout: str) -> tuple[dict, dict]:
+    """The (result, stamp) pair of one run.py output."""
+    lines = [ln for ln in stdout.splitlines() if ln.strip()]
+    stamps = [ln for ln in lines if ln.startswith("stamp ")]
+    if not lines or not stamps:
+        raise ValueError("run.py printed no stamp line or no result line")
+    return json.loads(lines[-1]), json.loads(stamps[-1][len("stamp "):])
+
+
+def better_directions(benchmark: dict) -> dict[str, str]:
+    """metric name -> 'lower' or 'higher', from BENCHMARK.json."""
+    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in benchmark.get(key, [])}
+
+
+def _stats(values) -> dict:
+    q1, med, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric summary of paired result lines (parent[i] pairs with change[i])."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError(f"need the same, non-zero number of runs per side, got {len(parent)} and {len(change)}")
+    runs = {"parent": parent, "change": change}
+    metrics = {}
+    for name, first in parent[0]["metrics"].items():
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        entry = {"unit": first["unit"], "better": better.get(name)}
+        entry.update({side: _stats(vals[side]) for side in SIDES})
+        base = entry["parent"]["median"]
+        entry["ratio"] = entry["change"]["median"] / base if base else None
+        if entry["better"] is not None:
+            sign = -1.0 if entry["better"] == "lower" else 1.0
+            entry["pairs_better"] = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+        metrics[name] = entry
+    return {
+        "pairs": len(parent),
+        **{f"{side}_{key}": sum(r[key] for r in runs[side]) for side in SIDES for key in ("attempted", "failed")},
+        "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+        "metrics": metrics,
+    }
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return read_run(proc.stdout)
+
+
+def table_rows(workload: str, summary: dict, seeds: list[int]) -> list[str]:
+    """Markdown rows: metric, both medians with quartiles, ratio, pairs better."""
+    label = f"{workload} ({summary['pairs']} pairs, seeds {seeds[0]}–{seeds[-1]})"
+    rows = []
+    for name, m in summary["metrics"].items():
+        p, c = m["parent"], m["change"]
+        ratio = "–" if m["ratio"] is None else f"{m['ratio']:.3f}"
+        won = f"{m['pairs_better']}/{summary['pairs']}" if "pairs_better" in m else "–"
+        rows.append(f"| {label} | `{name}` | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] | "
+                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} |")
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 30-39 or 1,5,9")
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+
+    better = better_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    trees = {"parent": args.parent, "change": args.change}
+    results = {side: [] for side in SIDES}
+    stamps = {}
+    for i, seed in enumerate(args.seeds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            res, stamp = run_once(trees[side], args.workload, seed, args.seconds, args.trace)
+            results[side].append(res)
+            stamp.pop("seed", None)
+            stamps.setdefault(side, stamp)
+            print(f"seed {seed} {side}: " + json.dumps({k: v["value"] for k, v in res["metrics"].items()}), flush=True)
+
+    summary = summarize(results["parent"], results["change"], better)
+    summary.update(seeds=args.seeds, seconds=args.seconds, trace=args.trace,
+                   first=[SIDES[i % 2] for i in range(len(args.seeds))],
+                   **{f"{side}_stamp": stamps[side] for side in SIDES})
+    sha = stamps["change"]["git"]["sha"] or "unknown"
+    out = ROOT / f"BENCH_{sha[:12]}.json"
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    key = args.workload + ("-trace" if args.trace else "")
+    doc.setdefault("workloads", {}).setdefault(key, []).append(summary)
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print("\n".join(table_rows(key, summary, args.seeds)))
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
