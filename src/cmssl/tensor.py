@@ -13,28 +13,42 @@ and never promotes it. A leaf's gradient buffer has the leaf's own dtype.
 The model picks float32 through ModelBundle; the finite-difference checks
 and numpy oracles in the tests run in float64.
 
+The graph is made of nodes, not of Tensors. A Tensor's `_Node` holds its
+gradient, its backward closure, its parents' nodes, and its op, shape and
+dtype, but not its data. An op's closure holds its parents' nodes and
+exactly the arrays its backward reads (matmul, mul and div inputs; softmax,
+exp and sqrt outputs; layer_norm's xhat; a conv's patch matrix and kernels;
+masks), never a Tensor. So once the caller drops an intermediate Tensor its
+array is freed unless some backward reads it: a conv or layer_norm output
+dies with its Tensor.
+
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
   into it in place. Parameters created with requires_grad=True start with a
   zero buffer, so an unused parameter reads back an all-zero gradient rather
   than None, and repeated backward() calls add up.
-- Non-leaves adopt the first gradient array they receive without copying; a
-  sibling may hold the same array, so later contributions are added out of
-  place. Closures therefore never write into the gradient they are given.
-- A non-leaf's .grad is released (set to None) as soon as its closure has
-  run, so after backward() only leaves hold gradients. The graph itself is
-  kept: backward() on the same loss again adds the same gradients once more.
+- Non-leaf nodes adopt the first gradient array they receive without
+  copying; a sibling may hold the same array, so later contributions are
+  added out of place. Closures therefore never write into the gradient they
+  are given.
+- A non-leaf node's gradient is released (set to None) as soon as its
+  closure has run, so after backward() only leaves hold gradients. The
+  nodes, and the arrays their closures read, are kept until the loss is
+  dropped: backward() on the same loss again adds the same gradients once
+  more.
 
 Memory between steps: a training step allocates its activations and
-gradients (≈123 MiB live after a B=8 forward of the default float32 model,
-≈248 MiB at float64) and frees all of them at the end of the step. By
-default glibc hands the freed heap top back to the OS and unmaps every array
-above its mmap threshold, so each step faults the same amount of fresh,
-zeroed pages in again (≈12k minor faults per float64 B=8 step). Importing
-this module therefore tells glibc malloc, once, never to trim the heap and
-never to serve a request by mmap; the heap then grows to the largest step
-and stays mapped, and a warmed-up step faults a few pages at most. Where the
-C library has no mallopt this is skipped; no array op depends on it.
+gradients (69.7 MiB live by tracemalloc after a B=8 forward of the default
+float32 model and 84.1 MiB at the peak of its backward; 136.7 and 165.5 MiB
+at float64) and frees all of them at the end of the step. By default glibc
+hands the freed heap top back to the OS and unmaps every array above its
+mmap threshold, so each step would fault the same amount of fresh, zeroed
+pages in again (≈12k minor faults per float64 B=8 step, measured when a
+step held ≈248 MiB). Importing this module therefore tells glibc malloc,
+once, never to trim the heap and never to serve a request by mmap; the heap
+then grows to the largest step and stays mapped, and a warmed-up step faults
+a few pages at most. Where the C library has no mallopt this is skipped; no
+array op depends on it.
 """
 
 from __future__ import annotations
@@ -59,7 +73,7 @@ def _keep_heap_mapped():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # -1 disables trimming: the ≈123 MiB a float32 B=8 step frees stays mapped
+    # -1 disables trimming: the ≈84 MiB a float32 B=8 step frees stays mapped
     # for the next step. No mmap threshold is enough on its own: the largest
     # array grows with the batch (the float32 patch matrix of v_net's second
     # conv is 13.5 MiB at 8 clips and 54 MiB at 32), and glibc caps the
@@ -84,17 +98,42 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+class _Node:
+    """A tensor's place in the autograd graph: its gradient, its backward
+    closure and its parents' nodes, with the op, shape and dtype of its value
+    but not the value itself."""
+
+    __slots__ = ("grad", "_backward", "_parents", "op", "shape", "dtype")
+
+    def __init__(self, grad, parents, op, shape, dtype):
+        self.grad = grad
+        self._backward = None
+        self._parents = parents
+        self.op = op
+        self.shape = shape
+        self.dtype = dtype
+
+    def _accum(self, g: np.ndarray):
+        if self._backward is None:  # a leaf: its own buffer, in place
+            if self.grad is None:
+                self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
+            else:
+                self.grad += g
+        elif self.grad is None:
+            self.grad = g
+        else:
+            self.grad = self.grad + g
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "op")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), op: str = "leaf"):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if (requires_grad and op == "leaf") else None
-        self._backward = None
-        self._parents = _parents
-        self.op = op
+        grad = np.zeros_like(self.data) if (requires_grad and op == "leaf") else None
+        self._node = _Node(grad, _parents, op, self.data.shape, self.data.dtype)
 
     # -- basic introspection ------------------------------------------------
 
@@ -105,6 +144,32 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    @property
+    def op(self) -> str:
+        return self._node.op
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    # the graph's attributes, read and rewrapped by callers that walk it
+
+    @property
+    def _backward(self):
+        return self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
+
+    @property
+    def _parents(self):
+        return self._node._parents
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -122,24 +187,13 @@ class Tensor:
 
     # -- graph mechanics ----------------------------------------------------
 
-    def _accum(self, g: np.ndarray):
-        if self._backward is None:  # a leaf: its own buffer, in place
-            if self.grad is None:
-                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-            else:
-                self.grad += g
-        elif self.grad is None:
-            self.grad = g
-        else:
-            self.grad = self.grad + g
-
     def backward(self):
         """Populate .grad of everything this scalar depends on."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -152,7 +206,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accum(np.ones_like(self.data))
+        self._node._accum(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -198,12 +252,17 @@ def _as_tensor(x, like=None) -> Tensor:
     return Tensor(x)
 
 
+def _grad_node(t: Tensor) -> _Node | None:
+    """The node a closure accumulates t's gradient into; None when t takes none."""
+    return t._node if t.requires_grad else None
+
+
 def _make(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     """Create an op output; register the closure only when grads can flow."""
     req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req, _parents=parents if req else (), op=op)
+    out = Tensor(data, requires_grad=req, _parents=tuple(p._node for p in parents) if req else (), op=op)
     if req:
-        out._backward = backward
+        out._node._backward = backward
     return out
 
 
@@ -225,108 +284,117 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a, b), _as_tensor(b, a)
-    data = a.data + b.data
+    na, nb = _grad_node(a), _grad_node(b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(g, nb.shape))
 
-    return _make(data, (a, b), "add", backward)
+    return _make(a.data + b.data, (a, b), "add", backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a, b), _as_tensor(b, a)
-    data = a.data - b.data
+    na, nb = _grad_node(a), _grad_node(b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(-g, nb.shape))
 
-    return _make(data, (a, b), "sub", backward)
+    return _make(a.data - b.data, (a, b), "sub", backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a, b), _as_tensor(b, a)
-    data = a.data * b.data
+    na, nb = _grad_node(a), _grad_node(b)
+    # each input's gradient reads the other input
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g * bd, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(g * ad, nb.shape))
 
-    return _make(data, (a, b), "mul", backward)
+    return _make(a.data * b.data, (a, b), "mul", backward)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a, b), _as_tensor(b, a)
-    data = a.data / b.data
+    na, nb = _grad_node(a), _grad_node(b)
+    # a's gradient reads b, and b's reads both
+    ad = a.data if nb is not None else None
+    bd = b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g / bd, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(-g * ad / (bd * bd), nb.shape))
 
-    return _make(data, (a, b), "div", backward)
+    return _make(a.data / b.data, (a, b), "div", backward)
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     c = float(c)
-    data = a.data * c
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * c)
+        if na is not None:
+            na._accum(g * c)
 
-    return _make(data, (a,), "scale", backward)
+    return _make(a.data * c, (a,), "scale", backward)
 
 
 def texp(a) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     data = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * data)
+        if na is not None:
+            na._accum(g * data)
 
     return _make(data, (a,), "exp", backward)
 
 
 def tlog(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.log(a.data)
+    na, ad = _grad_node(a), a.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
+        if na is not None:
+            na._accum(g / ad)
 
-    return _make(data, (a,), "log", backward)
+    return _make(np.log(ad), (a,), "log", backward)
 
 
 def tsqrt(a) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     data = np.sqrt(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * 0.5 / data)
+        if na is not None:
+            na._accum(g * 0.5 / data)
 
     return _make(data, (a,), "sqrt", backward)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * (data > 0))
+        if na is not None:
+            na._accum(g * (data > 0))
 
     return _make(data, (a,), "relu", backward)
 
@@ -337,17 +405,18 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
     a = _as_tensor(a)
+    na = _grad_node(a)
     slope = float(slope)  # a numpy float64 slope would promote a float32 input
     mask = a.data > 0
     data = a.data * slope
     np.maximum(data, a.data, out=data)
 
     def backward(g):
-        if a.requires_grad:
-            f = mask.astype(a.data.dtype)
+        if na is not None:
+            f = mask.astype(na.dtype)
             np.maximum(f, slope, out=f)
             f *= g
-            a._accum(f)
+            na._accum(f)
 
     return _make(data, (a,), "leaky_relu", backward)
 
@@ -357,14 +426,14 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     shape = tuple(shape) if not isinstance(shape, int) else (shape,)
-    data = a.data.reshape(shape)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.data.shape))
+        if na is not None:
+            na._accum(g.reshape(na.shape))
 
-    return _make(data, (a,), "reshape", backward)
+    return _make(a.data.reshape(shape), (a,), "reshape", backward)
 
 
 def flatten(a) -> Tensor:
@@ -373,28 +442,29 @@ def flatten(a) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     axes = tuple(axes)
-    data = np.transpose(a.data, axes)
     inv = tuple(np.argsort(axes))
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(np.transpose(g, inv))
+        if na is not None:
+            na._accum(np.transpose(g, inv))
 
-    return _make(data, (a,), "transpose", backward)
+    return _make(np.transpose(a.data, axes), (a,), "transpose", backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
+    nodes = [_grad_node(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
         parts = np.split(g, splits, axis=axis)
-        for t, p in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(p)
+        for n, p in zip(nodes, parts):
+            if n is not None:
+                n._accum(p)
 
     return _make(data, tuple(tensors), "concat", backward)
 
@@ -412,33 +482,33 @@ def _norm_axes(axis, ndim):
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     axes = _norm_axes(axis, a.data.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
+        if na is None:
             return
         if not keepdims:
             g = np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(g, a.data.shape))
+        na._accum(np.broadcast_to(g, na.shape))
 
-    return _make(data, (a,), "sum", backward)
+    return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), "sum", backward)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    na = _grad_node(a)
     axes = _norm_axes(axis, a.data.ndim)
     n = int(np.prod([a.data.shape[i] for i in axes]))
-    data = a.data.mean(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
+        if na is None:
             return
         if not keepdims:
             g = np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(g / n, a.data.shape))
+        na._accum(np.broadcast_to(g / n, na.shape))
 
-    return _make(data, (a,), "mean", backward)
+    return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), "mean", backward)
 
 
 # -- linear algebra -------------------------------------------------------------
@@ -453,15 +523,19 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul inner dims differ: {ad.shape} @ {bd.shape} (dim {ad.ndim - 1} vs {bd.ndim - 2})"
         )
+    na, nb = _grad_node(a), _grad_node(b)
+    # each input's gradient reads the other input
+    a_in = ad if nb is not None else None
+    b_in = bd if na is not None else None
     if bd.ndim == 2:
         data = ad @ bd
 
         def backward(g):
-            if a.requires_grad:
-                a._accum(g @ bd.T)
-            if b.requires_grad:
+            if na is not None:
+                na._accum(g @ b_in.T)
+            if nb is not None:
                 gb = g.reshape(-1, g.shape[-1])
-                b._accum(ad.reshape(-1, ad.shape[-1]).T @ gb)
+                nb._accum(a_in.reshape(-1, a_in.shape[-1]).T @ gb)
 
     elif ad.ndim == 3 and bd.ndim == 3:
         if ad.shape[0] != bd.shape[0]:
@@ -469,10 +543,10 @@ def matmul(a, b) -> Tensor:
         data = ad @ bd
 
         def backward(g):
-            if a.requires_grad:
-                a._accum(g @ bd.transpose(0, 2, 1))
-            if b.requires_grad:
-                b._accum(ad.transpose(0, 2, 1) @ g)
+            if na is not None:
+                na._accum(g @ b_in.transpose(0, 2, 1))
+            if nb is not None:
+                nb._accum(a_in.transpose(0, 2, 1) @ g)
 
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.shape} @ {bd.shape}")
@@ -485,14 +559,15 @@ def matmul(a, b) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
     a = _as_tensor(a)
+    na = _grad_node(a)
     data = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
+        if na is not None:
             dot = (g * data).sum(axis=axis, keepdims=True)
-            a._accum((g - dot) * data)
+            na._accum((g - dot) * data)
 
     return _make(data, (a,), "softmax", backward)
 
@@ -500,6 +575,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """log(sum(exp(a))) along one axis, stabilized by a detached max shift."""
     a = _as_tensor(a)
+    na = _grad_node(a)
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
@@ -507,9 +583,9 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     soft = e / s
 
     def backward(g):
-        if a.requires_grad:
+        if na is not None:
             gk = g if keepdims else np.expand_dims(g, axis)
-            a._accum(gk * soft)
+            na._accum(gk * soft)
 
     if not keepdims:
         data = np.squeeze(data, axis=axis)
@@ -519,28 +595,30 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 def layer_norm(a, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize over one axis; gamma/beta must broadcast against the output."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
+    na, ngamma, nbeta = _grad_node(a), _grad_node(gamma), _grad_node(beta)
+    gd = gamma.data
     ax = axis % a.data.ndim
     mu = a.data.mean(axis=ax, keepdims=True)
     xhat = a.data - mu
     var = np.mean(xhat * xhat, axis=ax, keepdims=True)
     inv_sigma = 1.0 / np.sqrt(var + eps)
     xhat *= inv_sigma
-    data = xhat * gamma.data
+    data = xhat * gd
     data += beta.data
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
-        if beta.requires_grad:
-            beta._accum(_unbroadcast(g, beta.data.shape))
-        if a.requires_grad:
-            gh = g * gamma.data
+        if ngamma is not None:
+            ngamma._accum(_unbroadcast(g * xhat, ngamma.shape))
+        if nbeta is not None:
+            nbeta._accum(_unbroadcast(g, nbeta.shape))
+        if na is not None:
+            gh = g * gd
             m1 = gh.mean(axis=ax, keepdims=True)
             m2 = (gh * xhat).mean(axis=ax, keepdims=True)
             gh -= m1
             gh -= xhat * m2
             gh *= inv_sigma
-            a._accum(gh)
+            na._accum(gh)
 
     return _make(data, (a, gamma, beta), "layer_norm", backward)
 
@@ -556,13 +634,13 @@ def dropout(a, p: float, rng: np.random.Generator | None = None, training: bool 
         raise ValueError("dropout in training mode needs an rng")
     mask = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
     mask /= 1.0 - p
-    data = a.data * mask
+    na = _grad_node(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * mask)
+        if na is not None:
+            na._accum(g * mask)
 
-    return _make(data, (a,), "dropout", backward)
+    return _make(a.data * mask, (a,), "dropout", backward)
 
 
 def global_avg_pool(a) -> Tensor:
@@ -646,19 +724,28 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
                 phases[r] = p.copy()
             else:
                 phases[r][:, shift:] += p[:, :L - shift]
-    # phases no offset reaches (a kernel shorter than its stride) and cells
-    # past the last window stay zero
-    dx = np.zeros((cin, B) + tuple(spatial), dtype=np.result_type(wt, gext))
+    # per axis, each phase's (source, destination) slices of its write into dx
+    dx = np.empty((cin, B) + tuple(spatial), dtype=np.result_type(wt, gext))
+    writes = []
+    for d in range(nd):
+        s, p = stride[d], padding[d]
+        covered = np.zeros(spatial[d], dtype=bool)
+        per_phase = []
+        for r in range(min(ksp[d], s)):
+            j0 = max(0, -((r - p) // s))  # first phase position inside the padding
+            j1 = max(j0, min(ext[d], -((r - p - spatial[d]) // s)))
+            x0 = j0 * s + r - p
+            per_phase.append((slice(j0, j1), slice(x0, x0 + (j1 - j0) * s, s)))
+            covered[per_phase[-1][1]] = True
+        writes.append(per_phase)
+        # no phase writes a position of a phase no offset reaches (a kernel
+        # shorter than its stride) or past the last window: its gradient is 0
+        if not covered.all():
+            dx[(slice(None),) * (2 + d) + (~covered,)] = 0.0
     for r, acc in phases.items():
-        src, dst = [slice(None)] * 2, [slice(None)] * 2
-        for d in range(nd):
-            s, p = stride[d], padding[d]
-            j0 = max(0, -((r[d] - p) // s))  # first phase position inside the padding
-            j1 = max(j0, min(ext[d], -((r[d] - p - spatial[d]) // s)))
-            x0 = j0 * s + r[d] - p
-            src.append(slice(j0, j1))
-            dst.append(slice(x0, x0 + (j1 - j0) * s, s))
-        dx[tuple(dst)] = acc.reshape((cin, B) + ext)[tuple(src)]
+        src = (slice(None),) * 2 + tuple(writes[d][r[d]][0] for d in range(nd))
+        dst = (slice(None),) * 2 + tuple(writes[d][r[d]][1] for d in range(nd))
+        dx[dst] = acc.reshape((cin, B) + ext)[src]
     return dx
 
 
@@ -713,16 +800,20 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
     out = (kmat @ colmat).reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
     if not batched:
         out = out[0]
+    na, nk = _grad_node(a), _grad_node(kernels)
+    # the kernel gradient reads the patch matrix, the input gradient the kernels
+    cols_in = colmat if nk is not None else None
+    k_in = kd if na is not None else None
 
     def backward(g):
         gb = g if batched else g[None]
         gmat = np.moveaxis(gb, 1, 0).reshape(cout, B * N)
-        if kernels.requires_grad:
+        if nk is not None:
             # (K, B*N) @ (B*N, cout) runs faster in BLAS than the transposed product
-            kernels._accum((colmat @ gmat.T).T.reshape(kd.shape))
-        if a.requires_grad:
-            dx = np.moveaxis(_conv_input_grad(gmat, kd, (B, cin) + spatial, out_sp, stride, padding), 1, 0)
-            a._accum(dx if batched else dx[0])
+            nk._accum((cols_in @ gmat.T).T.reshape(nk.shape))
+        if na is not None:
+            dx = np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0)
+            na._accum(dx if batched else dx[0])
 
     return _make(out, (a, kernels), op, backward)
 

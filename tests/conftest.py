@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from cmssl.tensor import Tensor
+from cmssl.networks import ModelConfig, TransformerConfig
+from cmssl.tensor import Tensor, _Node
+
+# a model small enough for finite differences and for one traced step
+TINY_MODEL = ModelConfig(
+    input_size=8, clip_len=4, mv_len=4,
+    v_channels=(4, 4, 4), i_channels=(4, 4, 4), m_channels=(4, 4, 4),
+    embed_dim=4, head_hidden=4,
+    transformer=TransformerConfig(encoder_layers=1, decoder_layers=1, width=8, heads=2, ff_width=8),
+)
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -32,9 +41,10 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / denom)
 
 
-def graph_nodes(root: Tensor) -> list[Tensor]:
-    """Every tensor reachable from root through the recorded parents."""
-    seen, todo, out = set(), [root], []
+def graph_nodes(root: Tensor) -> list[_Node]:
+    """Every graph node reachable from root's node through the recorded
+    parents; a node keeps its tensor's op, shape and dtype, not its data."""
+    seen, todo, out = set(), [root._node], []
     while todo:
         node = todo.pop()
         if id(node) in seen:
@@ -76,13 +86,13 @@ def grad_dtypes(monkeypatch):
     """The set of dtypes of every gradient that backward() hands to a node
     during the test (a leaf's own buffer would hide a promoted one)."""
     seen = set()
-    accum = Tensor._accum
+    accum = _Node._accum
 
     def recording(self, g):
         seen.add(g.dtype)
         accum(self, g)
 
-    monkeypatch.setattr(Tensor, "_accum", recording)
+    monkeypatch.setattr(_Node, "_accum", recording)
     return seen
 
 

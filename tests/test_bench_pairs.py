@@ -56,6 +56,28 @@ def test_summary_medians_quartiles_and_pairs_better(bp):
     assert s["all_correct"] is True
 
 
+def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr(bp):
+    parent = [result(40 + i % 5, 200 - i, 1) for i in range(10)]  # items quartiles [41, 43]
+    # better items in 9/10 pairs by 3, more than the parent IQR of 2
+    change = [result(40 + i % 5 + (3 if i else -1), 200 - i, 1) for i in range(10)]
+    s = bp.summarize(parent, change, BETTER)["metrics"]
+    assert s["items_per_s"]["pairs_better"] == 9 and s["items_per_s"]["gain_rule"] is True
+    assert s["iter_ms_p50"]["pairs_better"] == 0 and s["iter_ms_p50"]["gain_rule"] is False
+    assert "gain_rule" not in s["unlisted"]
+    # 10/10 pairs, but the medians only 1.5 apart against the IQR of 2
+    s = bp.summarize(parent, [result(41.5 + i % 5, 199.5 - i, 1) for i in range(10)], BETTER)["metrics"]
+    assert s["items_per_s"]["pairs_better"] == 10 and s["items_per_s"]["gain_rule"] is False
+    # the gap is wide, but only 8/10 pairs are better
+    change = [result(40 + i % 5 + (5 if i > 1 else -1), 190 - i, 1) for i in range(10)]
+    s = bp.summarize(parent, change, BETTER)["metrics"]
+    assert s["items_per_s"]["pairs_better"] == 8 and s["items_per_s"]["gain_rule"] is False
+    # lower is better: 10 ms faster in every pair against a parent IQR of 4.5
+    assert s["iter_ms_p50"]["pairs_better"] == 10 and s["iter_ms_p50"]["gain_rule"] is True
+    # the same gap in each of 9 pairs is too few pairs to claim anything
+    s = bp.summarize(parent[:9], change[:9], BETTER)["metrics"]
+    assert s["iter_ms_p50"]["pairs_better"] == 9 and s["iter_ms_p50"]["gain_rule"] is False
+
+
 def test_summary_counts_failures_and_rejects_unpaired_runs(bp):
     s = bp.summarize([result(40, 200, 1)], [result(41, 199, 1, failed=2, correct=False)], BETTER)
     assert s["change_failed"] == 2 and s["all_correct"] is False

@@ -16,7 +16,7 @@ import pytest
 
 from cmssl import tensor as T
 from cmssl.codec import CodecConfig, CompressedVideo, decode_video, encode_video, extract_modalities, read_cmv1
-from cmssl.networks import ModelBundle, ModelConfig, TransformerConfig
+from cmssl.networks import ModelBundle, ModelConfig
 from cmssl.pretext import (
     AugmentParams,
     PretextConfig,
@@ -44,7 +44,7 @@ from cmssl.pretext import (
 from cmssl.synthgen import SceneSpec, generate_dataset, generate_video, load_manifest, manifest_digest
 from cmssl.tensor import Tensor
 
-from conftest import graph_nodes, repeat_then_subsample
+from conftest import TINY_MODEL, graph_nodes, repeat_then_subsample
 
 EPS = 1e-8
 
@@ -756,8 +756,35 @@ class TestFloat32Step:
     def test_default_bundle_runs_in_float32(self, batches, mode, grad_dtypes):
         bundle, _, nodes = self.step(batches[mode], mode)
         assert grad_dtypes == {np.dtype(np.float32)}
-        assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+        assert {n.dtype for n in nodes} == {np.dtype(np.float32)}
         assert {p.grad.dtype for p in bundle.params().values()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("mode", ["pointwise_infonce", "mse"])
+    def test_no_backward_closure_holds_a_tensor(self, batches, mode):
+        # a closure holds parent nodes and the arrays its backward reads; a
+        # Tensor in it would keep that Tensor's array alive until the step ends
+        out = pretext_forward(ModelBundle(seed=0), batches[mode], PretextConfig(motion_loss=mode))
+        closures = [n._backward for n in graph_nodes(out.loss) if n._backward is not None]
+        assert len(closures) > 300
+        held = [c.cell_contents for fn in closures for c in fn.__closure__ or ()]
+        held += [v for h in held if isinstance(h, (list, tuple)) for v in h]
+        assert not [h for h in held if isinstance(h, Tensor)]
+
+    def test_grads_do_not_depend_on_which_tensors_the_caller_holds(self, batches, monkeypatch):
+        def grads():
+            bundle = ModelBundle(seed=0)
+            pretext_forward(bundle, batches["pointwise_infonce"], PretextConfig()).loss.backward()
+            return {name: p.grad for name, p in bundle.params().items()}
+
+        freed = grads()
+        held, make = [], T._make
+        monkeypatch.setattr(T, "_make", lambda *args: held.append(make(*args)) or held[-1])
+        kept = grads()
+        assert len(held) > 300  # every op output of the step stays alive
+        assert kept.keys() == freed.keys()
+        for name, g in freed.items():
+            assert g.dtype == kept[name].dtype == np.float32, name
+            np.testing.assert_array_equal(g.view(np.int32), kept[name].view(np.int32), err_msg=name)
 
     @pytest.mark.parametrize("mode", ["pointwise_infonce", "mse"])
     def test_float32_step_tracks_float64(self, batches, mode):
@@ -778,12 +805,6 @@ class TestFloat32Step:
 
 class TestEndToEndGradients:
     def test_joint_loss_fd_check_tiny_widths(self):
-        mcfg = ModelConfig(
-            input_size=8, clip_len=4, mv_len=4,
-            v_channels=(4, 4, 4), i_channels=(4, 4, 4), m_channels=(4, 4, 4),
-            embed_dim=4, head_hidden=4,
-            transformer=TransformerConfig(encoder_layers=1, decoder_layers=1, width=8, heads=2, ff_width=8),
-        )
         cfg = PretextConfig(hard_negative_count=1)
         rng = np.random.default_rng(0)
         B = 2
@@ -794,7 +815,7 @@ class TestEndToEndGradients:
             "neg_mv": rng.normal(size=(B, 2, 4, 8, 8)) * 0.5,
             "video_ids": np.arange(B),
         }
-        bundle = ModelBundle(config=mcfg, seed=1, dtype=np.float64)
+        bundle = ModelBundle(config=TINY_MODEL, seed=1, dtype=np.float64)
         params = bundle.params()
         bundle.zero_grads()
         out = pretext_forward(bundle, batch, cfg)

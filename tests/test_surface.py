@@ -11,6 +11,9 @@ import pytest
 from cmssl import codec, pretext, synthgen
 from cmssl import tensor as T
 from cmssl.networks import ModelBundle
+from cmssl.pretext import PretextConfig
+
+from conftest import TINY_MODEL, graph_nodes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +44,38 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         now = vars(obj)
         assert now.keys() == old.keys(), obj
         assert all(now[k] is old[k] for k in old), obj
+
+
+def test_benchmark_tracer_times_every_backward_closure_once(monkeypatch):
+    """The tracer reaches backward time through each op output's `_backward`
+    and `_parents`: in a traced step it must wrap every closure of the graph
+    exactly once and time every component's backward."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracing
+
+    rng = np.random.default_rng(0)
+    batch = {
+        "clip": rng.normal(size=(2, 3, 4, 8, 8)),
+        "iframe": rng.normal(size=(2, 3, 8, 8)),
+        "mv": rng.normal(size=(2, 2, 4, 8, 8)),
+        "neg_mv": rng.normal(size=(2, 2, 4, 8, 8)),
+        "video_ids": np.arange(2),
+    }
+    bundle = ModelBundle(config=TINY_MODEL, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install_modules()
+    tracer.install_bundle(bundle)
+    try:
+        with tracer.unit(0):
+            loss = pretext.pretext_forward(bundle, batch, PretextConfig(hard_negative_count=1)).loss
+            loss.backward()
+    finally:
+        tracer.uninstall()
+    closures = [n._backward for n in graph_nodes(loss) if n._backward is not None]
+    assert tracer.nodes[0] == len(closures) > 0
+    assert all(isinstance(c, tracing._Backward) and not isinstance(c.fn, tracing._Backward) for c in closures)
+    timed = {s.component for s in tracer.spans if s.name.startswith("tensor.") and s.name.endswith(".bwd")}
+    assert set(tracing.COMPONENTS) <= timed
 
 
 def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):

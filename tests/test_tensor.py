@@ -7,6 +7,7 @@ oracle in conftest (h = 1e-5, float64, max-norm relative error < 1e-4).
 import ctypes
 import importlib.util
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestDtypes:
             leaves = [Tensor(np.abs(leaves[0].data), requires_grad=True)]
         out = build(*leaves)
         loss = T.tsum(T.mul(out, out))
-        assert {n.data.dtype for n in graph_nodes(loss)} == {np.dtype(dtype)}
+        assert {n.dtype for n in graph_nodes(loss)} == {np.dtype(dtype)}
         loss.backward()
         assert grad_dtypes == {np.dtype(dtype)}
         for i, leaf in enumerate(leaves):
@@ -365,6 +366,13 @@ class TestCosineSimilarity:
 
 
 class TestConv:
+    @pytest.fixture(autouse=True)
+    def nan_filled_empty(self, monkeypatch):
+        """np.empty hands out NaN-filled arrays in these tests, so a cell the
+        input gradient allocates and never writes reads NaN instead of
+        whatever the allocator left there (often zeros)."""
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float, *a, **kw: np.full(shape, np.nan, dtype=dtype))
+
     def test_conv2d_identity_kernel(self):
         r = rng_for(0)
         x = r.normal(size=(1, 5, 5))
@@ -485,8 +493,13 @@ class TestConv:
             # n + 2p - k not divisible by s on every axis: the last rows are read by no window
             ((2, 3, 8, 9, 10), (2, 3, 3, 2, 3), (2, 3, 4), (0, 1, 0)),
             ((3, 2, 11, 6), (3, 2, 4, 3), (3, 2), (1, 1)),
+            # kernels shorter than their strides along T and H, and H's last
+            # input row past the last window: no phase writes those cells
+            ((2, 3, 7, 11, 6), (4, 3, 1, 2, 3), (2, 3, 2), (0, 1, 1)),
+            # a kernel as long as its stride along W, ragged along H and W
+            ((2, 3, 10, 7), (3, 3, 3, 2), (2, 2), (0, 0)),
         ],
-        ids=["strides_1_2_2", "strides_2_1_3", "ragged_3d", "ragged_2d"],
+        ids=["strides_1_2_2", "strides_2_1_3", "ragged_3d", "ragged_2d", "short_kernel_3d", "ragged_end_2d"],
     )
     def test_input_grad_matches_col2im_oracle_per_axis(self, x_shape, k_shape, stride, padding):
         self.check_input_grad(7, x_shape, k_shape, stride, padding)
@@ -702,6 +715,43 @@ class TestBackwardSemantics:
             out = T.tsum(T.mul(w, w))
         assert not out.requires_grad
         assert out._backward is None
+
+
+def memory_owner(v: np.ndarray) -> np.ndarray:
+    """The array whose buffer v views (v itself when it owns its memory)."""
+    while isinstance(v.base, np.ndarray):
+        v = v.base
+    return v
+
+
+class TestGraphLifetime:
+    @staticmethod
+    def chain(x, k, gamma, beta, w, refs=None):
+        """sum(leaky_relu(layer_norm(conv3d(x, k))) @ w); `refs` collects
+        weakrefs to each of the conv, layer-norm and leaky-ReLU output arrays
+        and to the array that owns its memory."""
+        h = T.conv3d(x, k, stride=(1, 2, 2), padding=(1, 1, 1))
+        n = T.layer_norm(h, gamma, beta, axis=1)
+        act = T.leaky_relu(n)
+        if refs is not None:
+            refs.extend((weakref.ref(t.data), weakref.ref(memory_owner(t.data))) for t in (h, n, act))
+        return T.tsum(T.matmul(act, w))
+
+    def test_dropped_intermediates_free_what_no_backward_reads(self):
+        r = rng_for(14)
+        arrays = [r.normal(size=(2, 2, 3, 5, 5)), r.normal(size=(3, 2, 3, 3, 3)),
+                  r.normal(size=(1, 3, 1, 1, 1)) + 1.0, r.normal(size=(1, 3, 1, 1, 1)), r.normal(size=(3, 2))]
+        refs = []
+        loss = self.chain(*[Tensor(a, requires_grad=True) for a in arrays], refs=refs)
+        (conv_out, conv_owner), (norm_out, norm_owner), (act_out, act_owner) = refs
+        # the conv output feeds only layer_norm, which reads its xhat, and the
+        # layer-norm output feeds only leaky_relu, which reads its mask
+        assert conv_out() is None and conv_owner() is None
+        assert norm_out() is None and norm_owner() is None
+        # matmul's weight gradient reads its input
+        assert act_out() is not None
+        loss.backward()
+        assert_grad_matches(self.chain, arrays)
 
 
 class TestFiniteDifferenceOracle:

@@ -14,9 +14,12 @@ Each run of this script appends one set of pairs to the list kept under its
 workload's key (<workload>-trace for a traced set), so the three workloads and
 any repeated sets all land in one file. Each set holds both sides' stamps (machine, numpy, BLAS, git sha and
 dirty flag) and, per metric, each side's median and quartiles, the
-change/parent ratio of the medians and the number of pairs in which the
-change was better (ties count for neither side). Which direction is
-better comes from BENCHMARK.json; a metric it does not list gets no count.
+change/parent ratio of the medians, the number of pairs in which the
+change was better (ties count for neither side) and `gain_rule`: whether a
+gain on that metric may be claimed, i.e. the set has at least 10 pairs, the
+change was better in at least 9 of every 10 of them and its median is better
+than the parent's by more than the parent's interquartile range. Which direction is better comes from
+BENCHMARK.json; a metric it does not list gets no count and no gain_rule.
 """
 
 from __future__ import annotations
@@ -61,6 +64,16 @@ def _stats(values) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
+def gain_rule(entry: dict, pairs: int) -> bool:
+    """A claimable gain: at least 10 pairs, better in >= 9/10 of them, and the
+    medians apart by more than the parent's interquartile range, in the
+    better direction."""
+    sign = -1.0 if entry["better"] == "lower" else 1.0
+    p, c = entry["parent"], entry["change"]
+    return bool(pairs >= 10 and 10 * entry["pairs_better"] >= 9 * pairs
+                and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
+
+
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
     """Per-metric summary of paired result lines (parent[i] pairs with change[i])."""
     if len(parent) != len(change) or not parent:
@@ -76,6 +89,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         if entry["better"] is not None:
             sign = -1.0 if entry["better"] == "lower" else 1.0
             entry["pairs_better"] = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+            entry["gain_rule"] = gain_rule(entry, len(parent))
         metrics[name] = entry
     return {
         "pairs": len(parent),
@@ -95,15 +109,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def table_rows(workload: str, summary: dict, seeds: list[int]) -> list[str]:
-    """Markdown rows: metric, both medians with quartiles, ratio, pairs better."""
+    """Markdown rows: metric, both medians with quartiles, ratio, pairs
+    better and whether the gain rule holds."""
     label = f"{workload} ({summary['pairs']} pairs, seeds {seeds[0]}–{seeds[-1]})"
     rows = []
     for name, m in summary["metrics"].items():
         p, c = m["parent"], m["change"]
         ratio = "–" if m["ratio"] is None else f"{m['ratio']:.3f}"
         won = f"{m['pairs_better']}/{summary['pairs']}" if "pairs_better" in m else "–"
+        rule = {True: "yes", False: "no"}.get(m.get("gain_rule"), "–")
         rows.append(f"| {label} | `{name}` | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] | "
-                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} |")
+                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} | {rule} |")
     return rows
 
 
