@@ -6,6 +6,10 @@ for 32x32 inputs; the geometry of every feature map is derived from
 ModelConfig so shape contracts can be asserted up front. Flattening order
 for transformer sequences is t-major, then h, then w (plain C-order
 reshape), which checkpoint portability depends on.
+
+`_Init` names and orders every parameter: each is drawn under its full
+name, and the bundle's `params()` lists them in draw order, which is the
+order checkpoints, updates and gradient counts see.
 """
 
 from __future__ import annotations
@@ -98,41 +102,45 @@ class ModelConfig:
 
 
 class _Init:
-    """Makes every parameter of a bundle: values drawn in float64 from one
-    seeded generator in call order, stored once in the bundle's dtype, with
-    their gradient buffers."""
+    """Makes and names every parameter of a bundle: values drawn in float64
+    from one seeded generator in call order, stored once in the bundle's
+    dtype, with their gradient buffers. `params` maps each full name to its
+    parameter in draw order; a name given twice is a ValueError."""
 
     def __init__(self, seed: int, dtype):
         self.rng = np.random.default_rng(np.random.PCG64(seed))
         self.dtype = dtype
+        self.params: dict[str, Tensor] = {}
 
-    def normal(self, std: float, shape) -> Tensor:
-        return self._param(self.rng.normal(0.0, std, size=shape))
+    def normal(self, name: str, std: float, shape) -> Tensor:
+        return self._param(name, self.rng.normal(0.0, std, size=shape))
 
-    def he(self, shape, fan_in: int) -> Tensor:
-        return self.normal(np.sqrt(2.0 / fan_in), shape)
+    def he(self, name: str, shape, fan_in: int) -> Tensor:
+        return self.normal(name, np.sqrt(2.0 / fan_in), shape)
 
-    def full(self, value: float, shape) -> Tensor:
-        return self._param(np.full(shape, value, dtype=self.dtype))
+    def full(self, name: str, value: float, shape) -> Tensor:
+        return self._param(name, np.full(shape, value, dtype=self.dtype))
 
-    def _param(self, values: np.ndarray) -> Tensor:
-        return Tensor(values.astype(self.dtype, copy=False), requires_grad=True)
+    def _param(self, name: str, values: np.ndarray) -> Tensor:
+        if name in self.params:
+            raise ValueError(f"parameter name {name!r} used twice")
+        p = self.params[name] = Tensor(values.astype(self.dtype, copy=False), requires_grad=True)
+        return p
 
 
 class ConvStack:
     """conv -> layer norm over channels -> relu, repeated; 2-D or 3-D."""
 
     def __init__(self, name, init, in_channels, channels, strides, nd, kernels=None):
-        self.name = name
         self.nd = nd
         self.layers = []
         kernels = kernels or [(3,) * nd] * len(channels)
         c_prev = in_channels
-        for c, s, k in zip(channels, strides, kernels):
-            kernel = init.he((c, c_prev) + tuple(k), c_prev * int(np.prod(k)))
+        for i, (c, s, k) in enumerate(zip(channels, strides, kernels)):
+            kernel = init.he(f"{name}.conv{i}.kernel", (c, c_prev) + tuple(k), c_prev * int(np.prod(k)))
             gshape = (1, c) + (1,) * nd
-            gamma = init.full(1.0, gshape)
-            beta = init.full(0.0, gshape)
+            gamma = init.full(f"{name}.conv{i}.gamma", 1.0, gshape)
+            beta = init.full(f"{name}.conv{i}.beta", 0.0, gshape)
             self.layers.append((kernel, gamma, beta, s, tuple(d // 2 for d in k)))
             c_prev = c
 
@@ -148,25 +156,16 @@ class ConvStack:
                 x = T.leaky_relu(x)
         return x
 
-    def params(self) -> dict:
-        out = {}
-        for i, (kernel, gamma, beta, _, _) in enumerate(self.layers):
-            out[f"{self.name}.conv{i}.kernel"] = kernel
-            out[f"{self.name}.conv{i}.gamma"] = gamma
-            out[f"{self.name}.conv{i}.beta"] = beta
-        return out
-
 
 class MlpHead:
     """Two affine layers with one leaky relu between them: the projection
     heads, and the Transformer's feed-forward blocks."""
 
     def __init__(self, name, init, in_dim, hidden, out_dim):
-        self.name = name
-        self.w1 = init.he((in_dim, hidden), in_dim)
-        self.b1 = init.full(0.0, hidden)
-        self.w2 = init.normal(np.sqrt(1.0 / hidden), (hidden, out_dim))
-        self.b2 = init.full(0.0, out_dim)
+        self.w1 = init.he(f"{name}.w1", (in_dim, hidden), in_dim)
+        self.b1 = init.full(f"{name}.b1", 0.0, hidden)
+        self.w2 = init.normal(f"{name}.w2", np.sqrt(1.0 / hidden), (hidden, out_dim))
+        self.b2 = init.full(f"{name}.b2", 0.0, out_dim)
 
     def forward(self, x: Tensor) -> Tensor:
         """(..., in_dim) -> (..., out_dim)."""
@@ -177,39 +176,23 @@ class MlpHead:
         """(B, in_dim, N) -> (B, out_dim, N): each column projected independently."""
         return T.transpose(self.forward(T.transpose(x, (0, 2, 1))), (0, 2, 1))
 
-    def params(self) -> dict:
-        return {
-            f"{self.name}.w1": self.w1,
-            f"{self.name}.b1": self.b1,
-            f"{self.name}.w2": self.w2,
-            f"{self.name}.b2": self.b2,
-        }
-
 
 class _Linear:
     def __init__(self, name, init, d_in, d_out):
-        self.name = name
-        self.w = init.normal(np.sqrt(1.0 / d_in), (d_in, d_out))
-        self.b = init.full(0.0, d_out)
+        self.w = init.normal(f"{name}.w", np.sqrt(1.0 / d_in), (d_in, d_out))
+        self.b = init.full(f"{name}.b", 0.0, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.w), self.b)
 
-    def params(self):
-        return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
-
 
 class _LayerNormParams:
     def __init__(self, name, init, dim):
-        self.name = name
-        self.gamma = init.full(1.0, dim)
-        self.beta = init.full(0.0, dim)
+        self.gamma = init.full(f"{name}.gamma", 1.0, dim)
+        self.beta = init.full(f"{name}.beta", 0.0, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, axis=-1)
-
-    def params(self):
-        return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
 
 
 def _attention(q, k, v, heads):
@@ -237,12 +220,6 @@ class _AttentionBlock:
     def __call__(self, x_q, x_kv, heads):
         return self.o(_attention(self.q(x_q), self.k(x_kv), self.v(x_kv), heads))
 
-    def params(self):
-        out = {}
-        for lin in (self.q, self.k, self.v, self.o):
-            out.update(lin.params())
-        return out
-
 
 class Transformer:
     """Pre-LN encoder-decoder predicting motion feature maps from clip
@@ -260,9 +237,9 @@ class Transformer:
         d = cfg.width
 
         self.in_proj = _Linear("transformer.in_proj", init, c1, d)
-        self.pos_enc = init.normal(0.02, (self.seq_in, d))
-        self.queries = init.normal(0.02, (self.n_queries, d))
-        self.query_pos = init.normal(0.02, (self.n_queries, d))
+        self.pos_enc = init.normal("transformer.pos_enc", 0.02, (self.seq_in, d))
+        self.queries = init.normal("transformer.queries", 0.02, (self.n_queries, d))
+        self.query_pos = init.normal("transformer.query_pos", 0.02, (self.n_queries, d))
 
         self.enc_layers = []
         for i in range(cfg.encoder_layers):
@@ -331,19 +308,6 @@ class Transformer:
         B = tokens.shape[0]
         return T.reshape(T.transpose(tokens, (0, 2, 1)), (B, tokens.shape[2], t3, h3, w3))
 
-    def params(self) -> dict:
-        out = self.in_proj.params()
-        out["transformer.pos_enc"] = self.pos_enc
-        out["transformer.queries"] = self.queries
-        out["transformer.query_pos"] = self.query_pos
-        for layer in self.enc_layers + self.dec_layers:
-            for part in layer.values():
-                out.update(part.params())
-        out.update(self.enc_norm.params())
-        out.update(self.dec_norm.params())
-        out.update(self.out_proj.params())
-        return out
-
 
 def _check_batch(x, want: tuple, what: str):
     """A batch (B,) + want; an unbatched input fails too."""
@@ -386,6 +350,7 @@ class ModelBundle:
         self.g_m1 = MlpHead("g_m1", init, c3, cfg.head_hidden, cfg.embed_dim)
         self.g_m2 = MlpHead("g_m2", init, c3, cfg.head_hidden, cfg.embed_dim)
         self.value_head = _Linear("value_head", init, c3, 2)
+        self._params = init.params
 
     # -- forward passes: batches only, numpy arrays or Tensors ---------------
 
@@ -418,14 +383,8 @@ class ModelBundle:
     # -- parameter plumbing ---------------------------------------------------
 
     def params(self) -> dict:
-        out = {}
-        for net in (self.v_net, self.i_net, self.m_net):
-            out.update(net.params())
-        out.update(self.transformer.params())
-        for head in (self.g_v, self.g_i, self.g_m1, self.g_m2):
-            out.update(head.params())
-        out.update(self.value_head.params())
-        return out
+        """Every parameter by full name, in draw order; a new dict each call."""
+        return dict(self._params)
 
     def zero_grads(self):
         for p in self.params().values():

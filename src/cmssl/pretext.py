@@ -209,7 +209,6 @@ class TrainingSample:
     iframe: np.ndarray  # (3, h, w) in [0, 1]
     future_mv: np.ndarray  # (2, T', h, w), offsets normalized by search_range
     hard_negative_mvs: np.ndarray  # (k, 2, T', h, w), normalized the same way
-    indices: SampleIndices | None = None
 
 
 @dataclass
@@ -344,7 +343,6 @@ def materialize_sample(
         iframe=ifr,
         future_mv=pos / sr,
         hard_negative_mvs=negs / sr,
-        indices=idx,
     )
 
 

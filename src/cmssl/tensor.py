@@ -258,7 +258,8 @@ def _grad_node(t: Tensor) -> _Node | None:
 
 
 def _make(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
-    """Create an op output; register the closure only when grads can flow."""
+    """Create an op output; register the closure only when grads can flow,
+    so a one-input op's closure always has its input's node."""
     req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req, _parents=tuple(p._node for p in parents) if req else (), op=op)
     if req:
@@ -346,8 +347,7 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        if na is not None:
-            na._accum(g * c)
+        na._accum(g * c)
 
     return _make(a.data * c, (a,), "scale", backward)
 
@@ -358,8 +358,7 @@ def texp(a) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g):
-        if na is not None:
-            na._accum(g * data)
+        na._accum(g * data)
 
     return _make(data, (a,), "exp", backward)
 
@@ -369,8 +368,7 @@ def tlog(a) -> Tensor:
     na, ad = _grad_node(a), a.data
 
     def backward(g):
-        if na is not None:
-            na._accum(g / ad)
+        na._accum(g / ad)
 
     return _make(np.log(ad), (a,), "log", backward)
 
@@ -381,8 +379,7 @@ def tsqrt(a) -> Tensor:
     data = np.sqrt(a.data)
 
     def backward(g):
-        if na is not None:
-            na._accum(g * 0.5 / data)
+        na._accum(g * 0.5 / data)
 
     return _make(data, (a,), "sqrt", backward)
 
@@ -393,8 +390,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        if na is not None:
-            na._accum(g * (data > 0))
+        na._accum(g * (data > 0))
 
     return _make(data, (a,), "relu", backward)
 
@@ -412,11 +408,10 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     np.maximum(data, a.data, out=data)
 
     def backward(g):
-        if na is not None:
-            f = mask.astype(na.dtype)
-            np.maximum(f, slope, out=f)
-            f *= g
-            na._accum(f)
+        f = mask.astype(na.dtype)
+        np.maximum(f, slope, out=f)
+        f *= g
+        na._accum(f)
 
     return _make(data, (a,), "leaky_relu", backward)
 
@@ -430,8 +425,7 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(shape) if not isinstance(shape, int) else (shape,)
 
     def backward(g):
-        if na is not None:
-            na._accum(g.reshape(na.shape))
+        na._accum(g.reshape(na.shape))
 
     return _make(a.data.reshape(shape), (a,), "reshape", backward)
 
@@ -447,8 +441,7 @@ def transpose(a, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
 
     def backward(g):
-        if na is not None:
-            na._accum(np.transpose(g, inv))
+        na._accum(np.transpose(g, inv))
 
     return _make(np.transpose(a.data, axes), (a,), "transpose", backward)
 
@@ -486,8 +479,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.data.ndim)
 
     def backward(g):
-        if na is None:
-            return
         if not keepdims:
             g = np.expand_dims(g, axes)
         na._accum(np.broadcast_to(g, na.shape))
@@ -502,8 +493,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     n = int(np.prod([a.data.shape[i] for i in axes]))
 
     def backward(g):
-        if na is None:
-            return
         if not keepdims:
             g = np.expand_dims(g, axes)
         na._accum(np.broadcast_to(g / n, na.shape))
@@ -565,9 +554,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if na is not None:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            na._accum((g - dot) * data)
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        na._accum((g - dot) * data)
 
     return _make(data, (a,), "softmax", backward)
 
@@ -583,9 +571,8 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     soft = e / s
 
     def backward(g):
-        if na is not None:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            na._accum(gk * soft)
+        gk = g if keepdims else np.expand_dims(g, axis)
+        na._accum(gk * soft)
 
     if not keepdims:
         data = np.squeeze(data, axis=axis)
@@ -637,8 +624,7 @@ def dropout(a, p: float, rng: np.random.Generator | None = None, training: bool 
     na = _grad_node(a)
 
     def backward(g):
-        if na is not None:
-            na._accum(g * mask)
+        na._accum(g * mask)
 
     return _make(a.data * mask, (a,), "dropout", backward)
 

@@ -78,6 +78,24 @@ def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr(bp):
     assert s["iter_ms_p50"]["pairs_better"] == 9 and s["iter_ms_p50"]["gain_rule"] is False
 
 
+def test_counts_equal_up_to_float_rounding_tie(bp):
+    def traced(calls, nodes):
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "tensor.conv3d.calls": {"value": calls, "unit": "count"},
+            "tensor.nodes": {"value": nodes, "unit": "count"},
+            "step.fwd_ms": {"value": calls, "unit": "ms"},
+        }}
+
+    better = {"tensor.conv3d.calls": "lower", "tensor.nodes": "lower", "step.fwd_ms": "lower"}
+    s = bp.summarize([traced(9.000000000000146, 450)], [traced(9.000000000000126, 449)], better)["metrics"]
+    assert s["tensor.conv3d.calls"]["pairs_better"] == 0
+    assert s["tensor.nodes"]["pairs_better"] == 1
+    # a timing is not a count: the same gap still counts
+    assert s["step.fwd_ms"]["pairs_better"] == 1
+    s = bp.summarize([traced(9.0, 449)], [traced(9.0, 450)], better)["metrics"]
+    assert s["tensor.nodes"]["pairs_better"] == 0
+
+
 def test_summary_counts_failures_and_rejects_unpaired_runs(bp):
     s = bp.summarize([result(40, 200, 1)], [result(41, 199, 1, failed=2, correct=False)], BETTER)
     assert s["change_failed"] == 2 and s["all_correct"] is False

@@ -1,5 +1,6 @@
 """Shape contracts, gradient reach, attention audits, checkpoint roundtrip."""
 
+import hashlib
 import re
 import zlib
 
@@ -10,6 +11,7 @@ from cmssl import tensor as T
 from cmssl.networks import (
     _CKPT_HEADER,
     ModelBundle,
+    _Init,
     ModelConfig,
     TransformerConfig,
     load_arrays,
@@ -128,7 +130,7 @@ class TestForwardSemantics:
 
     def test_zero_head_weights_give_zero_embedding(self):
         b = ModelBundle(seed=2)
-        for p in b.g_v.params().values():
+        for p in (b.g_v.w1, b.g_v.b1, b.g_v.w2, b.g_v.b2):
             p.data[...] = 0.0
         out = b.g_v.forward(Tensor(np.ones((3, 32))))
         np.testing.assert_allclose(out.data, 0.0)
@@ -139,7 +141,7 @@ class TestForwardSemantics:
 
         rng = np.random.default_rng(11)
         for head in (bundle.g_m1, bundle.transformer.enc_layers[0]["ff"]):
-            w1, b1, w2, b2 = (p.data for p in head.params().values())
+            w1, b1, w2, b2 = (p.data for p in (head.w1, head.b1, head.w2, head.b2))
             x = rng.normal(size=(2, 5, w1.shape[0]))
             want = leaky(x @ w1 + b1) @ w2 + b2
             np.testing.assert_allclose(head.forward(Tensor(x)).data, want, atol=1e-12)
@@ -431,6 +433,41 @@ class TestCheckpoint:
             assert p.data.dtype == p.grad.dtype == np.float32, name
             assert np.array_equal(p.data, p64[name].data.astype(np.float32)), name
             assert not p.grad.any(), name
+
+
+class TestParameterRegistry:
+    @pytest.mark.parametrize(
+        "dtype, digest",
+        [
+            (np.float32, "c64a31048adc037dcba196a3eed16f2f48585f08589e9c191e7cdbf57dab15a1"),
+            (np.float64, "4e38b37f342dd7d96fbb19bc58c15d49f376909c1b24877b8c58fc5019f2c044"),
+        ],
+    )
+    def test_names_order_and_values_pinned(self, dtype, digest):
+        params = ModelBundle(seed=3, dtype=dtype).params()
+        h = hashlib.sha256()
+        for name, p in params.items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert len(params) == 192
+        assert h.hexdigest() == digest
+
+    def test_duplicate_name_rejected(self):
+        init = _Init(0, np.float32)
+        init.full("g_v.b1", 0.0, 4)
+        with pytest.raises(ValueError, match=re.escape("'g_v.b1' used twice")):
+            init.normal("g_v.b1", 1.0, 4)
+
+    def test_mutating_the_returned_dict_leaves_the_bundle_unchanged(self):
+        b = ModelBundle(seed=4)
+        before = list(b.params().items())
+        got = b.params()
+        got.pop("g_v.w1")
+        got["extra"] = Tensor(np.zeros(2), requires_grad=True)
+        got["v_net.conv0.kernel"] = Tensor(np.zeros(2), requires_grad=True)
+        after = list(b.params().items())
+        assert [name for name, _ in after] == [name for name, _ in before]
+        assert all(p is q for (_, p), (_, q) in zip(after, before))
 
 
 class TestGradAudit:

@@ -15,7 +15,8 @@ workload's key (<workload>-trace for a traced set), so the three workloads and
 any repeated sets all land in one file. Each set holds both sides' stamps (machine, numpy, BLAS, git sha and
 dirty flag) and, per metric, each side's median and quartiles, the
 change/parent ratio of the medians, the number of pairs in which the
-change was better (ties count for neither side) and `gain_rule`: whether a
+change was better (ties count for neither side; two values of a metric
+with unit `count` tie when they agree to a relative 1e-9) and `gain_rule`: whether a
 gain on that metric may be claimed, i.e. the set has at least 10 pairs, the
 change was better in at least 9 of every 10 of them and its median is better
 than the parent's by more than the parent's interquartile range. Which direction is better comes from
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# a traced per-step count carries float rounding (9.000000000000146 and
+# 9.000000000000126 for the same 9 calls), so counts this close tie
+COUNT_RTOL = 1e-9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -74,6 +79,12 @@ def gain_rule(entry: dict, pairs: int) -> bool:
                 and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
 
 
+def _change_better(p: float, c: float, sign: float, unit: str) -> bool:
+    if unit == "count" and math.isclose(p, c, rel_tol=COUNT_RTOL):
+        return False
+    return sign * (c - p) > 0
+
+
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
     """Per-metric summary of paired result lines (parent[i] pairs with change[i])."""
     if len(parent) != len(change) or not parent:
@@ -88,7 +99,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         entry["ratio"] = entry["change"]["median"] / base if base else None
         if entry["better"] is not None:
             sign = -1.0 if entry["better"] == "lower" else 1.0
-            entry["pairs_better"] = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+            entry["pairs_better"] = sum(
+                _change_better(p, c, sign, entry["unit"]) for p, c in zip(vals["parent"], vals["change"])
+            )
             entry["gain_rule"] = gain_rule(entry, len(parent))
         metrics[name] = entry
     return {
