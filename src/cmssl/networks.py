@@ -1,11 +1,12 @@
 """Learnable components: video/iframe/motion backbones, the future-feature
 Transformer, and the four projection heads, bundled with checkpoint IO.
 
-Backbones are small conv stacks (conv -> channel layer norm -> relu) sized
-for 32x32 inputs; the geometry of every feature map is derived from
-ModelConfig so shape contracts can be asserted up front. Flattening order
-for transformer sequences is t-major, then h, then w (plain C-order
-reshape), which checkpoint portability depends on.
+Backbones are small conv stacks (conv -> channel layer norm -> leaky relu,
+with no activation after the last stage) sized for 32x32 inputs; the
+geometry of every feature map is derived from ModelConfig so shape
+contracts can be asserted up front. Flattening order for transformer
+sequences is t-major, then h, then w (plain C-order reshape), which
+checkpoint portability depends on.
 
 `_Init` names and orders every parameter: each is drawn under its full
 name, and the bundle's `params()` lists them in draw order, which is the
@@ -129,7 +130,8 @@ class _Init:
 
 
 class ConvStack:
-    """conv -> layer norm over channels -> relu, repeated; 2-D or 3-D."""
+    """conv -> layer norm over channels -> leaky relu, repeated, with the last
+    stage ending after its layer norm; 2-D or 3-D."""
 
     def __init__(self, name, init, in_channels, channels, strides, nd, kernels=None):
         self.nd = nd

@@ -2,7 +2,8 @@
 
 Every value flowing through the networks and losses is a Tensor wrapping a
 numpy array. Ops build a DAG of closures; Tensor.backward() runs them in
-reverse topological order, summing the gradients each node receives.
+reverse creation order, which is a reverse topological order, summing the
+gradients each node receives.
 
 Dtypes: a Tensor keeps a float32 or float64 array as it is and turns any
 other input (ints, bools, float16, Python numbers, lists) into float64. An op
@@ -32,29 +33,39 @@ Who owns a gradient array:
   added out of place. Closures therefore never write into the gradient they
   are given.
 - A non-leaf node's gradient is released (set to None) as soon as its
-  closure has run, so after backward() only leaves hold gradients. The
-  nodes, and the arrays their closures read, are kept until the loss is
-  dropped: backward() on the same loss again adds the same gradients once
-  more.
+  closure has run, so after backward() only leaves hold gradients.
+- backward() consumes the graph: once a node's closure has run, the closure
+  is replaced by a spent marker and the node's parent links are dropped, so
+  the arrays it read are freed during the walk, not when the loss is
+  dropped. A second backward() that reaches a consumed node, from the same
+  loss or from any loss that shares a node with it, raises RuntimeError
+  before any gradient is touched.
 
 Memory between steps: a training step allocates its activations and
-gradients (69.7 MiB live by tracemalloc after a B=8 forward of the default
-float32 model and 84.1 MiB at the peak of its backward; 136.7 and 165.5 MiB
-at float64) and frees all of them at the end of the step. By default glibc
-hands the freed heap top back to the OS and unmaps every array above its
-mmap threshold, so each step would fault the same amount of fresh, zeroed
-pages in again (≈12k minor faults per float64 B=8 step, measured when a
-step held ≈248 MiB). Importing this module therefore tells glibc malloc,
-once, never to trim the heap and never to serve a request by mmap; the heap
-then grows to the largest step and stays mapped, and a warmed-up step faults
-a few pages at most. Where the C library has no mallopt this is skipped; no
-array op depends on it.
+gradients and frees them as backward() walks the graph. By tracemalloc, a
+B=8 forward of the default float32 model leaves 70.7 MiB live, the peak of
+its backward is 72.7 MiB, and 1.1 MiB stays live after it while the
+forward's outputs are still held (138.7, 142.7 and 2.1 MiB at float64).
+The walk frees the forward's arrays newest first, the reverse of the order
+they were allocated in, so the heap unwinds much like a stack and the next
+step's forward finds the same free space again. A walk in depth-first order
+from the loss left small live blocks scattered through that space, and a
+warmed-up step then faulted up to ≈1000 fresh pages as the heap grew around
+them. By default glibc hands the freed heap top back to the OS and unmaps
+every array above its mmap threshold, so each step would fault the same
+amount of fresh, zeroed pages in again (≈12k minor faults per float64 B=8
+step, measured when a step held ≈248 MiB). Importing this module therefore
+tells glibc malloc, once, never to trim the heap and never to serve a
+request by mmap; the heap then grows to the largest step and stays mapped,
+and a warmed-up step faults a few pages at most. Where the C library has no
+mallopt this is skipped; no array op depends on it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 
 import numpy as np
 
@@ -73,7 +84,7 @@ def _keep_heap_mapped():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # -1 disables trimming: the ≈84 MiB a float32 B=8 step frees stays mapped
+    # -1 disables trimming: the ≈73 MiB a float32 B=8 step frees stays mapped
     # for the next step. No mmap threshold is enough on its own: the largest
     # array grows with the batch (the float32 patch matrix of v_net's second
     # conv is 13.5 MiB at 8 clips and 54 MiB at 32), and glibc caps the
@@ -98,14 +109,19 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+# numbers nodes in creation order; a node is always created after its parents
+_node_seq = itertools.count()
+
+
 class _Node:
     """A tensor's place in the autograd graph: its gradient, its backward
     closure and its parents' nodes, with the op, shape and dtype of its value
-    but not the value itself."""
+    but not the value itself, and its creation number `seq`."""
 
-    __slots__ = ("grad", "_backward", "_parents", "op", "shape", "dtype")
+    __slots__ = ("grad", "_backward", "_parents", "op", "shape", "dtype", "seq")
 
     def __init__(self, grad, parents, op, shape, dtype):
+        self.seq = next(_node_seq)
         self.grad = grad
         self._backward = None
         self._parents = parents
@@ -188,29 +204,31 @@ class Tensor:
     # -- graph mechanics ----------------------------------------------------
 
     def backward(self):
-        """Populate .grad of everything this scalar depends on."""
+        """Populate .grad of everything this scalar depends on, consuming the graph.
+
+        Closures run in reverse creation order, which runs each one before
+        its parents' closures and frees the forward's arrays in the reverse of
+        the order they were allocated in. Once a node's closure has run, or no
+        gradient reached the node, the closure is replaced by a spent marker
+        and the node's parent links are dropped, so the arrays the closure
+        read are freed during the walk. Leaves and their .grad buffers are
+        kept. A later backward() that reaches a consumed node raises
+        RuntimeError before any gradient is touched."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        topo: list[_Node] = []
-        visited: set[int] = set()
-        stack: list[tuple[_Node, bool]] = [(self._node, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+        nodes = _graph_in_creation_order(self._node)
         self._node._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # popping drops each node from the list, the last reference a node
+        # has once its consumers are spent and its tensor is gone
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            node._backward = _spent
+            node._parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -240,6 +258,30 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
+
+
+def _spent(g):
+    """The closure of a node that a backward pass has consumed."""
+    raise RuntimeError("the graph has already been used by a backward pass")
+
+
+def _graph_in_creation_order(root: _Node) -> list[_Node]:
+    """Every node root depends on, root included, oldest first; raises
+    RuntimeError if a backward pass has consumed any of them."""
+    nodes, todo, seen = [], [root], {id(root)}
+    while todo:
+        node = todo.pop()
+        if node._backward is _spent:
+            raise RuntimeError(
+                f"backward() reached a {node.op} node: the graph has already been used by a backward pass"
+            )
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    nodes.sort(key=lambda n: n.seq)
+    return nodes
 
 
 def _as_tensor(x, like=None) -> Tensor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmssl.networks import ModelConfig, TransformerConfig
-from cmssl.tensor import Tensor, _Node
+from cmssl.tensor import Tensor, _Node, _spent
 
 # a model small enough for finite differences and for one traced step
 TINY_MODEL = ModelConfig(
@@ -13,6 +13,18 @@ TINY_MODEL = ModelConfig(
     embed_dim=4, head_hidden=4,
     transformer=TransformerConfig(encoder_layers=1, decoder_layers=1, width=8, heads=2, ff_width=8),
 )
+
+
+def tiny_batch() -> dict:
+    """A collated batch of two standard-normal samples shaped for TINY_MODEL."""
+    rng = np.random.default_rng(0)
+    return {
+        "clip": rng.normal(size=(2, 3, 4, 8, 8)),
+        "iframe": rng.normal(size=(2, 3, 8, 8)),
+        "mv": rng.normal(size=(2, 2, 4, 8, 8)),
+        "neg_mv": rng.normal(size=(2, 2, 4, 8, 8)),
+        "video_ids": np.arange(2),
+    }
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -96,10 +108,11 @@ def grad_dtypes(monkeypatch):
     return seen
 
 
-def assert_non_leaf_grads_released(loss: Tensor):
-    """After backward(), only leaves may still hold a gradient."""
-    kept = [n.op for n in graph_nodes(loss) if n._backward is not None and n.grad is not None]
-    assert not kept, f"non-leaf grads kept after backward(): {kept}"
+def assert_graph_consumed(non_leaves: list[_Node]):
+    """After backward(), each non-leaf node, gathered before it, holds no
+    gradient, no parents and a spent closure."""
+    left = [n.op for n in non_leaves if n.grad is not None or n._parents or n._backward is not _spent]
+    assert not left, f"non-leaf nodes not consumed by backward(): {left}"
 
 
 def assert_grad_matches(build_loss, arrays, tol: float = 1e-4, h: float = 1e-5):
@@ -108,14 +121,15 @@ def assert_grad_matches(build_loss, arrays, tol: float = 1e-4, h: float = 1e-5):
     build_loss must be deterministic and accept Tensors positionally. Every
     array in `arrays` is treated as a differentiable input and must be
     float64, and so must every analytic gradient. Also checks that
-    backward() released every non-leaf gradient.
+    backward() consumed every non-leaf node of the graph.
     """
     for idx, a in enumerate(arrays):
         assert a.dtype == np.float64, f"input {idx}: gradcheck needs float64, got {a.dtype}"
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     loss = build_loss(*tensors)
+    non_leaves = [n for n in graph_nodes(loss) if n._backward is not None]
     loss.backward()
-    assert_non_leaf_grads_released(loss)
+    assert_graph_consumed(non_leaves)
     for idx, (t, a) in enumerate(zip(tensors, arrays)):
         assert t.grad.dtype == np.float64, f"input {idx}: analytic gradient is {t.grad.dtype}, not float64"
         def f(x, _idx=idx):

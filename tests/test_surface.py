@@ -13,7 +13,7 @@ from cmssl import tensor as T
 from cmssl.networks import ModelBundle
 from cmssl.pretext import PretextConfig
 
-from conftest import TINY_MODEL, graph_nodes
+from conftest import TINY_MODEL, graph_nodes, tiny_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,14 +53,7 @@ def test_benchmark_tracer_times_every_backward_closure_once(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import tracing
 
-    rng = np.random.default_rng(0)
-    batch = {
-        "clip": rng.normal(size=(2, 3, 4, 8, 8)),
-        "iframe": rng.normal(size=(2, 3, 8, 8)),
-        "mv": rng.normal(size=(2, 2, 4, 8, 8)),
-        "neg_mv": rng.normal(size=(2, 2, 4, 8, 8)),
-        "video_ids": np.arange(2),
-    }
+    batch = tiny_batch()
     bundle = ModelBundle(config=TINY_MODEL, seed=0)
     tracer = tracing.Tracer()
     tracer.install_modules()
@@ -68,10 +61,11 @@ def test_benchmark_tracer_times_every_backward_closure_once(monkeypatch):
     try:
         with tracer.unit(0):
             loss = pretext.pretext_forward(bundle, batch, PretextConfig(hard_negative_count=1)).loss
+            # backward() consumes the graph, so its closures are gathered first
+            closures = [n._backward for n in graph_nodes(loss) if n._backward is not None]
             loss.backward()
     finally:
         tracer.uninstall()
-    closures = [n._backward for n in graph_nodes(loss) if n._backward is not None]
     assert tracer.nodes[0] == len(closures) > 0
     assert all(isinstance(c, tracing._Backward) and not isinstance(c.fn, tracing._Backward) for c in closures)
     timed = {s.component for s in tracer.spans if s.name.startswith("tensor.") and s.name.endswith(".bwd")}

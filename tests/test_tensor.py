@@ -13,14 +13,18 @@ import numpy as np
 import pytest
 
 from cmssl import tensor as T
+from cmssl.networks import ModelBundle
+from cmssl.pretext import PretextConfig, pretext_forward
 from cmssl.tensor import Tensor
 
 from conftest import (
+    TINY_MODEL,
     assert_grad_matches,
-    assert_non_leaf_grads_released,
+    assert_graph_consumed,
     finite_difference_grad,
     graph_nodes,
     max_rel_error,
+    tiny_batch,
 )
 
 SEEDS = list(range(10))
@@ -674,22 +678,55 @@ class TestBackwardSemantics:
 
             assert_grad_matches(build, [wa], tol=1e-6)
 
-    def test_second_backward_doubles_leaf_grads(self):
+    def test_second_backward_raises(self):
+        # backward() consumes the graph; a second pass over it, or over a
+        # graph that reaches a consumed node, fails before touching a gradient
         r = rng_for(2)
         x = Tensor(r.normal(size=(2, 3, 4, 4)), requires_grad=True)
         k = Tensor(r.normal(size=(2, 3, 3, 3)), requires_grad=True)
         w = Tensor(r.normal(size=(2, 3)), requires_grad=True)
         h = T.leaky_relu(T.conv2d(x, k, padding=(1, 1)))
-        # each leaf feeds one op, so a pass adds one array to it and a second
-        # pass with the same array doubles it exactly; the non-leaves h and
-        # logits have two consumers each
+        # the non-leaves h and logits have two consumers each
         logits = T.matmul(T.tmean(h, axis=(2, 3)), w)
         loss = T.add(T.tsum(T.mul(T.softmax(logits, axis=1), logits)), T.tsum(T.mul(h, h)))
         loss.backward()
         once = [t.grad.copy() for t in (x, k, w)]
-        loss.backward()
+        # the fresh branch into the leaf x is newer than the consumed logits,
+        # so a walk that met the consumed node only on reaching it would
+        # already have added into x.grad
+        for again in (loss, T.add(T.tsum(logits), T.tsum(T.scale(x, 2.0)))):
+            with pytest.raises(RuntimeError, match="already been used by a backward pass"):
+                again.backward()
         for t, g1 in zip((x, k, w), once):
-            np.testing.assert_array_equal(t.grad, 2.0 * g1)
+            np.testing.assert_array_equal(t.grad, g1)
+        bundle = ModelBundle(config=TINY_MODEL, seed=0)
+        out = pretext_forward(bundle, tiny_batch(), PretextConfig(hard_negative_count=1))
+        out.loss.backward()
+        once = {name: p.grad.copy() for name, p in bundle.params().items()}
+        with pytest.raises(RuntimeError, match="already been used by a backward pass"):
+            out.j_i.backward()
+        for name, p in bundle.params().items():
+            np.testing.assert_array_equal(p.grad, once[name], err_msg=name)
+
+    def test_closures_run_newest_first(self):
+        # reverse creation order frees the forward's arrays in the reverse of
+        # the order they were allocated in, so a warm step finds its heap
+        # space again (TestResidentHeap); it also fixes the order in which a
+        # node's gradient contributions are summed
+        out = pretext_forward(ModelBundle(config=TINY_MODEL, seed=0), tiny_batch(), PretextConfig(hard_negative_count=1))
+        ran = []
+
+        def recording(fn, seq):
+            def run(g):
+                ran.append(seq)
+                fn(g)
+            return run
+
+        for n in graph_nodes(out.loss):
+            if n._backward is not None:
+                n._backward = recording(n._backward, n.seq)
+        out.loss.backward()
+        assert len(ran) > 100 and ran == sorted(ran, reverse=True)
 
     def test_non_leaf_grads_released_after_backward(self):
         r = rng_for(3)
@@ -701,13 +738,13 @@ class TestBackwardSemantics:
         tokens = T.transpose(T.reshape(h, (2, 3, -1)), (0, 2, 1))
         z = T.l2_normalize(T.concat([tokens, T.scale(tokens, 2.0)], axis=1), axis=-1)
         loss = T.tmean(T.logsumexp(T.matmul(z, T.transpose(z, (0, 2, 1))), axis=-1))
-        loss.backward()
         non_leaves = [n for n in graph_nodes(loss) if n._backward is not None]
         assert len(non_leaves) > 10
-        assert all(n.grad is None for n in non_leaves)
-        assert_non_leaf_grads_released(loss)
+        loss.backward()
+        assert_graph_consumed(non_leaves)
         for leaf in (x, k, gamma, beta):
             assert leaf.grad is not None and np.abs(leaf.grad).max() > 0
+            assert leaf._backward is None
 
     def test_no_grad_builds_no_graph(self):
         w = Tensor(np.ones(3), requires_grad=True)
