@@ -226,7 +226,8 @@ def _sad_dtype(block_size: int) -> np.dtype:
 
 
 def _estimate_motion_batch(refs: np.ndarray, tgts: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Exhaustive SAD search for n (reference, target) pairs at once -> (n, Hb, Wb, 2)."""
+    """The exhaustive SAD search of the module docstring for n (reference,
+    target) pairs of (H, W, 3) frames at once -> (n, Hb, Wb, 2) int16 (dx, dy)."""
     n, h, w, _ = tgts.shape
     b, r = cfg.block_size, cfg.search_range
     hb, wb = h // b, w // b
@@ -274,29 +275,6 @@ def _estimate_motion_batch(refs: np.ndarray, tgts: np.ndarray, cfg: CodecConfig)
     # argmin returns the first minimum, i.e. the highest-priority offset
     mvs[f, by, bx] = offsets[sad.argmin(axis=0)]
     return mvs
-
-
-def estimate_motion(reference: np.ndarray, target: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Exhaustive-search block matching minimizing SAD over all 3 channels.
-
-    Returns the (Hb, Wb, 2) int16 grid of (dx, dy). The vector of each target
-    block points to its best match in the reference: ref[y+dy : y+dy+b,
-    x+dx : x+dx+b], over every offset with |dx|, |dy| <= search_range.
-    Candidates that would read outside the reference are excluded from that
-    block's window; (0, 0) never is. Among equal SADs the smallest |dx|+|dy|
-    wins, then the smallest dy, then the smallest dx. Only blocks that differ
-    from the co-located reference block are searched: any other block has
-    SAD 0 at (0, 0), the first offset in that order, so the search would
-    return (0, 0) for it too. Every sum is exact, so the result is the same
-    on every platform.
-    """
-    if reference.shape != target.shape:
-        raise ValueError(f"frame shape mismatch: reference {reference.shape} vs target {target.shape}")
-    h, w, _ = target.shape
-    b = cfg.block_size
-    if h % b or w % b:
-        raise ValueError(f"frame dims ({h}, {w}) not divisible by block_size {b}")
-    return _estimate_motion_batch(reference[None], target[None], cfg)[0]
 
 
 def motion_compensate(reference: np.ndarray, vectors: np.ndarray, block_size: int) -> np.ndarray:

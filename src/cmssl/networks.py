@@ -96,11 +96,6 @@ class ModelConfig:
     def motion_feat_shape(self):
         return (self.m_channels[-1], self.mv_len // 4, self.input_size // 8, self.input_size // 8)
 
-    @property
-    def n_motion_points(self):
-        c, t, h, w = self.motion_feat_shape
-        return t * h * w
-
 
 class _Init:
     """Makes and names every parameter of a bundle: values drawn in float64

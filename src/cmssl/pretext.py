@@ -32,6 +32,12 @@ from .networks import ModelBundle, ModelConfig
 from .synthgen import SPLITS, load_manifest
 from .tensor import Tensor
 
+# the I-frame is drawn from the positions within this many GOPs of the clip
+IFRAME_WINDOW_GOPS = 1
+# a crop keeps at least this share of the side; flips happen with this chance
+CROP_MIN_SCALE = 0.6
+FLIP_PROB = 0.5
+
 
 @dataclass
 class PretextConfig:
@@ -41,9 +47,6 @@ class PretextConfig:
     motion_loss: str = "pointwise_infonce"  # pointwise_infonce | mse
     hard_negative_count: int = 3
     clip_stride: int = 2
-    iframe_window_gops: int = 1
-    crop_min_scale: float = 0.6
-    flip_prob: float = 0.5
     blur_prob: float = 0.5
     jitter_strength: float = 0.2
 
@@ -123,7 +126,6 @@ def resize_nn(frames: np.ndarray, size: tuple[int, int]) -> np.ndarray:
 @dataclass
 class SampleIndices:
     video_id: int
-    clip_start: int
     clip_indices: np.ndarray
     iframe_index: int
     mv_indices: np.ndarray
@@ -168,8 +170,8 @@ def draw_sample_indices(
     clip_indices = start + cfg.clip_stride * np.arange(clip_len)
     clip_end = int(clip_indices[-1])
 
-    lo = start - cfg.iframe_window_gops * gop_size
-    hi = clip_end + cfg.iframe_window_gops * gop_size
+    lo = start - IFRAME_WINDOW_GOPS * gop_size
+    hi = clip_end + IFRAME_WINDOW_GOPS * gop_size
     nearby = [t for t in iframe_positions if lo <= t <= hi]
     if not nearby:
         nearby = [min(iframe_positions, key=lambda t: abs(t - start))]
@@ -189,7 +191,6 @@ def draw_sample_indices(
     neg_starts = [int(candidates[rng.integers(0, len(candidates))]) for _ in range(cfg.hard_negative_count)]
     return SampleIndices(
         video_id=video_id,
-        clip_start=start,
         clip_indices=clip_indices,
         iframe_index=iframe_index,
         mv_indices=mv_indices,
@@ -225,12 +226,12 @@ def identity_augment(size: int) -> AugmentParams:
 
 
 def draw_augment_params(size: int, cfg: PretextConfig, rng: np.random.Generator) -> AugmentParams:
-    scale = rng.uniform(cfg.crop_min_scale, 1.0)
+    scale = rng.uniform(CROP_MIN_SCALE, 1.0)
     crop_size = max(8, int(np.floor(size * scale + 0.5)))
     crop_size = min(crop_size, size)
     top = int(rng.integers(0, size - crop_size + 1))
     left = int(rng.integers(0, size - crop_size + 1))
-    flip = bool(rng.random() < cfg.flip_prob)
+    flip = bool(rng.random() < FLIP_PROB)
     blur_sigma = float(rng.uniform(0.3, 1.0)) if rng.random() < cfg.blur_prob else 0.0
     j = cfg.jitter_strength
     brightness = float(rng.uniform(1.0 - j, 1.0 + j))
@@ -348,20 +349,13 @@ def materialize_sample(
 
 def sample_training_batch(
     videos: list[VideoRecord], batch_size: int, model_cfg: ModelConfig, cfg: PretextConfig,
-    rng: np.random.Generator, video_ids: list[int] | None = None,
+    rng: np.random.Generator,
 ) -> list[TrainingSample]:
     """Draw B samples from distinct videos (cycling when B exceeds the pool)."""
     if not videos:
         raise ValueError("empty video pool")
-    if video_ids is None:
-        perm = rng.permutation(len(videos))
-        chosen = [videos[perm[i % len(videos)]] for i in range(batch_size)]
-    else:
-        by_id = {v.video_id: v for v in videos}
-        unknown = [i for i in video_ids if i not in by_id]
-        if unknown:
-            raise ValueError(f"video id(s) {unknown} not in the pool of {len(videos)} videos")
-        chosen = [by_id[i] for i in video_ids]
+    perm = rng.permutation(len(videos))
+    chosen = [videos[perm[i % len(videos)]] for i in range(batch_size)]
     samples = []
     for video in chosen:
         idx = draw_sample_indices(

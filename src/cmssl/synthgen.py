@@ -5,9 +5,6 @@ checkerboard, blob palette); motion class picks the trajectory pattern of two
 moving sprites (drift, orbit, zigzag, sway). Colors, speeds, phases and start
 positions are per-seed jitter, so class identity never leaks through raw
 color statistics. Identical SceneSpec -> byte-identical video.
-
-A reserved motion class STATIC_MOTION (-1) freezes the sprites; it exists for
-codec tests and never appears in generated datasets.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .codec import CodecConfig, RawVideo, encode_video, pad_frames_to_block, wri
 
 CONTEXT_FAMILIES = ("gradient", "stripes", "checker", "blobs")
 MOTION_FAMILIES = ("drift", "orbit", "zigzag", "sway")
-STATIC_MOTION = -1
 # a sprite of radius up to 9 keeps its centre one pixel further from each edge
 _MIN_FRAME_SIDE = 2 * (9 + 1)
 
@@ -110,8 +106,7 @@ class _Sprite:
         self.cx0 = rng.uniform(m, w - m)
         self.cy0 = rng.uniform(m, h - m)
         self.h, self.w = h, w
-        family = "static" if spec.motion_class == STATIC_MOTION else MOTION_FAMILIES[spec.motion_class]
-        self.family = family
+        family = self.family = MOTION_FAMILIES[spec.motion_class]
         if family == "drift":
             theta = rng.uniform(0, 2 * np.pi)
             speed = rng.uniform(1.2, 2.2)
@@ -143,9 +138,7 @@ class _Sprite:
 
     def center_at(self, t: int) -> tuple[int, int]:
         m = self.radius + 1
-        if self.family == "static":
-            cx, cy = self.cx0, self.cy0
-        elif self.family == "drift":
+        if self.family == "drift":
             cx = self._reflect(self.cx0 + self.vx * t, m, self.w - m)
             cy = self._reflect(self.cy0 + self.vy * t, m, self.h - m)
         elif self.family == "orbit":
@@ -191,10 +184,8 @@ def generate_video(spec: SceneSpec, codec_block_size: int = 8) -> LabeledVideo:
     the last sprite's colour clipped to [0, 255] and truncated, the same
     bytes as compositing each frame in float64 and truncating it.
     """
-    if spec.motion_class != STATIC_MOTION and not 0 <= spec.motion_class < len(MOTION_FAMILIES):
-        raise ValueError(
-            f"motion_class {spec.motion_class} out of range: 0..{len(MOTION_FAMILIES) - 1} or STATIC_MOTION"
-        )
+    if not 0 <= spec.motion_class < len(MOTION_FAMILIES):
+        raise ValueError(f"motion_class {spec.motion_class} out of range: 0..{len(MOTION_FAMILIES) - 1}")
     if not 0 <= spec.context_class < len(CONTEXT_FAMILIES):
         raise ValueError(f"context_class {spec.context_class} out of range: 0..{len(CONTEXT_FAMILIES) - 1}")
     for name in ("height", "width"):
@@ -311,19 +302,6 @@ def generate_dataset(
     with open(manifest, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    meta = {
-        "n_videos": n_videos,
-        "k_context": k_context,
-        "k_motion": k_motion,
-        "frames": frames,
-        "resolution": list(resolution),
-        "seed": seed,
-        "split_fraction": split_fraction,
-        "split_rounding": "per-pair train count = floor(count * split_fraction + 0.5)",
-        "codec": {"block_size": codec.block_size, "search_range": codec.search_range, "gop_size": codec.gop_size},
-    }
-    with open(out_dir / "dataset.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
     return manifest
 
 

@@ -158,10 +158,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def op(self) -> str:
         return self._node.op
 
@@ -229,35 +225,6 @@ class Tensor:
                 node.grad = None
             node._backward = _spent
             node._parents = ()
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
 
 
 def _spent(g):
@@ -780,16 +747,14 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
 def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Tensor:
     """Shared 2-D/3-D convolution via strided patch extraction + matmul.
 
-    a: (Cin, *spatial) or (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial).
+    a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial).
     """
-    ad = a.data
+    x = a.data
     kd = kernels.data
-    batched = ad.ndim == nd + 2
-    if not batched and ad.ndim != nd + 1:
-        raise ValueError(f"{op}: input rank must be {nd + 1} or {nd + 2}, got {ad.ndim}")
+    if x.ndim != nd + 2:
+        raise ValueError(f"{op}: input rank must be {nd + 2}, got {x.ndim}")
     if kd.ndim != nd + 2:
         raise ValueError(f"{op}: kernels rank must be {nd + 2}, got {kd.ndim}")
-    x = ad if batched else ad[None]
     B, cin = x.shape[0], x.shape[1]
     if kd.shape[1] != cin:
         raise ValueError(f"{op}: input channels {cin} != kernel channels {kd.shape[1]} (dim 1)")
@@ -826,31 +791,27 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
     cout = kd.shape[0]
     kmat = kd.reshape(cout, K)
     out = (kmat @ colmat).reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
-    if not batched:
-        out = out[0]
     na, nk = _grad_node(a), _grad_node(kernels)
     # the kernel gradient reads the patch matrix, the input gradient the kernels
     cols_in = colmat if nk is not None else None
     k_in = kd if na is not None else None
 
     def backward(g):
-        gb = g if batched else g[None]
-        gmat = np.moveaxis(gb, 1, 0).reshape(cout, B * N)
+        gmat = np.moveaxis(g, 1, 0).reshape(cout, B * N)
         if nk is not None:
             # (K, B*N) @ (B*N, cout) runs faster in BLAS than the transposed product
             nk._accum((cols_in @ gmat.T).T.reshape(nk.shape))
         if na is not None:
-            dx = np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0)
-            na._accum(dx if batched else dx[0])
+            na._accum(np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0))
 
     return _make(out, (a, kernels), op, backward)
 
 
 def conv3d(a, kernels, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """3-D convolution over (Cin, T, H, W) or (B, Cin, T, H, W)."""
+    """3-D convolution over (B, Cin, T, H, W)."""
     return _convnd(_as_tensor(a), _as_tensor(kernels), stride, padding, 3, "conv3d")
 
 
 def conv2d(a, kernels, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D convolution over (Cin, H, W) or (B, Cin, H, W)."""
+    """2-D convolution over (B, Cin, H, W)."""
     return _convnd(_as_tensor(a), _as_tensor(kernels), stride, padding, 2, "conv2d")

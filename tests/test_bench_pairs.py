@@ -165,3 +165,19 @@ def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monk
     assert w["metrics"]["items_per_s"]["parent"]["median"] == 2
     assert w["parent_stamp"]["git"]["sha"] == "parentparentparentparent"
     assert "seed" not in w["change_stamp"]
+    # each set names each side's src tree; the fake trees have none
+    assert w["parent_src_sha256"] == w["change_src_sha256"] == bp.src_tree_hash(tmp_path / "nowhere")
+    assert "repo_head" in w
+
+
+def test_src_tree_hash_skips_pycache_and_sees_one_byte(bp, tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_bytes(b"x = 1\n")
+    (pkg / "b.py").write_bytes(b"y = 2\n")
+    before = bp.src_tree_hash(tmp_path)
+    (pkg / "__pycache__").mkdir()
+    (pkg / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\x00compiled")
+    assert bp.src_tree_hash(tmp_path) == before
+    (pkg / "b.py").write_bytes(b"y = 3\n")
+    assert bp.src_tree_hash(tmp_path) != before

@@ -19,9 +19,9 @@ from cmssl import tensor as T
 from cmssl.codec import CodecConfig, CompressedVideo, decode_video, encode_video, extract_modalities, read_cmv1
 from cmssl.networks import ModelBundle, ModelConfig
 from cmssl.pretext import (
+    IFRAME_WINDOW_GOPS,
     AugmentParams,
     PretextConfig,
-    TrainingSample,
     VideoRecord,
     augment_frames,
     augment_mv,
@@ -252,8 +252,8 @@ def draw_sample_indices_loop(n_frames, video_id, iframe_positions, gop_size, mod
     start = int(rng.integers(0, max_start + 1))
     clip_indices = start + cfg.clip_stride * np.arange(clip_len)
     clip_end = int(clip_indices[-1])
-    lo = start - cfg.iframe_window_gops * gop_size
-    hi = clip_end + cfg.iframe_window_gops * gop_size
+    lo = start - IFRAME_WINDOW_GOPS * gop_size
+    hi = clip_end + IFRAME_WINDOW_GOPS * gop_size
     nearby = [t for t in iframe_positions if lo <= t <= hi]
     if not nearby:
         nearby = [min(iframe_positions, key=lambda t: abs(t - start))]
@@ -290,7 +290,7 @@ class TestSampler:
                         skipped += 1
                     else:
                         start, clip_indices, iframe_index, mv_indices, neg_starts = want
-                        assert got.clip_start == start and got.iframe_index == iframe_index
+                        assert got.clip_indices[0] == start and got.iframe_index == iframe_index
                         assert got.negative_mv_starts == neg_starts
                         assert all(type(s) is int for s in got.negative_mv_starts)
                         np.testing.assert_array_equal(got.clip_indices, clip_indices)
@@ -310,7 +310,7 @@ class TestSampler:
         starts = set()
         for _ in range(300):
             idx = draw_sample_indices(36, 0, [0, 12, 24], 12, mcfg, cfg, rng)
-            starts.add(idx.clip_start)
+            starts.add(int(idx.clip_indices[0]))
         assert min(starts) == 0 and max(starts) == 12
 
     def test_future_target_follows_clip(self):
@@ -354,21 +354,23 @@ class TestSampler:
         rng = np.random.default_rng(2)
         for _ in range(200):
             idx = draw_sample_indices(36, 0, [0, 12, 24], 12, mcfg, cfg, rng)
-            assert idx.clip_start - 12 <= idx.iframe_index <= idx.clip_indices[-1] + 12
+            assert idx.clip_indices[0] - 12 <= idx.iframe_index <= idx.clip_indices[-1] + 12
+
+    @pytest.mark.xfail(strict=True, reason="hard-negative starts are drawn with replacement (ROADMAP 2(c)); "
+                       "drawing them without moves perfbench's gate losses, so it waits for ROADMAP 3")
+    def test_hard_negative_starts_distinct(self):
+        # the draw of a 36-frame video (seed 8, motion 2) from default_rng(3): starts [3, 5, 3]
+        idx = draw_sample_indices(36, 8, [0, 12, 24], 12, ModelConfig(), PretextConfig(), np.random.default_rng(3))
+        assert len(set(idx.negative_mv_starts)) == len(idx.negative_mv_starts), idx.negative_mv_starts
 
     def test_too_short_video_skipped_with_warning(self):
         videos = [make_video_record(seed=0, frames=36), make_video_record(seed=1, frames=36)]
         videos[1].frames = videos[1].frames[:10]
         cfg = PretextConfig()
+        # B=4 from a pool of 2 draws each video twice; both draws of the short one are skipped
         with pytest.warns(UserWarning, match="too short"):
-            batch = sample_training_batch(videos, 4, ModelConfig(), cfg, np.random.default_rng(0),
-                                          video_ids=[0, 1, 0, 1])
-        assert all(s.video_id == 0 for s in batch)
-
-    def test_unknown_video_id_named(self):
-        videos = [make_video_record(seed=0)]
-        with pytest.raises(ValueError, match=r"video id\(s\) \[99\] not in the pool of 1 videos"):
-            sample_training_batch(videos, 2, ModelConfig(), PretextConfig(), np.random.default_rng(0), video_ids=[0, 99])
+            batch = sample_training_batch(videos, 4, ModelConfig(), cfg, np.random.default_rng(0))
+        assert len(batch) == 2 and all(s.video_id == 0 for s in batch)
 
     def test_fixed_seed_reproducible(self):
         videos = [make_video_record(seed=s) for s in range(3)]
@@ -567,7 +569,7 @@ class TestPretextForward:
         bundle = ModelBundle(seed=4)
         out = pretext_forward(bundle, batch, PretextConfig())
         assert out.context_logits.shape == (4, 4)
-        n = bundle.config.n_motion_points
+        n = math.prod(bundle.config.motion_feat_shape[1:])
         assert out.motion_logits.shape == (4 * n, 4 * n + 12 * n)
 
 

@@ -169,7 +169,8 @@ class TestDtypes:
     def test_python_scalar_takes_the_tensor_dtype(self, dtype, grad_dtypes):
         x = Tensor(np.array([1.0, 2.0], dtype=dtype), requires_grad=True)
         for out in (T.add(x, 1e-8), T.add(1e-8, x), T.sub(x, 2), T.sub(2, x), T.mul(x, np.float64(0.5)),
-                    T.div(x, 3.0), T.div(3.0, x), x + 1.0, x * 2, x / 4.0, -x):
+                    T.div(x, 3.0), T.div(3.0, x), T.add(x, 1.0), T.mul(x, 2), T.div(x, 4.0),
+                    T.scale(x, -1.0)):
             assert out.data.dtype == dtype
             T.tsum(out).backward()
         assert x.grad.dtype == dtype and grad_dtypes == {np.dtype(dtype)}
@@ -379,28 +380,28 @@ class TestConv:
 
     def test_conv2d_identity_kernel(self):
         r = rng_for(0)
-        x = r.normal(size=(1, 5, 5))
+        x = r.normal(size=(1, 1, 5, 5))
         k = np.ones((1, 1, 1, 1))
         out = T.conv2d(Tensor(x), Tensor(k), stride=(1, 1), padding=(0, 0))
         np.testing.assert_allclose(out.data, x)
 
     def test_conv3d_identity_kernel(self):
         r = rng_for(0)
-        x = r.normal(size=(1, 3, 4, 4))
+        x = r.normal(size=(1, 1, 3, 4, 4))
         k = np.ones((1, 1, 1, 1, 1))
         out = T.conv3d(Tensor(x), Tensor(k))
         np.testing.assert_allclose(out.data, x)
 
     def test_zero_input_zero_output(self):
         k = rng_for(1).normal(size=(2, 3, 3, 3, 3))
-        out = T.conv3d(Tensor(np.zeros((3, 4, 6, 6))), Tensor(k), stride=(1, 1, 1), padding=(1, 1, 1))
+        out = T.conv3d(Tensor(np.zeros((1, 3, 4, 6, 6))), Tensor(k), stride=(1, 1, 1), padding=(1, 1, 1))
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_conv2d_matches_naive_loops(self):
         r = rng_for(2)
         x = r.normal(size=(2, 6, 7))
         k = r.normal(size=(3, 2, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(k), stride=(2, 1), padding=(1, 0)).data
+        out = T.conv2d(Tensor(x[None]), Tensor(k), stride=(2, 1), padding=(1, 0)).data[0]
         xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
         naive = np.zeros_like(out)
         for co in range(3):
@@ -413,7 +414,7 @@ class TestConv:
     def test_conv3d_gradients_vs_fd(self):
         for seed in SEEDS[:3]:
             r = rng_for(seed)
-            x = r.normal(size=(2, 4, 6, 6))
+            x = r.normal(size=(1, 2, 4, 6, 6))
             k = r.normal(size=(2, 2, 3, 3, 3))
             assert_grad_matches(
                 lambda a, w: T.tsum(T.mul(T.conv3d(a, w, stride=(1, 2, 2), padding=(1, 1, 1)),
@@ -424,7 +425,7 @@ class TestConv:
     def test_conv2d_gradients_vs_fd(self):
         for seed in SEEDS[:3]:
             r = rng_for(seed)
-            x = r.normal(size=(2, 6, 5))
+            x = r.normal(size=(1, 2, 6, 5))
             k = r.normal(size=(3, 2, 3, 3))
             assert_grad_matches(
                 lambda a, w: T.tsum(T.mul(T.conv2d(a, w, stride=(2, 1), padding=(1, 1)),
@@ -438,8 +439,8 @@ class TestConv:
         k = r.normal(size=(4, 2, 3, 3, 3))
         batched = T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1)).data
         for b in range(3):
-            single = T.conv3d(Tensor(x[b]), Tensor(k), padding=(1, 1, 1)).data
-            np.testing.assert_allclose(batched[b], single, atol=1e-12)
+            single = T.conv3d(Tensor(x[b : b + 1]), Tensor(k), padding=(1, 1, 1)).data
+            np.testing.assert_allclose(batched[b : b + 1], single, atol=1e-12)
 
     @staticmethod
     def col2im_oracle(g, k, x_shape, stride, padding):
@@ -458,8 +459,7 @@ class TestConv:
         return dxp[(slice(None), slice(None)) + core]
 
     def check_input_grad(self, seed, x_shape, k_shape, stride, padding, dtype=np.float64):
-        """The input gradient, batched and unbatched, against col2im_oracle in
-        float64; returns the batched gradient."""
+        """The input gradient against col2im_oracle in float64; returns it."""
         r = rng_for(seed)
         x = r.normal(size=x_shape)
         k = r.normal(size=k_shape)
@@ -473,11 +473,6 @@ class TestConv:
         tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
         assert xt.grad.dtype == dtype
         np.testing.assert_allclose(xt.grad, want, **tol)
-        # an unbatched input takes the same path
-        xu = Tensor(x[1].astype(dtype), requires_grad=True)
-        T.tsum(T.mul(conv(xu, Tensor(k.astype(dtype)), stride=stride, padding=padding),
-                     Tensor(g[1].astype(dtype)))).backward()
-        np.testing.assert_allclose(xu.grad, want[1], **tol)
         return xt.grad
 
     @pytest.mark.parametrize("nd", [2, 3])
@@ -537,11 +532,11 @@ class TestConv:
         "x_shape, k_shape, stride, padding",
         [
             ((2, 3, 5, 7, 6), (4, 3, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
-            # unbatched, and a kernel no longer than its stride: the gradient
-            # needs no zero extension and is read through a view
-            ((3, 6, 8), (2, 3, 2, 2), (2, 2), (0, 0)),
+            # a kernel no longer than its stride: the gradient needs no zero
+            # extension and is read through a view
+            ((1, 3, 6, 8), (2, 3, 2, 2), (2, 2), (0, 0)),
         ],
-        ids=["extended", "unextended_unbatched"],
+        ids=["extended", "unextended"],
     )
     def test_backward_leaves_its_gradient_unchanged(self, x_shape, k_shape, stride, padding):
         r = rng_for(12)
@@ -566,11 +561,17 @@ class TestConv:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):
-            T.conv3d(Tensor(np.ones((3, 4, 4, 4))), Tensor(np.ones((2, 4, 3, 3, 3))))
+            T.conv3d(Tensor(np.ones((1, 3, 4, 4, 4))), Tensor(np.ones((2, 4, 3, 3, 3))))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^conv3d: input rank must be 5, got 4$"):
+            T.conv3d(Tensor(np.ones((3, 4, 4, 4))), Tensor(np.ones((2, 3, 3, 3, 3))))
+        with pytest.raises(ValueError, match=r"^conv2d: input rank must be 4, got 3$"):
+            T.conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((2, 3, 3, 3))))
 
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError, match="H"):
-            T.conv2d(Tensor(np.ones((1, 2, 8))), Tensor(np.ones((1, 1, 5, 3))))
+            T.conv2d(Tensor(np.ones((1, 1, 2, 8))), Tensor(np.ones((1, 1, 5, 3))))
 
 
 class TestBackwardSemantics:
@@ -607,19 +608,20 @@ class TestBackwardSemantics:
         # conv3d -> relu -> pool -> cosine against a fixed direction
         for seed in SEEDS[:3]:
             r = rng_for(seed)
-            x = r.normal(size=(2, 3, 5, 5))
+            x = r.normal(size=(1, 2, 3, 5, 5))
             k = r.normal(size=(3, 2, 3, 3, 3)) * 0.5
             ref = r.normal(size=3)
 
             def build(a, w):
-                feat = T.global_avg_pool(T.relu(T.conv3d(a, w, padding=(1, 1, 1))))
+                # the one sample's (C, T, H, W) map, pooled per channel
+                feat = T.global_avg_pool(T.reshape(T.relu(T.conv3d(a, w, padding=(1, 1, 1))), (3, 3, 5, 5)))
                 return T.cosine_similarity(feat, Tensor(ref))
 
             assert_grad_matches(build, [x, k], tol=1e-4)
 
     def test_forward_deterministic(self):
         r = rng_for(5)
-        x = r.normal(size=(2, 3, 4, 4))
+        x = r.normal(size=(1, 2, 3, 4, 4))
         k = r.normal(size=(2, 2, 3, 3, 3))
         a = T.tsum(T.relu(T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1))))
         b = T.tsum(T.relu(T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1))))

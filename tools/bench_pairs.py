@@ -12,20 +12,25 @@ The summary goes into BENCH_<sha>.json at the root of this repository, where
 <sha> is the first 12 characters of the change tree's git sha from its stamp.
 Each run of this script appends one set of pairs to the list kept under its
 workload's key (<workload>-trace for a traced set), so the three workloads and
-any repeated sets all land in one file. Each set holds both sides' stamps (machine, numpy, BLAS, git sha and
-dirty flag) and, per metric, each side's median and quartiles, the
-change/parent ratio of the medians, the number of pairs in which the
-change was better (ties count for neither side; two values of a metric
-with unit `count` tie when they agree to a relative 1e-9) and `gain_rule`: whether a
+any repeated sets all land in one file. Each set holds both sides' stamps
+(machine, numpy, BLAS, git sha and dirty flag), this repository's `git
+rev-parse HEAD` (`repo_head`; a side's stamp may name a commit that only its
+own tree holds), each side's SHA-256 over its src/ files (`<side>_src_sha256`,
+see `src_tree_hash`) and, per metric, each side's median and quartiles, the
+change/parent ratio of the medians, the number of pairs in which the change
+was better (ties count for neither side; two values of a metric with unit
+`count` tie when they agree to a relative 1e-9) and `gain_rule`: whether a
 gain on that metric may be claimed, i.e. the set has at least 10 pairs, the
 change was better in at least 9 of every 10 of them and its median is better
-than the parent's by more than the parent's interquartile range. Which direction is better comes from
-BENCHMARK.json; a metric it does not list gets no count and no gain_rule.
+than the parent's by more than the parent's interquartile range. Which
+direction is better comes from BENCHMARK.json; a metric it does not list gets
+no count and no gain_rule.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -112,6 +117,27 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     }
 
 
+def src_tree_hash(tree: Path) -> str:
+    """SHA-256 over the files under tree/src, in sorted order of their relative
+    paths: each file adds its path, its size and its bytes. __pycache__ is
+    skipped, so only the source a run imports is hashed."""
+    src = Path(tree) / "src"
+    files = sorted((p.relative_to(src).as_posix(), p) for p in src.rglob("*")
+                   if p.is_file() and "__pycache__" not in p.relative_to(src).parts)
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def repo_head() -> str | None:
+    """`git rev-parse HEAD` of this repository, or None outside a git checkout."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -161,7 +187,9 @@ def main(argv=None) -> int:
     summary = summarize(results["parent"], results["change"], better)
     summary.update(seeds=args.seeds, seconds=args.seconds, trace=args.trace,
                    first=[SIDES[i % 2] for i in range(len(args.seeds))],
-                   **{f"{side}_stamp": stamps[side] for side in SIDES})
+                   repo_head=repo_head(),
+                   **{f"{side}_stamp": stamps[side] for side in SIDES},
+                   **{f"{side}_src_sha256": src_tree_hash(trees[side]) for side in SIDES})
     sha = stamps["change"]["git"]["sha"] or "unknown"
     out = ROOT / f"BENCH_{sha[:12]}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
