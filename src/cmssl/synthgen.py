@@ -17,7 +17,7 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
-from .codec import CodecConfig, RawVideo, encode_video, pad_frames_to_block, write_cmv1
+from .codec import CodecConfig, RawVideo, encode_video, write_cmv1
 
 CONTEXT_FAMILIES = ("gradient", "stripes", "checker", "blobs")
 MOTION_FAMILIES = ("drift", "orbit", "zigzag", "sway")
@@ -74,14 +74,12 @@ def _render_background(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
         oy, ox = rng.integers(0, cell, size=2)
         band = (((yy + oy) // cell + (xx + ox) // cell) % 2).astype(int)
         bg = np.where(band[:, :, None] == 0, c0[None, None], c1[None, None])
-    elif family == "blobs":
+    else:  # blobs; generate_video has checked the class
         palette = _pick_colors(rng, 3)
         coarse = rng.integers(0, 3, size=(max(h // 8, 1), max(w // 8, 1)))
         idx = coarse[np.minimum(yy.astype(int) // 8, coarse.shape[0] - 1),
                      np.minimum(xx.astype(int) // 8, coarse.shape[1] - 1)]
         bg = palette[idx]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown context family {family}")
     return bg
 
 
@@ -152,11 +150,9 @@ class _Sprite:
             leg = ph if ph < self.period else cyc - ph
             cx = self._reflect(self.cx0 + self.speed * (leg - self.period / 2), m, self.w - m)
             cy = self._reflect(self.cy0 + self.vy_drift * t, m, self.h - m)
-        elif self.family == "sway":
+        else:  # sway
             cx = self._reflect(self.cx0 + self.vx_drift * t, m, self.w - m)
             cy = self.oy + self.amp * np.sin(self.phase + self.omega * t)
-        else:  # pragma: no cover
-            raise ValueError(self.family)
         return _round_px(cx), _round_px(cy)
 
     def paint(self, frames: np.ndarray):
@@ -173,6 +169,16 @@ class _Sprite:
         else:
             mask = (dx2 <= rr)[:, None, :] & (dy2 <= rr)[:, :, None]
         frames.reshape(-1, 3)[np.flatnonzero(mask)] = np.clip(self.color, 0, 255).astype(np.uint8)
+
+
+def pad_frames_to_block(frames: np.ndarray, block_size: int) -> np.ndarray:
+    """Edge-replicate pad H and W up to multiples of block_size, as encode_video needs."""
+    t, h, w, _ = frames.shape
+    ph = (-h) % block_size
+    pw = (-w) % block_size
+    if ph == 0 and pw == 0:
+        return frames
+    return np.pad(frames, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
 
 
 def generate_video(spec: SceneSpec, codec_block_size: int = 8) -> LabeledVideo:

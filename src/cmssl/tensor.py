@@ -75,6 +75,11 @@ _GRAD_ENABLED = True
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_MAX = -4
 
+# fixed op constants; Python floats, so a float32 input stays float32
+LEAKY_RELU_SLOPE = 0.01
+LAYER_NORM_EPS = 1e-5
+L2_NORMALIZE_EPS = 1e-8
+
 
 def _keep_heap_mapped():
     """Stop glibc from trimming the heap and from serving requests by mmap."""
@@ -404,21 +409,18 @@ def relu(a) -> Tensor:
     return _make(data, (a,), "relu", backward)
 
 
-def leaky_relu(a, slope: float = 0.01) -> Tensor:
-    """a where a > 0, slope * a elsewhere; computed as max(a, slope * a), which
-    is that only for 0 <= slope <= 1."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+def leaky_relu(a) -> Tensor:
+    """a where a > 0, LEAKY_RELU_SLOPE * a elsewhere; computed as
+    max(a, slope * a), which is that because 0 <= slope <= 1."""
     a = _as_tensor(a)
     na = _grad_node(a)
-    slope = float(slope)  # a numpy float64 slope would promote a float32 input
     mask = a.data > 0
-    data = a.data * slope
+    data = a.data * LEAKY_RELU_SLOPE
     np.maximum(data, a.data, out=data)
 
     def backward(g):
         f = mask.astype(na.dtype)
-        np.maximum(f, slope, out=f)
+        np.maximum(f, LEAKY_RELU_SLOPE, out=f)
         f *= g
         na._accum(f)
 
@@ -495,18 +497,16 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), "sum", backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     na = _grad_node(a)
     axes = _norm_axes(axis, a.data.ndim)
     n = int(np.prod([a.data.shape[i] for i in axes]))
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        na._accum(np.broadcast_to(g / n, na.shape))
+        na._accum(np.broadcast_to(np.expand_dims(g, axes) / n, na.shape))
 
-    return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), "mean", backward)
+    return _make(a.data.mean(axis=axes), (a,), "mean", backward)
 
 
 # -- linear algebra -------------------------------------------------------------
@@ -569,26 +569,23 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), "softmax", backward)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis: int = -1) -> Tensor:
     """log(sum(exp(a))) along one axis, stabilized by a detached max shift."""
     a = _as_tensor(a)
     na = _grad_node(a)
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    data = np.log(s) + m
+    data = np.squeeze(np.log(s) + m, axis=axis)
     soft = e / s
 
     def backward(g):
-        gk = g if keepdims else np.expand_dims(g, axis)
-        na._accum(gk * soft)
+        na._accum(np.expand_dims(g, axis) * soft)
 
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
     return _make(data, (a,), "logsumexp", backward)
 
 
-def layer_norm(a, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gamma, beta, axis: int = -1) -> Tensor:
     """Normalize over one axis; gamma/beta must broadcast against the output."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     na, ngamma, nbeta = _grad_node(a), _grad_node(gamma), _grad_node(beta)
@@ -597,7 +594,7 @@ def layer_norm(a, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
     mu = a.data.mean(axis=ax, keepdims=True)
     xhat = a.data - mu
     var = np.mean(xhat * xhat, axis=ax, keepdims=True)
-    inv_sigma = 1.0 / np.sqrt(var + eps)
+    inv_sigma = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv_sigma
     data = xhat * gd
     data += beta.data
@@ -663,11 +660,11 @@ def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
     return div(dot, mul(na, nb))
 
 
-def l2_normalize(a, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    """Rows of unit L2 norm along `axis` (norm + eps in the denominator)."""
+def l2_normalize(a, axis: int = -1) -> Tensor:
+    """Rows of unit L2 norm along `axis` (norm + L2_NORMALIZE_EPS as denominator)."""
     a = _as_tensor(a)
     norm = tsqrt(add(tsum(mul(a, a), axis=axis, keepdims=True), _NORM_FLOOR))
-    return div(a, add(norm, eps))
+    return div(a, add(norm, L2_NORMALIZE_EPS))
 
 
 # -- convolutions ----------------------------------------------------------------

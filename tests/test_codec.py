@@ -16,7 +16,6 @@ from cmssl.codec import (
     encode_video,
     extract_modalities,
     motion_compensate,
-    pad_frames_to_block,
     read_cmv1,
     write_cmv1,
 )
@@ -438,13 +437,6 @@ class TestRoundtrip:
             assert len(cv.iframes) == 3 and len(cv.mvs) == t - 3
             np.testing.assert_array_equal(decode_video(cv).frames, v.frames)
 
-    def test_padding_to_block_multiple(self):
-        rng = np.random.default_rng(8)
-        frames = rng.integers(0, 256, size=(3, 30, 29, 3), dtype=np.uint8)
-        padded = pad_frames_to_block(frames, 8)
-        assert padded.shape[1:3] == (32, 32)
-        np.testing.assert_array_equal(padded[:, :30, :29], frames)
-
 
 class TestExtractModalities:
     def test_static_window_is_zero(self):
@@ -765,6 +757,11 @@ class TestContainer:
         cv = encode_video(random_video(np.random.default_rng(28), t=13, h=16, w=16))
         with pytest.raises(ValueError, match="height 12 is not a positive multiple of block_size 8"):
             dataclasses.replace(cv, iframes=cv.iframes[:, :12], residuals=cv.residuals[:, :12])
+        # encode_video takes only a whole block grid: it pads nothing, so
+        # what it accepts decodes back at its own size
+        for h, w, want in ((12, 16, "height 12"), (16, 29, "width 29"), (30, 29, "height 30")):
+            with pytest.raises(ValueError, match=f"{want} is not a positive multiple of block_size 8"):
+                encode_video(random_video(np.random.default_rng(29), t=5, h=h, w=w))
 
     def test_zero_height_rejected(self, tmp_path):
         path = tmp_path / "h0.cmv1"
@@ -781,6 +778,8 @@ class TestContainer:
             read_cmv1(path)
         with pytest.raises(ValueError, match="frame_count 0"):
             CompressedVideo(CodecConfig(), *empty_arrays(0, 16, 16))
+        with pytest.raises(ValueError, match="frame_count 0"):
+            encode_video(RawVideo(frames=np.zeros((0, 16, 16, 3), dtype=np.uint8)))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cv = encode_video(random_video(np.random.default_rng(33), t=13, h=16, w=16))

@@ -222,9 +222,41 @@ class TestMseAndJoint:
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            joint_loss(Tensor(1.0), Tensor(1.0), 1.5)
-        with pytest.raises(ValueError, match="alpha"):
             PretextConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("alpha", np.nan, r"alpha must be in \[0, 1\]"),
+        ("temperature", 0.0, "temperature must be positive and finite"),
+        ("temperature", np.nan, "temperature must be positive and finite"),
+        ("temperature", np.inf, "temperature must be positive and finite"),
+        ("clip_stride", -1, "clip_stride must be a positive int, got -1"),
+        ("clip_stride", 0, "clip_stride must be a positive int, got 0"),
+        ("clip_stride", 1.5, "clip_stride must be a positive int, got 1.5"),
+        ("hard_negative_count", -2, "hard_negative_count must be an int >= 0, got -2"),
+        ("hard_negative_count", 2.0, "hard_negative_count must be an int >= 0, got 2.0"),
+        ("blur_prob", -0.1, r"blur_prob must be in \[0, 1\]"),
+        ("blur_prob", 1.5, r"blur_prob must be in \[0, 1\]"),
+        ("blur_prob", np.nan, r"blur_prob must be in \[0, 1\]"),
+        ("jitter_strength", -0.1, r"jitter_strength must be in \[0, 1\)"),
+        ("jitter_strength", 1.0, r"jitter_strength must be in \[0, 1\)"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ])
+    def test_config_rejects_what_it_would_mishandle(self, field, value, want):
+        # a negative stride reversed each clip, a zero one froze it, a
+        # negative count meant 0 and a nan temperature passed; a zero batch
+        # size was reported as videos too short
+        with pytest.raises(ValueError, match=want):
+            if field == "batch_size":
+                sample_training_batch([make_video_record()], value, ModelConfig(), PretextConfig(),
+                                      np.random.default_rng(0))
+            else:
+                PretextConfig(**{field: value})
+
+    def test_config_accepts_its_range_ends(self):
+        for kwargs in ({"alpha": 0.0}, {"alpha": 1.0}, {"clip_stride": 1}, {"hard_negative_count": 0},
+                       {"blur_prob": 0.0}, {"blur_prob": 1.0}, {"jitter_strength": 0.0},
+                       {"clip_stride": np.int64(3)}, {"hard_negative_count": np.int64(0)}):
+            PretextConfig(**kwargs)
 
     def test_pool_mv_values(self):
         mv = np.arange(2 * 2 * 4 * 4 * 4, dtype=np.float64).reshape(2, 2, 4, 4, 4)
@@ -255,12 +287,8 @@ def draw_sample_indices_loop(n_frames, video_id, iframe_positions, gop_size, mod
     lo = start - IFRAME_WINDOW_GOPS * gop_size
     hi = clip_end + IFRAME_WINDOW_GOPS * gop_size
     nearby = [t for t in iframe_positions if lo <= t <= hi]
-    if not nearby:
-        nearby = [min(iframe_positions, key=lambda t: abs(t - start))]
     iframe_index = int(nearby[rng.integers(0, len(nearby))])
     mv_indices = build_motion_target(clip_indices, horizon, cfg)
-    if mv_indices[-1] >= n_frames:
-        return None
     p_lo, p_hi = int(mv_indices[0]), int(mv_indices[-1])
     candidates = []
     for s in range(0, n_frames - horizon + 1):
@@ -276,7 +304,9 @@ def draw_sample_indices_loop(n_frames, video_id, iframe_positions, gop_size, mod
 class TestSampler:
     def test_draws_equal_the_per_start_loop(self):
         cases = skipped = 0
-        for clip_len, stride, period in [(8, 2, "future"), (8, 1, "current"), (16, 1, "future"), (8, 3, "current")]:
+        for clip_len, stride, period in [
+            (8, 2, "future"), (8, 1, "current"), (16, 1, "future"), (8, 3, "current"), (16, 1, "current"),
+        ]:
             mcfg = ModelConfig(clip_len=clip_len)
             cfg = PretextConfig(clip_stride=stride, target_period=period)
             for n_frames in range(12, 50, 3):
@@ -295,6 +325,11 @@ class TestSampler:
                         assert all(type(s) is int for s in got.negative_mv_starts)
                         np.testing.assert_array_equal(got.clip_indices, clip_indices)
                         np.testing.assert_array_equal(got.mv_indices, mv_indices)
+                        # every frame the sample reads lies inside the video
+                        windows = [got.clip_indices, [got.iframe_index], got.mv_indices]
+                        windows += [s + np.arange(mcfg.mv_len) for s in got.negative_mv_starts]
+                        read = np.concatenate(windows)
+                        assert read.min() >= 0 and read.max() < n_frames, (n_frames, got)
                         cases += 1
                     assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)  # the same draws were made
         assert cases > 300 and skipped > 20, (cases, skipped)

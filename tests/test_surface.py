@@ -73,12 +73,19 @@ def test_benchmark_tracer_times_every_backward_closure_once(monkeypatch):
 
 
 def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
-    """The benchmark's embed and train units run on load_videos records: a
-    record refactor that drops a name they read fails here."""
+    """The benchmark's build unit passes generate_dataset these keywords and
+    reads every video back bit-exact against a fresh render; its embed and
+    train units run on load_videos records. A refactor that drops a keyword
+    or a name they read, or breaks that read-back, fails here."""
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import workloads
 
-    synthgen.generate_dataset(tmp_path, n_videos=2, k_context=2, k_motion=1, resolution=(32, 32), seed=0)
+    synthgen.generate_dataset(
+        tmp_path, n_videos=2, k_context=2, k_motion=1, frames=36, resolution=(32, 32), seed=0,
+        codec=codec.CodecConfig(), threads=1,
+    )
+    build = workloads.DatasetBuild(0, workloads.Sizes(build_videos=2), tmp_path)
+    assert build._check(tmp_path) == 0 and build.videos_written == 2
     videos = pretext.load_videos(tmp_path)
     assert all(v.cv.residuals is None for v in videos)
     for v in videos:  # what workloads.embed_batch passes to draw_sample_indices

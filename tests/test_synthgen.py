@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from cmssl import synthgen
-from cmssl.codec import decode_video, encode_video, extract_modalities, pad_frames_to_block, read_cmv1
+from cmssl.codec import decode_video, encode_video, extract_modalities, read_cmv1
 from cmssl.synthgen import (
     SceneSpec,
     generate_dataset,
     generate_video,
     load_manifest,
     manifest_digest,
+    pad_frames_to_block,
 )
 
 
@@ -102,6 +103,13 @@ class TestGenerateVideo:
             lv = generate_video(spec(seed=seed, context=seed % 4, motion=seed % 4))
             out = decode_video(encode_video(lv.video))
             np.testing.assert_array_equal(out.frames, lv.video.frames)
+
+    def test_padding_to_block_multiple(self):
+        rng = np.random.default_rng(8)
+        frames = rng.integers(0, 256, size=(3, 30, 29, 3), dtype=np.uint8)
+        padded = pad_frames_to_block(frames, 8)
+        assert padded.shape[1:3] == (32, 32)
+        np.testing.assert_array_equal(padded[:, :30, :29], frames)
 
     def test_odd_resolution_padded_and_recorded(self):
         lv = generate_video(spec(seed=5, res=30))
