@@ -292,8 +292,10 @@ def generate_dataset(
             "split": e["split"],
             "seed": e["seed"],
             "frames": int(lv.video.n_frames),
-            "H": int(lv.video.height),
-            "W": int(lv.video.width),
+            # the rendered size, which SceneSpec takes back; the CMV1 frames
+            # are padded up to the codec's block grid
+            "H": int(resolution[0]),
+            "W": int(resolution[1]),
         }
 
     if threads > 1 and entries:

@@ -18,10 +18,14 @@ The graph is made of nodes, not of Tensors. A Tensor's `_Node` holds its
 gradient, its backward closure, its parents' nodes, and its op, shape and
 dtype, but not its data. An op's closure holds its parents' nodes and
 exactly the arrays its backward reads (matmul, mul and div inputs; softmax,
-exp and sqrt outputs; layer_norm's xhat; a conv's patch matrix and kernels;
-masks), never a Tensor. So once the caller drops an intermediate Tensor its
-array is freed unless some backward reads it: a conv or layer_norm output
-dies with its Tensor.
+exp and sqrt outputs; layer_norm's xhat; a conv's unpadded input, kept only
+when its kernels take a gradient, and its kernels, kept only when its input
+takes one; masks), never a Tensor. So once the caller drops an intermediate
+Tensor its array is freed unless some backward reads it: a conv or
+layer_norm output dies with its Tensor. The convs' im2col patch matrices
+are the largest arrays of a step and cheap to rebuild, so the forward frees
+each after its GEMM and the kernel gradient rebuilds it, bit for bit, from
+the held input: memory traded for time, as in gradient checkpointing.
 
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
@@ -43,9 +47,12 @@ Who owns a gradient array:
 
 Memory between steps: a training step allocates its activations and
 gradients and frees them as backward() walks the graph. By tracemalloc, a
-B=8 forward of the default float32 model leaves 70.7 MiB live, the peak of
-its backward is 72.7 MiB, and 1.1 MiB stays live after it while the
-forward's outputs are still held (138.7, 142.7 and 2.1 MiB at float64).
+B=8 forward of the default float32 model leaves 35.9 MiB live, the peak of
+its backward is 40.6 MiB, and 1.1 MiB stays live after it while the
+forward's outputs are still held (74.9, 84.5 and 2.1 MiB at float64). The
+backward's peak holds one rebuilt patch matrix, at most v_net's second
+conv's 13.5 MiB; holding every patch matrix from the forward instead left
+70.7 MiB live and peaked at 72.7 MiB.
 The walk frees the forward's arrays newest first, the reverse of the order
 they were allocated in, so the heap unwinds much like a stack and the next
 step's forward finds the same free space again. A walk in depth-first order
@@ -89,7 +96,7 @@ def _keep_heap_mapped():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # -1 disables trimming: the ≈73 MiB a float32 B=8 step frees stays mapped
+    # -1 disables trimming: the ≈41 MiB a float32 B=8 step frees stays mapped
     # for the next step. No mmap threshold is enough on its own: the largest
     # array grows with the batch (the float32 patch matrix of v_net's second
     # conv is 13.5 MiB at 8 clips and 54 MiB at 32), and glibc caps the
@@ -741,8 +748,29 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
     return dx
 
 
+def _patch_matrix(x, ksp, out_sp, stride, padding) -> np.ndarray:
+    """The (cin*prod(ksp), B*prod(out_sp)) im2col matrix of x (B, cin, *spatial).
+
+    Rows run over (cin, *ksp) and columns over (B, *out_sp), so the batch
+    folds into the GEMM columns and the forward and the kernel gradient are
+    single GEMM calls. x is zero-padded into a fresh buffer first; the buffer
+    dies with the call.
+    """
+    B, cin = x.shape[:2]
+    if any(padding):
+        xp = np.zeros(x.shape[:2] + tuple(n + 2 * p for p, n in zip(padding, x.shape[2:])), dtype=x.dtype)
+        xp[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))] = x
+    else:
+        xp = x
+    sx = xp.strides
+    view_shape = (B, cin) + ksp + out_sp
+    view_strides = sx + tuple(d * s for d, s in zip(sx[2:], stride))
+    cols = np.moveaxis(np.lib.stride_tricks.as_strided(xp, view_shape, view_strides), 0, len(ksp) + 1)
+    return cols.reshape(cin * int(np.prod(ksp)), B * int(np.prod(out_sp)))
+
+
 def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Tensor:
-    """Shared 2-D/3-D convolution via strided patch extraction + matmul.
+    """Shared 2-D/3-D convolution: one GEMM of the kernels with the patch matrix.
 
     a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial).
     """
@@ -763,41 +791,25 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
     out_sp = tuple(
         _conv_out_len(spatial[i], ksp[i], stride[i], padding[i], names[i]) for i in range(nd)
     )
-
-    # the input inside its zero border: a zeros buffer and one slice copy
-    core = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
-    if any(padding):
-        xp = np.zeros(x.shape[:2] + tuple(n + 2 * p for p, n in zip(padding, spatial)), dtype=x.dtype)
-        xp[core] = x
-    else:
-        xp = x
-
-    # patch layout (cin, *ksp, B, *out_sp) folds the whole batch into the GEMM
-    # columns, so the forward and the kernel gradient are single GEMM calls
-    sx = xp.strides
-    view_shape = (B, cin) + ksp + out_sp
-    view_strides = (
-        sx[:2]
-        + tuple(sx[2 + i] for i in range(nd))
-        + tuple(sx[2 + i] * stride[i] for i in range(nd))
-    )
-    cols = np.moveaxis(np.lib.stride_tricks.as_strided(xp, view_shape, view_strides), 0, nd + 1)
-    K = cin * int(np.prod(ksp))
     N = int(np.prod(out_sp))
-    colmat = cols.reshape(K, B * N)
     cout = kd.shape[0]
-    kmat = kd.reshape(cout, K)
-    out = (kmat @ colmat).reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
+    # the patch matrix is a temporary of this product and is freed with it
+    out = kd.reshape(cout, -1) @ _patch_matrix(x, ksp, out_sp, stride, padding)
+    out = out.reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
     na, nk = _grad_node(a), _grad_node(kernels)
-    # the kernel gradient reads the patch matrix, the input gradient the kernels
-    cols_in = colmat if nk is not None else None
+    # the kernel gradient rebuilds the patch matrix from the unpadded input,
+    # about prod(ksp)/prod(stride) times smaller; the input gradient reads the
+    # kernels. _patch_matrix takes x_in as an argument, so a conv with frozen
+    # kernels holds no input.
+    x_in = x if nk is not None else None
     k_in = kd if na is not None else None
 
     def backward(g):
         gmat = np.moveaxis(g, 1, 0).reshape(cout, B * N)
         if nk is not None:
-            # (K, B*N) @ (B*N, cout) runs faster in BLAS than the transposed product
-            nk._accum((cols_in @ gmat.T).T.reshape(nk.shape))
+            # (K, B*N) @ (B*N, cout) runs faster in BLAS than the transposed
+            # product; the rebuilt patch matrix dies with it, before dx is made
+            nk._accum((_patch_matrix(x_in, ksp, out_sp, stride, padding) @ gmat.T).T.reshape(nk.shape))
         if na is not None:
             na._accum(np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0))
 

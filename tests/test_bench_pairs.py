@@ -78,6 +78,35 @@ def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr(bp):
     assert s["iter_ms_p50"]["pairs_better"] == 9 and s["iter_ms_p50"]["gain_rule"] is False
 
 
+def test_regressed_past_the_bound_of_the_parent_median(bp):
+    bounds = {"items_per_s": 0.25, "iter_ms_p50": 0.1}
+    parent = [result(40, 200, 1)] * 4
+    # items 25% lower sits on the bound; ms 10.5% higher is past its bound
+    s = bp.summarize(parent, [result(30, 221, 1)] * 4, BETTER, bounds)["metrics"]
+    assert s["items_per_s"]["regressed"] is False
+    assert s["iter_ms_p50"]["regressed"] is True
+    # a metric with no bound gets no verdict
+    assert "regressed" not in s["unlisted"]
+    s = bp.summarize(parent, [result(29.9, 219, 1)] * 4, BETTER, bounds)["metrics"]
+    assert s["items_per_s"]["regressed"] is True and s["iter_ms_p50"]["regressed"] is False
+    # any gain, however large, is no regression
+    s = bp.summarize(parent, [result(80, 100, 1)] * 4, BETTER, bounds)["metrics"]
+    assert not s["items_per_s"]["regressed"] and not s["iter_ms_p50"]["regressed"]
+    # without bounds, as for the per-layer metrics, nothing is judged
+    assert "regressed" not in bp.summarize(parent, parent, BETTER)["metrics"]["items_per_s"]
+
+
+def test_table_rows_show_gain_rule_and_regressed(bp):
+    parent = [result(40, 200, 1)] * 2
+    s = bp.summarize(parent, [result(29, 190, 1)] * 2, BETTER, {"items_per_s": 0.25})
+    rows = dict(zip(("items", "ms", "unlisted"), bp.table_rows("pretrain_joint", s, [3, 4])))
+    assert all(len(r.split("|")) == len(bp.TABLE_HEADER[0].split("|")) for r in rows.values())
+    assert rows["items"].endswith("| 0/2 | no | yes |")
+    assert rows["ms"].endswith("| 2/2 | no | – |")
+    assert rows["unlisted"].endswith("| – | – | – |")
+    assert rows["items"].startswith("| pretrain_joint (2 pairs, seeds 3–4) | `items_per_s` | 40 [40, 40] | 29 [29, 29] |")
+
+
 def test_counts_equal_up_to_float_rounding_tie(bp):
     def traced(calls, nodes):
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": {
@@ -124,6 +153,9 @@ def test_seed_lists_and_directions(bp):
     better = bp.better_directions(json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text()))
     assert better["items_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
     assert better["tensor.conv3d.bwd_ms"] == "lower"
+    bounds = bp.metric_bounds(json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text()))
+    assert bounds["peak_rss_mb"] == 0.1 and bounds["items_per_s"] == 0.25
+    assert "tensor.conv3d.bwd_ms" not in bounds
 
 
 FAKE_RUN = '''
@@ -147,7 +179,8 @@ def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monk
         (tmp_path / side / "perfbench" / "run.py").write_text(textwrap.dedent(FAKE_RUN))
     root = tmp_path / "repo"
     root.mkdir()
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "items_per_s", "better": "higher"}]}))
+    (root / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "items_per_s", "better": "higher", "bound": 0.25}]}))
     monkeypatch.setattr(bp, "ROOT", root)
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1-3", "--seconds", "1"]
     assert bp.main(argv + ["--workload", "pretrain_joint"]) == 0
@@ -163,6 +196,7 @@ def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monk
     assert w["seeds"] == [1, 2, 3] and w["first"] == ["parent", "change", "parent"]
     assert w["metrics"]["items_per_s"]["pairs_better"] == 3
     assert w["metrics"]["items_per_s"]["parent"]["median"] == 2
+    assert w["metrics"]["items_per_s"]["regressed"] is False
     assert w["parent_stamp"]["git"]["sha"] == "parentparentparentparent"
     assert "seed" not in w["change_stamp"]
     # each set names each side's src tree; the fake trees have none

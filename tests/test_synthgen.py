@@ -222,6 +222,16 @@ class TestGenerateDataset:
             assert cv.frame_count == rec["frames"]
             decode_video(cv)
 
+    def test_manifest_size_renders_the_stored_frames(self, tmp_path):
+        # H and W name the render; the CMV1 frames are padded to the block grid
+        generate_dataset(tmp_path, n_videos=2, k_context=2, k_motion=1, frames=9, resolution=(30, 29), seed=8)
+        for rec in load_manifest(tmp_path):
+            assert (rec["H"], rec["W"]) == (30, 29)
+            scene = SceneSpec(rec["context_class"], rec["motion_class"], rec["seed"], rec["frames"], rec["H"], rec["W"])
+            stored = decode_video(read_cmv1(tmp_path / rec["path"])).frames
+            assert stored.shape == (9, 32, 32, 3)
+            np.testing.assert_array_equal(stored, generate_video(scene).video.frames)
+
     def test_reference_dataset_digest_pinned(self, tmp_path):
         # the dataset every benchmark gate runs on; a change to CMV1 bytes or
         # to rendering moves this digest

@@ -545,14 +545,73 @@ class TestConv:
         np.testing.assert_array_equal(g, before)
         assert np.any(x.grad != 0.0) and np.any(k.grad != 0.0)
 
-    def test_backward_does_not_hold_the_padded_input(self):
-        x = Tensor(rng_for(13).normal(size=(2, 3, 4, 6, 6)), requires_grad=True)
-        out = T.conv3d(x, Tensor(np.ones((2, 3, 3, 3, 3))), stride=(1, 2, 2), padding=(1, 1, 1))
-        padded = (2, 3, 6, 8, 8)
-        held = [c.cell_contents for c in out._backward.__closure__]
-        arrays = [v for v in held if isinstance(v, np.ndarray)]
-        assert arrays, "the closure should hold the patch matrix"
-        assert all(v.shape != padded and (v.base is None or v.base.shape != padded) for v in arrays)
+    @pytest.mark.parametrize("x_grad, k_grad", [(True, True), (False, True), (True, False)])
+    def test_closure_holds_its_input_and_kernels_not_their_patches(self, x_grad, k_grad):
+        # v_net's second conv: the patch matrix (432, 2*4*16*16) is 3.2 times
+        # the input plus the kernels, and the zero-padded input is 1.4 times
+        # the input; the kernel gradient rebuilds both from the input
+        r = rng_for(13)
+        x = Tensor(r.normal(size=(2, 16, 8, 32, 32)), requires_grad=x_grad)
+        k = Tensor(r.normal(size=(32, 16, 3, 3, 3)), requires_grad=k_grad)
+        out = T.conv3d(x, k, stride=(2, 2, 2), padding=(1, 1, 1))
+        held = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert sum(v.nbytes for v in held) <= x.data.nbytes + k.data.nbytes
+        # the kernel gradient reads the input, the input gradient the kernels
+        assert any(v is x.data for v in held) == k_grad
+        assert any(v is k.data for v in held) == x_grad
+        if not k_grad:
+            assert not any(np.shares_memory(v, x.data) for v in held)
+
+    @staticmethod
+    def explicit_patches(x, k_shape, stride, padding):
+        """(B, cin, prod(ksp), prod(out_sp)) patches of x, gathered by fancy
+        indexing from an np.pad copy."""
+        nd = len(stride)
+        xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+        out_sp = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], k_shape[2:], stride))
+        offs = np.array(list(np.ndindex(*k_shape[2:])))
+        outs = np.array(list(np.ndindex(*out_sp)))
+        pos = offs[:, None, :] + outs[None, :, :] * np.array(stride)
+        return xp[(slice(None), slice(None)) + tuple(pos[..., i] for i in range(nd))]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, padding",
+        [
+            # the model's convolutions, with fewer channels and clips
+            ((2, 3, 4, 12, 12), (4, 3, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+            ((2, 4, 4, 12, 12), (5, 4, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+            ((2, 3, 12, 12), (4, 3, 3, 3), (1, 1), (1, 1)),
+            ((2, 4, 12, 12), (5, 4, 3, 3), (2, 2), (1, 1)),
+            ((2, 2, 4, 16, 16), (4, 2, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+            ((2, 4, 2, 8, 8), (5, 4, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+            # stride past the kernel, so some inputs are read by no window
+            ((2, 3, 7, 11, 6), (4, 3, 1, 2, 3), (2, 3, 4), (0, 1, 1)),
+            ((2, 3, 9, 8), (4, 3, 2, 1), (3, 2), (0, 0)),
+            # no padding, ragged ends
+            ((2, 3, 8, 9, 10), (2, 3, 3, 2, 3), (2, 3, 2), (0, 0, 0)),
+        ],
+        ids=["v_net_stem", "v_net_stage2", "i_net_stem", "i_net_stage2", "m_net_stage1", "m_net_stage3",
+             "stride_past_kernel_3d", "stride_past_kernel_2d", "unpadded_3d"],
+    )
+    def test_kernel_grad_matches_patch_oracle(self, x_shape, k_shape, stride, padding, dtype):
+        """dL/dk of L = sum(conv(x, k) * g) is the einsum of g with the
+        patches, computed in float64."""
+        r = rng_for(15)
+        x = r.normal(size=x_shape)
+        k = r.normal(size=k_shape)
+        conv = T.conv3d if len(stride) == 3 else T.conv2d
+        kt = Tensor(k.astype(dtype), requires_grad=True)
+        out = conv(Tensor(x.astype(dtype)), kt, stride=stride, padding=padding)
+        g = r.normal(size=out.shape)
+        T.tsum(T.mul(out, Tensor(g.astype(dtype)))).backward()
+        B, cout = g.shape[:2]
+        want = np.einsum("bcpn,bon->ocp", self.explicit_patches(x, k_shape, stride, padding),
+                         g.reshape(B, cout, -1)).reshape(k_shape)
+        # float32: as in check_input_grad
+        tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
+        assert kt.grad.dtype == dtype
+        np.testing.assert_allclose(kt.grad, want, **tol)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):

@@ -24,7 +24,9 @@ gain on that metric may be claimed, i.e. the set has at least 10 pairs, the
 change was better in at least 9 of every 10 of them and its median is better
 than the parent's by more than the parent's interquartile range. Which
 direction is better comes from BENCHMARK.json; a metric it does not list gets
-no count and no gain_rule.
+no count and no gain_rule. An end-to-end metric that BENCHMARK.json gives a
+`bound` also gets `regressed`: whether the change's median is worse than the
+parent's by more than bound × the parent's median.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ def better_directions(benchmark: dict) -> dict[str, str]:
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in benchmark.get(key, [])}
 
 
+def metric_bounds(benchmark: dict) -> dict[str, float]:
+    """end-to-end metric name -> its allowed relative regression, from BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in benchmark.get("end_to_end", []) if "bound" in m}
+
+
 def _stats(values) -> dict:
     q1, med, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
@@ -84,13 +91,22 @@ def gain_rule(entry: dict, pairs: int) -> bool:
                 and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
 
 
+def regressed(entry: dict, bound: float) -> bool:
+    """The change's median worse than the parent's by more than bound × the
+    parent's median, in the worse direction."""
+    sign = -1.0 if entry["better"] == "lower" else 1.0
+    p, c = entry["parent"]["median"], entry["change"]["median"]
+    return bool(sign * (p - c) > bound * abs(p))
+
+
 def _change_better(p: float, c: float, sign: float, unit: str) -> bool:
     if unit == "count" and math.isclose(p, c, rel_tol=COUNT_RTOL):
         return False
     return sign * (c - p) > 0
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per-metric summary of paired result lines (parent[i] pairs with change[i])."""
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need the same, non-zero number of runs per side, got {len(parent)} and {len(change)}")
@@ -108,6 +124,8 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
                 _change_better(p, c, sign, entry["unit"]) for p, c in zip(vals["parent"], vals["change"])
             )
             entry["gain_rule"] = gain_rule(entry, len(parent))
+            if bounds and name in bounds:
+                entry["regressed"] = regressed(entry, bounds[name])
         metrics[name] = entry
     return {
         "pairs": len(parent),
@@ -147,18 +165,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return read_run(proc.stdout)
 
 
+TABLE_HEADER = [
+    "| set | metric | parent median [q1, q3] | change median [q1, q3] | ratio | pairs better | gain_rule | regressed |",
+    "|---|---|---|---|---|---|---|---|",
+]
+
+
 def table_rows(workload: str, summary: dict, seeds: list[int]) -> list[str]:
     """Markdown rows: metric, both medians with quartiles, ratio, pairs
-    better and whether the gain rule holds."""
+    better, whether the gain rule holds and whether the metric regressed
+    past its bound."""
     label = f"{workload} ({summary['pairs']} pairs, seeds {seeds[0]}–{seeds[-1]})"
     rows = []
     for name, m in summary["metrics"].items():
         p, c = m["parent"], m["change"]
         ratio = "–" if m["ratio"] is None else f"{m['ratio']:.3f}"
         won = f"{m['pairs_better']}/{summary['pairs']}" if "pairs_better" in m else "–"
-        rule = {True: "yes", False: "no"}.get(m.get("gain_rule"), "–")
+        rule, worse = ({True: "yes", False: "no"}.get(m.get(key), "–") for key in ("gain_rule", "regressed"))
         rows.append(f"| {label} | `{name}` | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] | "
-                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} | {rule} |")
+                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} | {rule} | {worse} |")
     return rows
 
 
@@ -172,7 +197,8 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
-    better = better_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = better_directions(benchmark)
     trees = {"parent": args.parent, "change": args.change}
     results = {side: [] for side in SIDES}
     stamps = {}
@@ -184,7 +210,7 @@ def main(argv=None) -> int:
             stamps.setdefault(side, stamp)
             print(f"seed {seed} {side}: " + json.dumps({k: v["value"] for k, v in res["metrics"].items()}), flush=True)
 
-    summary = summarize(results["parent"], results["change"], better)
+    summary = summarize(results["parent"], results["change"], better, metric_bounds(benchmark))
     summary.update(seeds=args.seeds, seconds=args.seconds, trace=args.trace,
                    first=[SIDES[i % 2] for i in range(len(args.seeds))],
                    repo_head=repo_head(),
@@ -196,7 +222,7 @@ def main(argv=None) -> int:
     key = args.workload + ("-trace" if args.trace else "")
     doc.setdefault("workloads", {}).setdefault(key, []).append(summary)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print("\n".join(table_rows(key, summary, args.seeds)))
+    print("\n".join(TABLE_HEADER + table_rows(key, summary, args.seeds)))
     print(f"wrote {out}")
     return 0
 
