@@ -23,9 +23,15 @@ when its kernels take a gradient, and its kernels, kept only when its input
 takes one; masks), never a Tensor. So once the caller drops an intermediate
 Tensor its array is freed unless some backward reads it: a conv or
 layer_norm output dies with its Tensor. The convs' im2col patch matrices
-are the largest arrays of a step and cheap to rebuild, so the forward frees
-each after its GEMM and the kernel gradient rebuilds it, bit for bit, from
-the held input: memory traded for time, as in gradient checkpointing.
+would be the largest arrays of a step and are cheap to rebuild, so the
+forward frees each after its GEMM and the kernel gradient rebuilds it, bit
+for bit, from the held input: memory traded for time, as in gradient
+checkpointing. Neither pass builds a conv's whole patch matrix at once: the
+batch runs in the fewest chunks of samples, as equal as possible, whose
+patch matrices each fit _PATCH_CHUNK_BYTES (4 MiB; one sample at least), one
+GEMM per chunk. The forward writes each chunk's columns of one output and is
+bit-identical to a single GEMM; the kernel gradient sums the chunks'
+products in chunk order, which only reorders its rounding.
 
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
@@ -48,11 +54,13 @@ Who owns a gradient array:
 Memory between steps: a training step allocates its activations and
 gradients and frees them as backward() walks the graph. By tracemalloc, a
 B=8 forward of the default float32 model leaves 35.9 MiB live, the peak of
-its backward is 40.6 MiB, and 1.1 MiB stays live after it while the
-forward's outputs are still held (74.9, 84.5 and 2.1 MiB at float64). The
-backward's peak holds one rebuilt patch matrix, at most v_net's second
-conv's 13.5 MiB; holding every patch matrix from the forward instead left
-70.7 MiB live and peaked at 72.7 MiB.
+its backward is 39.0 MiB, and 1.1 MiB stays live after it while the
+forward's outputs are still held (74.9, 81.2 and 2.1 MiB at float64). The
+backward's peak holds one chunk of a rebuilt patch matrix; rebuilding each
+whole peaked at 40.6 MiB, and holding every patch matrix from the forward
+left 70.7 MiB live and peaked at 72.7 MiB. A no_grad v_net forward peaks at
+12.8, 25.5 and 51.0 MiB for 8, 16 and 32 clips (23.1, 46.3 and 92.6 MiB with
+whole patch matrices).
 The walk frees the forward's arrays newest first, the reverse of the order
 they were allocated in, so the heap unwinds much like a stack and the next
 step's forward finds the same free space again. A walk in depth-first order
@@ -96,12 +104,13 @@ def _keep_heap_mapped():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # -1 disables trimming: the ≈41 MiB a float32 B=8 step frees stays mapped
-    # for the next step. No mmap threshold is enough on its own: the largest
-    # array grows with the batch (the float32 patch matrix of v_net's second
-    # conv is 13.5 MiB at 8 clips and 54 MiB at 32), and glibc caps the
-    # threshold at 32 MiB, so a 32-clip forward would still map and fault in
-    # 54 MiB per batch.
+    # -1 disables trimming: the ≈39 MiB a float32 B=8 step frees stays mapped
+    # for the next step. Setting it also stops glibc from raising its 128 KiB
+    # mmap threshold, and the largest arrays are past that: v_net's first
+    # conv output, and its layer norm's arrays and gradients of that shape,
+    # are 4 MiB at 8 clips and 16 MiB at 32. A fixed threshold is capped at
+    # 32 MiB, too small from 64 clips on; with no mmap at all every array
+    # comes from the kept heap, at any batch size.
     mallopt(_M_MMAP_MAX, 0)
     mallopt(_M_TRIM_THRESHOLD, -1)
 
@@ -748,13 +757,29 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
     return dx
 
 
+# the most bytes one patch matrix of _convnd may take; larger batches are
+# split into chunks of samples (see _sample_chunks)
+_PATCH_CHUNK_BYTES = 4 << 20
+
+
+def _sample_chunks(B: int, bytes_per_sample: int) -> list[tuple[int, int]]:
+    """(lo, hi) sample ranges covering range(B): the fewest chunks of at most
+    max(1, _PATCH_CHUNK_BYTES // bytes_per_sample) samples, their sizes as
+    equal as possible, so no chunk is a small tail GEMM."""
+    per = max(1, _PATCH_CHUNK_BYTES // bytes_per_sample)
+    n = max(1, -(-B // per))
+    bounds = [i * B // n for i in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _patch_matrix(x, ksp, out_sp, stride, padding) -> np.ndarray:
     """The (cin*prod(ksp), B*prod(out_sp)) im2col matrix of x (B, cin, *spatial).
 
-    Rows run over (cin, *ksp) and columns over (B, *out_sp), so the batch
-    folds into the GEMM columns and the forward and the kernel gradient are
-    single GEMM calls. x is zero-padded into a fresh buffer first; the buffer
-    dies with the call.
+    Rows run over (cin, *ksp) and columns over (B, *out_sp), so the samples
+    fold into the GEMM columns. _convnd passes a chunk of samples at a time,
+    each chunk's matrix at most _PATCH_CHUNK_BYTES unless one sample alone
+    passes it. x is zero-padded into a fresh buffer first; the buffer dies
+    with the call.
     """
     B, cin = x.shape[:2]
     if any(padding):
@@ -770,7 +795,8 @@ def _patch_matrix(x, ksp, out_sp, stride, padding) -> np.ndarray:
 
 
 def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Tensor:
-    """Shared 2-D/3-D convolution: one GEMM of the kernels with the patch matrix.
+    """Shared 2-D/3-D convolution: GEMMs of the kernels with the patch
+    matrices of balanced chunks of samples (see _sample_chunks).
 
     a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial).
     """
@@ -793,23 +819,34 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
     )
     N = int(np.prod(out_sp))
     cout = kd.shape[0]
-    # the patch matrix is a temporary of this product and is freed with it
-    out = kd.reshape(cout, -1) @ _patch_matrix(x, ksp, out_sp, stride, padding)
+    kmat = kd.reshape(cout, -1)
+    chunks = _sample_chunks(B, kmat.shape[1] * N * x.itemsize)
+    out = np.empty((cout, B * N), dtype=np.result_type(kd, x))
+    for lo, hi in chunks:
+        # a chunk's padded input and patch matrix die after its GEMM, which
+        # writes its columns of the output in place
+        np.matmul(kmat, _patch_matrix(x[lo:hi], ksp, out_sp, stride, padding), out=out[:, lo * N:hi * N])
     out = out.reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
     na, nk = _grad_node(a), _grad_node(kernels)
-    # the kernel gradient rebuilds the patch matrix from the unpadded input,
-    # about prod(ksp)/prod(stride) times smaller; the input gradient reads the
-    # kernels. _patch_matrix takes x_in as an argument, so a conv with frozen
-    # kernels holds no input.
+    # the kernel gradient rebuilds the patch matrices, chunk by chunk, from
+    # the unpadded input, about prod(ksp)/prod(stride) times smaller than the
+    # whole patch matrix; the input gradient reads the kernels. _patch_matrix
+    # takes x_in as an argument, so a conv with frozen kernels holds no input.
     x_in = x if nk is not None else None
     k_in = kd if na is not None else None
 
     def backward(g):
         gmat = np.moveaxis(g, 1, 0).reshape(cout, B * N)
         if nk is not None:
-            # (K, B*N) @ (B*N, cout) runs faster in BLAS than the transposed
-            # product; the rebuilt patch matrix dies with it, before dx is made
-            nk._accum((_patch_matrix(x_in, ksp, out_sp, stride, padding) @ gmat.T).T.reshape(nk.shape))
+            # (K, n*N) @ (n*N, cout) runs faster in BLAS than the transposed
+            # product; each chunk's rebuilt patch matrix dies with its product,
+            # and the products are summed in chunk order
+            parts = (_patch_matrix(x_in[lo:hi], ksp, out_sp, stride, padding) @ gmat[:, lo * N:hi * N].T
+                     for lo, hi in chunks)
+            gk = next(parts)
+            for part in parts:
+                gk += part
+            nk._accum(gk.T.reshape(nk.shape))
         if na is not None:
             na._accum(np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0))
 

@@ -41,8 +41,9 @@ def test_summary_medians_quartiles_and_pairs_better(bp):
     change = [result(44, 180, 2), result(46, 170, 2), result(41, 196, 2), result(43, 185, 2)]
     s = bp.summarize(parent, change, BETTER)
     items = s["metrics"]["items_per_s"]
-    assert items["parent"] == {"median": 40.5, "q1": 39.75, "q3": 41.25}
-    assert items["change"] == {"median": 43.5, "q1": 42.5, "q3": 44.5}
+    # each side keeps every run's value, in pair order, next to its quartiles
+    assert items["parent"] == {"median": 40.5, "q1": 39.75, "q3": 41.25, "values": [40, 42, 41, 39]}
+    assert items["change"] == {"median": 43.5, "q1": 42.5, "q3": 44.5, "values": [44, 46, 41, 43]}
     assert items["ratio"] == pytest.approx(43.5 / 40.5)
     assert items["pairs_better"] == 3  # the tie counts for neither side
     assert items["better"] == "higher" and items["unit"] == "1/s"
@@ -196,6 +197,9 @@ def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monk
     assert w["seeds"] == [1, 2, 3] and w["first"] == ["parent", "change", "parent"]
     assert w["metrics"]["items_per_s"]["pairs_better"] == 3
     assert w["metrics"]["items_per_s"]["parent"]["median"] == 2
+    # pair i holds seed i's runs, whichever side ran first
+    assert w["metrics"]["items_per_s"]["parent"]["values"] == [1, 2, 3]
+    assert w["metrics"]["items_per_s"]["change"]["values"] == [6, 7, 8]
     assert w["metrics"]["items_per_s"]["regressed"] is False
     assert w["parent_stamp"]["git"]["sha"] == "parentparentparentparent"
     assert "seed" not in w["change_stamp"]

@@ -809,14 +809,16 @@ class TestFloat32Step:
         assert not [h for h in held if isinstance(h, Tensor)]
 
     @staticmethod
-    def largest_patch_matrix_bytes(loss) -> int:
-        """The bytes of the largest (cin*prod(ksp), B*prod(out_sp)) im2col
-        matrix among the convolutions of loss's graph."""
+    def largest_patch_chunk_bytes(loss) -> int:
+        """The bytes of the largest im2col matrix, (cin*prod(ksp),
+        n*prod(out_sp)) for a chunk of n samples, that a convolution of loss's
+        graph builds."""
         sizes = [0]
         for n in graph_nodes(loss):
             if n.op in ("conv2d", "conv3d"):
                 kernel = n._parents[1]
-                sizes.append(int(np.prod(kernel.shape[1:])) * n.shape[0] * int(np.prod(n.shape[2:])) * n.dtype.itemsize)
+                per_sample = int(np.prod(kernel.shape[1:])) * int(np.prod(n.shape[2:])) * n.dtype.itemsize
+                sizes += [(hi - lo) * per_sample for lo, hi in T._sample_chunks(n.shape[0], per_sample)]
         return max(sizes)
 
     def test_backward_frees_the_graph_as_it_walks(self, batches):
@@ -824,28 +826,30 @@ class TestFloat32Step:
         # during the walk; a graph kept until the loss is dropped peaked 20%
         # above the forward's live memory and kept all of it after backward.
         # A conv holds its input, not its patch matrix, and its kernel
-        # gradient rebuilds the matrix: a transient of backward, at most
-        # v_net's second conv's 13.5 MiB. The ceilings fail a graph that
-        # holds the patch matrices (70.7 MiB live after the forward).
+        # gradient rebuilds the matrix one chunk of samples at a time: a
+        # transient of backward, at most _PATCH_CHUNK_BYTES. The ceilings fail
+        # a graph that holds the patch matrices (70.7 MiB live after the
+        # forward) and a rebuild in one piece (peak 40.6 MiB).
         bundle = ModelBundle(seed=0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             out = pretext_forward(bundle, batches["pointwise_infonce"], PretextConfig())
             after_forward = tracemalloc.get_traced_memory()[0] - base
-            patches = self.largest_patch_matrix_bytes(out.loss)
+            chunk = self.largest_patch_chunk_bytes(out.loss)
             tracemalloc.reset_peak()
             out.loss.backward()
             after_backward, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         mib = 2.0 ** 20
-        assert patches == 432 * 8 * 4 * 16 * 16 * 4
-        assert peak <= 1.05 * after_forward + patches, (
-            f"peak {peak / mib:.1f} MiB, {after_forward / mib:.1f} after forward, {patches / mib:.1f} of patches"
+        # v_net's first and second convs, 4 and 2 clips a chunk
+        assert chunk == 432 * 2 * 4 * 16 * 16 * 4 <= T._PATCH_CHUNK_BYTES
+        assert peak <= 1.05 * after_forward + chunk, (
+            f"peak {peak / mib:.1f} MiB, {after_forward / mib:.1f} after forward, {chunk / mib:.1f} of patches"
         )
         assert after_forward <= 40 * mib, f"{after_forward / mib:.1f} MiB live after forward"
-        assert peak <= 45 * mib, f"peak {peak / mib:.1f} MiB"
+        assert peak <= 40 * mib, f"peak {peak / mib:.1f} MiB"
         assert after_backward < 0.05 * after_forward, f"{after_backward / mib:.1f} MiB live with out still held"
 
     def test_grads_do_not_depend_on_which_tensors_the_caller_holds(self, batches, monkeypatch):

@@ -7,6 +7,7 @@ oracle in conftest (h = 1e-5, float64, max-norm relative error < 1e-4).
 import ctypes
 import importlib.util
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -590,9 +591,16 @@ class TestConv:
             ((2, 3, 9, 8), (4, 3, 2, 1), (3, 2), (0, 0)),
             # no padding, ragged ends
             ((2, 3, 8, 9, 10), (2, 3, 3, 2, 3), (2, 3, 2), (0, 0, 0)),
+            # patch matrices past _PATCH_CHUNK_BYTES: the kernel gradient sums
+            # chunks of 1+1 samples in both dtypes; of 1+1+1+1+1 in float64
+            # and 1+2+2 or 2+3 in float32
+            ((2, 20, 4, 16, 16), (3, 20, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+            ((5, 32, 4, 8, 16), (3, 32, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+            ((5, 64, 16, 32), (3, 64, 3, 3), (1, 1), (1, 1)),
         ],
         ids=["v_net_stem", "v_net_stage2", "i_net_stem", "i_net_stage2", "m_net_stage1", "m_net_stage3",
-             "stride_past_kernel_3d", "stride_past_kernel_2d", "unpadded_3d"],
+             "stride_past_kernel_3d", "stride_past_kernel_2d", "unpadded_3d",
+             "chunked_one_sample_3d", "chunked_uneven_3d", "chunked_uneven_2d"],
     )
     def test_kernel_grad_matches_patch_oracle(self, x_shape, k_shape, stride, padding, dtype):
         """dL/dk of L = sum(conv(x, k) * g) is the einsum of g with the
@@ -626,6 +634,71 @@ class TestConv:
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError, match="H"):
             T.conv2d(Tensor(np.ones((1, 1, 2, 8))), Tensor(np.ones((1, 1, 5, 3))))
+
+
+def model_convs():
+    """One sample's input shape, the kernel shape, stride and padding of each
+    convolution of the default model, stage by stage, as pytest params."""
+    bundle, convs = ModelBundle(seed=0), []
+    for net, x_shape in (("v_net", (3, 8, 32, 32)), ("i_net", (3, 32, 32)), ("m_net", (2, 8, 32, 32))):
+        for i, (kernel, _, _, stride, padding) in enumerate(getattr(bundle, net).layers):
+            convs.append(pytest.param(x_shape, kernel.shape, stride, padding, id=f"{net}_conv{i}"))
+            x_shape = (kernel.shape[0],) + tuple(
+                (n + 2 * p - k) // s + 1 for n, k, s, p in zip(x_shape[1:], kernel.shape[2:], stride, padding))
+    return convs
+
+
+class TestConvChunks:
+    """A conv whose patch matrix would pass _PATCH_CHUNK_BYTES builds it in
+    balanced chunks of samples."""
+
+    def test_fewest_balanced_chunks_within_the_budget(self):
+        budget = T._PATCH_CHUNK_BYTES
+        # m_net's second conv at 24 clips: 18 samples fit, so 12 + 12, not 18 + 6
+        per_sample = 432 * 128 * 4
+        assert budget // per_sample == 18
+        assert T._sample_chunks(24, per_sample) == [(0, 12), (12, 24)]
+        # a batch that fits is one chunk, and a sample past the budget is a chunk of its own
+        assert T._sample_chunks(18, per_sample) == [(0, 18)]
+        assert T._sample_chunks(3, budget + 1) == [(0, 1), (1, 2), (2, 3)]
+        for B in range(1, 40):
+            for per in (1, 2, 5, 18):
+                chunks = T._sample_chunks(B, budget // per)
+                sizes = [hi - lo for lo, hi in chunks]
+                assert chunks[0][0] == 0 and chunks[-1][1] == B
+                assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+                assert max(sizes) <= per and max(sizes) - min(sizes) <= 1
+                assert len(chunks) == -(-B // per)
+
+    @pytest.mark.parametrize("B", [1, 5, 16, 24])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", model_convs())
+    def test_forward_bit_identical_to_one_gemm(self, x_shape, k_shape, stride, padding, dtype, B):
+        r = rng_for(B)
+        x = r.normal(size=(B,) + x_shape).astype(dtype)
+        k = r.normal(size=k_shape).astype(dtype)
+        conv = T.conv3d if len(stride) == 3 else T.conv2d
+        got = conv(Tensor(x), Tensor(k), stride=stride, padding=padding).data
+        out_sp = got.shape[2:]
+        want = k.reshape(k_shape[0], -1) @ T._patch_matrix(x, k_shape[2:], out_sp, stride, padding)
+        want = want.reshape(k_shape[0], B, -1).transpose(1, 0, 2).reshape(got.shape)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_no_grad_v_forward_builds_no_whole_patch_matrix(self):
+        # at 16 clips v_net's second conv's whole patch matrix is 27 MiB and
+        # its first's 13.5 MiB; built whole, the forward peaked at 46.3 MiB
+        bundle = ModelBundle(seed=0)
+        clip = rng_for(16).normal(size=(16, 3, 8, 32, 32)).astype(np.float32)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bundle.v_forward(clip)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 30 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestBackwardSemantics:

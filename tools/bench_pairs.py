@@ -16,10 +16,12 @@ any repeated sets all land in one file. Each set holds both sides' stamps
 (machine, numpy, BLAS, git sha and dirty flag), this repository's `git
 rev-parse HEAD` (`repo_head`; a side's stamp may name a commit that only its
 own tree holds), each side's SHA-256 over its src/ files (`<side>_src_sha256`,
-see `src_tree_hash`) and, per metric, each side's median and quartiles, the
-change/parent ratio of the medians, the number of pairs in which the change
-was better (ties count for neither side; two values of a metric with unit
-`count` tie when they agree to a relative 1e-9) and `gain_rule`: whether a
+see `src_tree_hash`) and, per metric, each side's median and quartiles and
+its value in every run, in pair order (`values`, so a bimodal metric shows
+as two clusters, not only as a wide quartile spread), the change/parent
+ratio of the medians, the number of pairs in which the change was better
+(ties count for neither side; two values of a metric with unit `count` tie
+when they agree to a relative 1e-9) and `gain_rule`: whether a
 gain on that metric may be claimed, i.e. the set has at least 10 pairs, the
 change was better in at least 9 of every 10 of them and its median is better
 than the parent's by more than the parent's interquartile range. Which
@@ -77,8 +79,9 @@ def metric_bounds(benchmark: dict) -> dict[str, float]:
 
 
 def _stats(values) -> dict:
+    """Median, quartiles and the values themselves, in the order given."""
     q1, med, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
-    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+    return {"median": float(med), "q1": float(q1), "q3": float(q3), "values": [float(v) for v in values]}
 
 
 def gain_rule(entry: dict, pairs: int) -> bool:
