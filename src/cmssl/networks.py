@@ -2,11 +2,11 @@
 Transformer, and the four projection heads, bundled with checkpoint IO.
 
 Backbones are small conv stacks (conv -> channel layer norm -> leaky relu,
-with no activation after the last stage) sized for 32x32 inputs; the
-geometry of every feature map is derived from ModelConfig so shape
-contracts can be asserted up front. Flattening order for transformer
-sequences is t-major, then h, then w (plain C-order reshape), which
-checkpoint portability depends on.
+with no activation after the last stage, each stage one conv3d/conv2d call
+and one graph node) sized for 32x32 inputs; the geometry of every feature
+map is derived from ModelConfig so shape contracts can be asserted up
+front. Flattening order for transformer sequences is t-major, then h, then
+w (plain C-order reshape), which checkpoint portability depends on.
 
 `_Init` names and orders every parameter: each is drawn under its full
 name, and the bundle's `params()` lists them in draw order, which is the
@@ -126,7 +126,9 @@ class _Init:
 
 class ConvStack:
     """conv -> layer norm over channels -> leaky relu, repeated, with the last
-    stage ending after its layer norm; 2-D or 3-D."""
+    stage ending after its layer norm; 2-D or 3-D. Each stage is one
+    T.conv3d/T.conv2d call given the stage's gamma and beta, which applies the
+    norm and the activation to the conv output in place (see tensor)."""
 
     def __init__(self, name, init, in_channels, channels, strides, nd, kernels=None):
         self.nd = nd
@@ -145,12 +147,9 @@ class ConvStack:
         conv = T.conv3d if self.nd == 3 else T.conv2d
         last = len(self.layers) - 1
         for i, (kernel, gamma, beta, stride, pad) in enumerate(self.layers):
-            x = conv(x, kernel, stride=stride, padding=pad)
-            x = T.layer_norm(x, gamma, beta, axis=1)
             # leaky slope keeps every channel trainable at desk batch sizes;
             # the final stage ends linear so pooled embeddings keep both signs
-            if i != last:
-                x = T.leaky_relu(x)
+            x = conv(x, kernel, stride=stride, padding=pad, gamma=gamma, beta=beta, leaky=i != last)
         return x
 
 

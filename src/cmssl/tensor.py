@@ -33,6 +33,18 @@ GEMM per chunk. The forward writes each chunk's columns of one output and is
 bit-identical to a single GEMM; the kernel gradient sums the chunks'
 products in chunk order, which only reorders its rounding.
 
+A conv stage of the networks (conv -> layer norm over channels -> leaky
+relu) is one conv node: given gamma and beta, and leaky, conv3d/conv2d
+normalize, scale, shift and rectify their output in place, in tiles of
+samples of at most _EPILOGUE_TILE_BYTES (512 KiB) that stay in a core's L2
+cache through those passes, bit for bit as the three ops would. Such a node
+holds, besides its input and kernels, the normalized output xhat and
+1/sigma, and a leaky stage its own output, whose sign gives the slope of
+each cell (the next conv holds that output as its input anyway); a stage
+that ends linear lets its output die with its Tensor. Under no_grad it
+keeps nothing. Its backward turns the upstream gradient into the pre-norm
+gradient tile by tile, summing the gamma and beta gradients tile by tile.
+
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
   into it in place. Parameters created with requires_grad=True start with a
@@ -53,14 +65,15 @@ Who owns a gradient array:
 
 Memory between steps: a training step allocates its activations and
 gradients and frees them as backward() walks the graph. By tracemalloc, a
-B=8 forward of the default float32 model leaves 35.9 MiB live, the peak of
-its backward is 39.0 MiB, and 1.1 MiB stays live after it while the
-forward's outputs are still held (74.9, 81.2 and 2.1 MiB at float64). The
+B=8 forward of the default float32 model leaves 33.8 MiB live, the peak of
+its backward is 38.6 MiB, and 1.1 MiB stays live after it while the
+forward's outputs are still held (72.8, 81.9 and 2.1 MiB at float64). The
 backward's peak holds one chunk of a rebuilt patch matrix; rebuilding each
 whole peaked at 40.6 MiB, and holding every patch matrix from the forward
 left 70.7 MiB live and peaked at 72.7 MiB. A no_grad v_net forward peaks at
-12.8, 25.5 and 51.0 MiB for 8, 16 and 32 clips (23.1, 46.3 and 92.6 MiB with
-whole patch matrices).
+9.8, 14.8 and 24.8 MiB for 8, 16 and 32 clips (12.8, 25.5 and 51.0 MiB with
+each stage's layer norm and leaky relu as ops of their own, and 23.1, 46.3
+and 92.6 MiB with whole patch matrices).
 The walk frees the forward's arrays newest first, the reverse of the order
 they were allocated in, so the heap unwinds much like a stack and the next
 step's forward finds the same free space again. A walk in depth-first order
@@ -107,10 +120,11 @@ def _keep_heap_mapped():
     # -1 disables trimming: the ≈39 MiB a float32 B=8 step frees stays mapped
     # for the next step. Setting it also stops glibc from raising its 128 KiB
     # mmap threshold, and the largest arrays are past that: v_net's first
-    # conv output, and its layer norm's arrays and gradients of that shape,
-    # are 4 MiB at 8 clips and 16 MiB at 32. A fixed threshold is capped at
-    # 32 MiB, too small from 64 clips on; with no mmap at all every array
-    # comes from the kept heap, at any batch size.
+    # conv output, and the xhat that its node keeps and the gradients of
+    # that shape that its backward makes, are 4 MiB at 8 clips and 16 MiB at
+    # 32. A fixed threshold is capped at 32 MiB, too small from 64 clips on;
+    # with no mmap at all every array comes from the kept heap, at any batch
+    # size.
     mallopt(_M_MMAP_MAX, 0)
     mallopt(_M_TRIM_THRESHOLD, -1)
 
@@ -425,22 +439,32 @@ def relu(a) -> Tensor:
     return _make(data, (a,), "relu", backward)
 
 
+def _leaky(x: np.ndarray, out=None) -> np.ndarray:
+    """Leaky relu of x, computed as max(x, slope * x), which is x where x > 0
+    and LEAKY_RELU_SLOPE * x elsewhere because 0 <= slope <= 1; written into
+    `out` when given, which may be x itself."""
+    y = x * LEAKY_RELU_SLOPE
+    return np.maximum(y, x, out=y if out is None else out)
+
+
+def _leaky_grad(positive: np.ndarray, g: np.ndarray, dtype) -> np.ndarray:
+    """g times the leaky relu's slope: 1 where `positive`, LEAKY_RELU_SLOPE elsewhere."""
+    f = positive.astype(dtype)
+    np.maximum(f, LEAKY_RELU_SLOPE, out=f)
+    f *= g
+    return f
+
+
 def leaky_relu(a) -> Tensor:
-    """a where a > 0, LEAKY_RELU_SLOPE * a elsewhere; computed as
-    max(a, slope * a), which is that because 0 <= slope <= 1."""
+    """a where a > 0, LEAKY_RELU_SLOPE * a elsewhere."""
     a = _as_tensor(a)
     na = _grad_node(a)
     mask = a.data > 0
-    data = a.data * LEAKY_RELU_SLOPE
-    np.maximum(data, a.data, out=data)
 
     def backward(g):
-        f = mask.astype(na.dtype)
-        np.maximum(f, LEAKY_RELU_SLOPE, out=f)
-        f *= g
-        na._accum(f)
+        na._accum(_leaky_grad(mask, g, na.dtype))
 
-    return _make(data, (a,), "leaky_relu", backward)
+    return _make(_leaky(a.data), (a,), "leaky_relu", backward)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -601,17 +625,36 @@ def logsumexp(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), "logsumexp", backward)
 
 
+def _normalize(x: np.ndarray, axis: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, inv_sigma) of layer norm over `axis`: xhat = (x - mean) *
+    inv_sigma, inv_sigma = 1 / sqrt(var + LAYER_NORM_EPS). xhat is written
+    into `out` when given, which may be x itself."""
+    mu = x.mean(axis=axis, keepdims=True)
+    xhat = np.subtract(x, mu, out=out)
+    var = np.mean(xhat * xhat, axis=axis, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat *= inv_sigma
+    return xhat, inv_sigma
+
+
+def _normalize_grad(gh: np.ndarray, xhat: np.ndarray, inv_sigma: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """dL/dx of layer norm from gh = dL/dxhat (the upstream gradient times
+    gamma), which it overwrites; the result goes into `out` when given, into
+    gh otherwise."""
+    m1 = gh.mean(axis=axis, keepdims=True)
+    m2 = (gh * xhat).mean(axis=axis, keepdims=True)
+    gh -= m1
+    gh -= xhat * m2
+    return np.multiply(gh, inv_sigma, out=gh if out is None else out)
+
+
 def layer_norm(a, gamma, beta, axis: int = -1) -> Tensor:
     """Normalize over one axis; gamma/beta must broadcast against the output."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     na, ngamma, nbeta = _grad_node(a), _grad_node(gamma), _grad_node(beta)
     gd = gamma.data
     ax = axis % a.data.ndim
-    mu = a.data.mean(axis=ax, keepdims=True)
-    xhat = a.data - mu
-    var = np.mean(xhat * xhat, axis=ax, keepdims=True)
-    inv_sigma = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat *= inv_sigma
+    xhat, inv_sigma = _normalize(a.data, ax)
     data = xhat * gd
     data += beta.data
 
@@ -621,13 +664,7 @@ def layer_norm(a, gamma, beta, axis: int = -1) -> Tensor:
         if nbeta is not None:
             nbeta._accum(_unbroadcast(g, nbeta.shape))
         if na is not None:
-            gh = g * gd
-            m1 = gh.mean(axis=ax, keepdims=True)
-            m2 = (gh * xhat).mean(axis=ax, keepdims=True)
-            gh -= m1
-            gh -= xhat * m2
-            gh *= inv_sigma
-            na._accum(gh)
+            na._accum(_normalize_grad(g * gd, xhat, inv_sigma, ax))
 
     return _make(data, (a, gamma, beta), "layer_norm", backward)
 
@@ -760,13 +797,17 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
 # the most bytes one patch matrix of _convnd may take; larger batches are
 # split into chunks of samples (see _sample_chunks)
 _PATCH_CHUNK_BYTES = 4 << 20
+# the most bytes of a conv output that its layer norm and leaky relu work on
+# at a time: a tile this size stays in a core's L2 cache through their passes
+_EPILOGUE_TILE_BYTES = 512 << 10
 
 
-def _sample_chunks(B: int, bytes_per_sample: int) -> list[tuple[int, int]]:
+def _sample_chunks(B: int, bytes_per_sample: int, budget: int | None = None) -> list[tuple[int, int]]:
     """(lo, hi) sample ranges covering range(B): the fewest chunks of at most
-    max(1, _PATCH_CHUNK_BYTES // bytes_per_sample) samples, their sizes as
-    equal as possible, so no chunk is a small tail GEMM."""
-    per = max(1, _PATCH_CHUNK_BYTES // bytes_per_sample)
+    max(1, budget // bytes_per_sample) samples, their sizes as equal as
+    possible, so no chunk is a small tail GEMM. budget defaults to
+    _PATCH_CHUNK_BYTES."""
+    per = max(1, (_PATCH_CHUNK_BYTES if budget is None else budget) // bytes_per_sample)
     n = max(1, -(-B // per))
     bounds = [i * B // n for i in range(n + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -794,12 +835,17 @@ def _patch_matrix(x, ksp, out_sp, stride, padding) -> np.ndarray:
     return cols.reshape(cin * int(np.prod(ksp)), B * int(np.prod(out_sp)))
 
 
-def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Tensor:
+def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: bool) -> Tensor:
     """Shared 2-D/3-D convolution: GEMMs of the kernels with the patch
-    matrices of balanced chunks of samples (see _sample_chunks).
+    matrices of balanced chunks of samples (see _sample_chunks), optionally
+    followed in the same node by a layer norm over the output channels
+    (gamma, beta) and a leaky relu, run in place on the output in tiles of
+    samples of at most _EPILOGUE_TILE_BYTES.
 
-    a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial).
+    a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial); gamma, beta:
+    Cout values each, in any shape (the networks keep (1, Cout, 1, ...)).
     """
+    a, kernels = _as_tensor(a), _as_tensor(kernels)
     x = a.data
     kd = kernels.data
     if x.ndim != nd + 2:
@@ -809,6 +855,11 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
     B, cin = x.shape[0], x.shape[1]
     if kd.shape[1] != cin:
         raise ValueError(f"{op}: input channels {cin} != kernel channels {kd.shape[1]} (dim 1)")
+    if (gamma is None) != (beta is None) or (leaky and gamma is None):
+        raise ValueError(f"{op}: gamma and beta come together, and leaky needs them")
+    norm = gamma is not None
+    if norm:
+        gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     spatial = x.shape[2:]
     ksp = kd.shape[2:]
     stride = tuple(int(s) for s in stride)
@@ -821,22 +872,73 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
     cout = kd.shape[0]
     kmat = kd.reshape(cout, -1)
     chunks = _sample_chunks(B, kmat.shape[1] * N * x.itemsize)
+    # channel-major: one row per output channel, one column per sample and
+    # output position
     out = np.empty((cout, B * N), dtype=np.result_type(kd, x))
     for lo, hi in chunks:
         # a chunk's padded input and patch matrix die after its GEMM, which
         # writes its columns of the output in place
         np.matmul(kmat, _patch_matrix(x[lo:hi], ksp, out_sp, stride, padding), out=out[:, lo * N:hi * N])
-    out = out.reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
+    parents = (a, kernels, gamma, beta) if norm else (a, kernels)
     na, nk = _grad_node(a), _grad_node(kernels)
+    ngamma, nbeta = (_grad_node(gamma), _grad_node(beta)) if norm else (None, None)
+    keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
+    dtype = out.dtype
+    # the backward reads xhat and 1/sigma; without it each tile is normalized
+    # in place and nothing is kept
+    xhat = np.empty_like(out) if norm and keep else None
+    inv_sigma = np.empty((1, B * N), dtype=dtype) if norm and keep else None
+    gd = tiles = None  # read by the backward only when norm
+    if norm:
+        gd, bd = gamma.data.reshape(cout, 1), beta.data.reshape(cout, 1)
+        tiles = _sample_chunks(B, cout * N * out.itemsize, _EPILOGUE_TILE_BYTES)
+        for lo, hi in tiles:
+            cols = slice(lo * N, hi * N)
+            blk = out[:, cols]
+            xh, inv = _normalize(blk, 0, out=blk if xhat is None else xhat[:, cols])
+            if keep:
+                inv_sigma[:, cols] = inv
+            np.multiply(xh, gd, out=blk)
+            blk += bd
+            if leaky:
+                _leaky(blk, out=blk)
     # the kernel gradient rebuilds the patch matrices, chunk by chunk, from
     # the unpadded input, about prod(ksp)/prod(stride) times smaller than the
     # whole patch matrix; the input gradient reads the kernels. _patch_matrix
     # takes x_in as an argument, so a conv with frozen kernels holds no input.
+    # A leaky stage reads its slope from the sign of its own output, which the
+    # next conv holds as its input anyway.
     x_in = x if nk is not None else None
     k_in = kd if na is not None else None
+    y = out if leaky and keep else None
 
     def backward(g):
-        gmat = np.moveaxis(g, 1, 0).reshape(cout, B * N)
+        if not norm:
+            gmat = np.moveaxis(g, 1, 0).reshape(cout, B * N)
+        else:
+            # dL/d(conv output), channel-major, tile by tile
+            gmat = np.empty((cout, B * N), dtype=np.result_type(g, dtype))
+            g = g.reshape(B, cout, N)
+            ggamma = gbeta = 0  # each sum becomes its first tile's array
+            for lo, hi in tiles:
+                # (n, cout, N) views of the tile, with g in the layout it came
+                # in, so that every sum runs in the order it does in
+                # leaky_relu(layer_norm(conv(x), gamma, beta, axis=1))
+                def samples(m):
+                    return m[:, lo * N:hi * N].reshape(-1, hi - lo, N).swapaxes(0, 1)
+
+                gc = g[lo:hi] if y is None else _leaky_grad(samples(y) > 0, g[lo:hi], dtype)
+                xh = samples(xhat)
+                if ngamma is not None:
+                    ggamma += (gc * xh).sum(axis=(0, 2))
+                if nbeta is not None:
+                    gbeta += gc.sum(axis=(0, 2))
+                if na is not None or nk is not None:
+                    _normalize_grad(gc * gd.reshape(1, cout, 1), xh, samples(inv_sigma), 1, out=samples(gmat))
+            if ngamma is not None:
+                ngamma._accum(ggamma.reshape(ngamma.shape))
+            if nbeta is not None:
+                nbeta._accum(gbeta.reshape(nbeta.shape))
         if nk is not None:
             # (K, n*N) @ (n*N, cout) runs faster in BLAS than the transposed
             # product; each chunk's rebuilt patch matrix dies with its product,
@@ -850,14 +952,18 @@ def _convnd(a: Tensor, kernels: Tensor, stride, padding, nd: int, op: str) -> Te
         if na is not None:
             na._accum(np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0))
 
-    return _make(out, (a, kernels), op, backward)
+    out = out.reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
+    return _make(out, parents, op, backward)
 
 
-def conv3d(a, kernels, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """3-D convolution over (B, Cin, T, H, W)."""
-    return _convnd(_as_tensor(a), _as_tensor(kernels), stride, padding, 3, "conv3d")
+def conv3d(a, kernels, stride=(1, 1, 1), padding=(0, 0, 0), gamma=None, beta=None, leaky=False) -> Tensor:
+    """3-D convolution over (B, Cin, T, H, W); with gamma and beta, a layer
+    norm over the output channels follows in the same node, equal to
+    layer_norm(conv3d(a, kernels), gamma, beta, axis=1), and with leaky a
+    leaky relu after it."""
+    return _convnd(a, kernels, stride, padding, 3, "conv3d", gamma, beta, leaky)
 
 
-def conv2d(a, kernels, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D convolution over (B, Cin, H, W)."""
-    return _convnd(_as_tensor(a), _as_tensor(kernels), stride, padding, 2, "conv2d")
+def conv2d(a, kernels, stride=(1, 1), padding=(0, 0), gamma=None, beta=None, leaky=False) -> Tensor:
+    """2-D convolution over (B, Cin, H, W); gamma, beta and leaky as in conv3d."""
+    return _convnd(a, kernels, stride, padding, 2, "conv2d", gamma, beta, leaky)

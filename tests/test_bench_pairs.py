@@ -79,6 +79,21 @@ def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr(bp):
     assert s["iter_ms_p50"]["pairs_better"] == 9 and s["iter_ms_p50"]["gain_rule"] is False
 
 
+def test_gain_rule_needs_every_run_correct_with_none_failed(bp):
+    parent = [result(40 + i % 5, 200 - i, 1) for i in range(10)]
+    change = [result(50 + i % 5, 190 - i, 1) for i in range(10)]
+    assert bp.summarize(parent, change, BETTER)["metrics"]["items_per_s"]["gain_rule"] is True
+    # one failed operation in one run on either side voids the claim, as
+    # does one run that failed its gates with none counted as failed
+    for side, run in (("change", result(50, 190, 1, failed=1)), ("parent", result(40, 200, 1, failed=1)),
+                      ("change", result(50, 190, 1, correct=False)), ("parent", result(40, 200, 1, correct=False))):
+        p, c = list(parent), list(change)
+        (c if side == "change" else p)[4] = run
+        s = bp.summarize(p, c, BETTER)
+        assert s["metrics"]["items_per_s"]["pairs_better"] == 10, side
+        assert s["metrics"]["items_per_s"]["gain_rule"] is False, (side, run)
+
+
 def test_regressed_past_the_bound_of_the_parent_median(bp):
     bounds = {"items_per_s": 0.25, "iter_ms_p50": 0.1}
     parent = [result(40, 200, 1)] * 4
@@ -102,10 +117,13 @@ def test_table_rows_show_gain_rule_and_regressed(bp):
     s = bp.summarize(parent, [result(29, 190, 1)] * 2, BETTER, {"items_per_s": 0.25})
     rows = dict(zip(("items", "ms", "unlisted"), bp.table_rows("pretrain_joint", s, [3, 4])))
     assert all(len(r.split("|")) == len(bp.TABLE_HEADER[0].split("|")) for r in rows.values())
-    assert rows["items"].endswith("| 0/2 | no | yes |")
-    assert rows["ms"].endswith("| 2/2 | no | – |")
-    assert rows["unlisted"].endswith("| – | – | – |")
+    # every row ends with the set's runs: all correct, and failed/attempted per side
+    assert rows["items"].endswith("| 0/2 | no | yes | yes | 0/20 · 0/20 |")
+    assert rows["ms"].endswith("| 2/2 | no | – | yes | 0/20 · 0/20 |")
+    assert rows["unlisted"].endswith("| – | – | – | yes | 0/20 · 0/20 |")
     assert rows["items"].startswith("| pretrain_joint (2 pairs, seeds 3–4) | `items_per_s` | 40 [40, 40] | 29 [29, 29] |")
+    s = bp.summarize(parent, [result(29, 190, 1), result(29, 190, 1, failed=3, correct=False)], BETTER)
+    assert bp.table_rows("pretrain_joint", s, [3, 4])[0].endswith("| no | 0/20 · 3/20 |")
 
 
 def test_counts_equal_up_to_float_rounding_tie(bp):

@@ -764,12 +764,14 @@ class TestResidentHeap:
             pretext_forward(bundle, batch, cfg).loss.backward()
 
         step()  # grows the heap to one step's working set
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        step()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        # with glibc's default trimming this second step faults ≈28k pages
-        # back in; 1% of that is the bound
-        assert faults < 280, f"{faults} minor page faults in a warmed-up B=8 step"
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            step()
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        # with glibc's default trimming every warm step faults ≈28k pages
+        # back in; 1% of that is the bound, for each of them
+        assert max(faults) < 280, f"minor page faults in each warmed-up B=8 step: {faults}"
 
 
 class TestFloat32Step:

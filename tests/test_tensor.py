@@ -701,6 +701,149 @@ class TestConvChunks:
         assert peak <= 30 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+# a v_net-like 3-D stage and an i_net-like 2-D stage, small
+STAGES = [
+    pytest.param((5, 3, 4, 8, 8), (4, 3, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d"),
+    pytest.param((5, 3, 9, 8), (4, 3, 3, 3), (2, 1), (1, 1), id="2d"),
+]
+
+
+class TestConvStage:
+    """conv3d/conv2d with gamma, beta and leaky: one node that equals
+    leaky_relu(layer_norm(conv(x), gamma, beta, axis=1)), its layer norm and
+    leaky relu run in tiles of samples of the output."""
+
+    @pytest.fixture(autouse=True)
+    def nan_filled_empty(self, monkeypatch):
+        """As in TestConv: a cell of an np.empty array that the stage never
+        writes reads NaN."""
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float, *a, **kw: np.full(shape, np.nan, dtype=dtype))
+
+    @staticmethod
+    def blocks(monkeypatch, x_shape, k_shape, stride, padding, dtype, per_chunk, per_tile):
+        """Shrink _PATCH_CHUNK_BYTES and _EPILOGUE_TILE_BYTES to per_chunk
+        and per_tile samples of this conv (None keeps a budget as it is)."""
+        out_sp = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(x_shape[2:], k_shape[2:], stride, padding)]
+        n_out = int(np.prod(out_sp)) * np.dtype(dtype).itemsize
+        if per_chunk is not None:
+            monkeypatch.setattr(T, "_PATCH_CHUNK_BYTES", per_chunk * int(np.prod(k_shape[1:])) * n_out)
+        if per_tile is not None:
+            monkeypatch.setattr(T, "_EPILOGUE_TILE_BYTES", per_tile * k_shape[0] * n_out)
+
+    @staticmethod
+    def arrays(x_shape, k_shape, dtype, seed=0):
+        r = rng_for(seed)
+        gshape = (1, k_shape[0]) + (1,) * (len(x_shape) - 2)
+        return [r.normal(size=x_shape).astype(dtype), r.normal(size=k_shape).astype(dtype),
+                (1.0 + 0.5 * r.normal(size=gshape)).astype(dtype), (0.5 * r.normal(size=gshape)).astype(dtype)]
+
+    @staticmethod
+    def fused(x, k, gamma, beta, stride, padding, leaky):
+        conv = T.conv3d if len(stride) == 3 else T.conv2d
+        return conv(x, k, stride=stride, padding=padding, gamma=gamma, beta=beta, leaky=leaky)
+
+    @staticmethod
+    def three_ops(x, k, gamma, beta, stride, padding, leaky):
+        conv = T.conv3d if len(stride) == 3 else T.conv2d
+        out = T.layer_norm(conv(x, k, stride=stride, padding=padding), gamma, beta, axis=1)
+        return T.leaky_relu(out) if leaky else out
+
+    # samples per patch chunk and per epilogue tile: one of each, one sample
+    # each, and chunks of 1+2+2 against tiles of 2+3
+    BLOCKS = [(None, None), (1, 1), (2, 3)]
+
+    @pytest.mark.parametrize("per_chunk, per_tile", BLOCKS)
+    @pytest.mark.parametrize("leaky", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", STAGES)
+    def test_forward_equals_the_three_ops_bit_for_bit(self, monkeypatch, x_shape, k_shape, stride, padding,
+                                                      dtype, leaky, per_chunk, per_tile):
+        self.blocks(monkeypatch, x_shape, k_shape, stride, padding, dtype, per_chunk, per_tile)
+        arrays = self.arrays(x_shape, k_shape, dtype)
+        want = self.three_ops(*map(Tensor, arrays), stride, padding, leaky).data
+        # under grad xhat goes to its own buffer; under no_grad the output
+        # is normalized in place
+        graph = self.fused(*[Tensor(a, requires_grad=True) for a in arrays], stride, padding, leaky)
+        with T.no_grad():
+            frozen = self.fused(*map(Tensor, arrays), stride, padding, leaky)
+        assert graph.data.dtype == frozen.data.dtype == dtype
+        np.testing.assert_array_equal(graph.data, want)
+        np.testing.assert_array_equal(frozen.data, want)
+
+    @pytest.mark.parametrize("leaky", [True, False])
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", [
+        pytest.param((3, 2, 3, 5, 5), (3, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d"),
+        pytest.param((3, 2, 6, 5), (3, 2, 3, 3), (2, 1), (1, 1), id="2d"),
+    ])
+    def test_gradients_vs_fd(self, monkeypatch, x_shape, k_shape, stride, padding, leaky):
+        self.blocks(monkeypatch, x_shape, k_shape, stride, padding, np.float64, 1, 2)
+        arrays = self.arrays(x_shape, k_shape, np.float64, seed=1)
+        out_shape = self.fused(*map(Tensor, arrays), stride, padding, leaky).shape
+        w = Tensor(rng_for(2).normal(size=out_shape))
+        assert_grad_matches(lambda *t: T.tsum(T.mul(self.fused(*t, stride, padding, leaky), w)), arrays)
+
+    @pytest.mark.parametrize("layout", ["sample_major", "channel_major", "channels_last"])
+    @pytest.mark.parametrize("per_chunk, per_tile", BLOCKS)
+    @pytest.mark.parametrize("leaky", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", STAGES)
+    def test_gradients_match_the_three_ops(self, monkeypatch, x_shape, k_shape, stride, padding, dtype, leaky,
+                                           per_chunk, per_tile, layout):
+        """The same gradients up to summation order, for an upstream
+        gradient in each layout the networks hand a stage: from a loss, from
+        the next conv's input gradient and from the heads' transposes."""
+        self.blocks(monkeypatch, x_shape, k_shape, stride, padding, dtype, per_chunk, per_tile)
+        arrays = self.arrays(x_shape, k_shape, dtype)
+        out_shape = self.fused(*map(Tensor, arrays), stride, padding, leaky).shape
+        w = rng_for(3).normal(size=out_shape).astype(dtype)
+        if layout == "channel_major":
+            w = np.moveaxis(np.ascontiguousarray(np.moveaxis(w, 1, 0)), 0, 1)
+        elif layout == "channels_last":
+            w = np.moveaxis(np.ascontiguousarray(np.moveaxis(w, 1, -1)), -1, 1)
+        grads = []
+        for build in (self.fused, self.three_ops):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            T.tsum(T.mul(build(*leaves, stride, padding, leaky), Tensor(w))).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for name, got, want in zip(("input", "kernels", "gamma", "beta"), *grads):
+            assert got.dtype == dtype, name
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-6 * scale, name
+
+    def test_no_grad_leaves_no_node(self):
+        arrays = self.arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)
+        with T.no_grad():
+            out = self.fused(*[Tensor(a, requires_grad=True) for a in arrays], (1, 2, 2), (1, 1, 1), True)
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+
+    @pytest.mark.parametrize("leaky", [True, False])
+    def test_closure_holds_xhat_and_the_output_not_a_mask(self, leaky):
+        """Besides its input and kernels a stage's closure holds its
+        normalized output and 1/sigma, and a leaky stage its own output,
+        whose sign gives the slope; a stage that ends linear holds no output,
+        which dies with its tensor."""
+        x, k, gamma, beta = [Tensor(a, requires_grad=True)
+                             for a in self.arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)]
+        out = self.fused(x, k, gamma, beta, (1, 2, 2), (1, 1, 1), leaky)
+        held = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert not [v for v in held if v.dtype == bool]
+        assert any(v is x.data for v in held) and any(v is k.data for v in held)
+        assert any(np.shares_memory(v, out.data) for v in held) == leaky
+        extra = sum(v.nbytes for v in held if v is not x.data and v is not k.data)
+        # xhat, 1/sigma, gamma's view and, when leaky, the output
+        assert extra <= out.data.nbytes * (2 if leaky else 1) + out.data.nbytes // 4 + gamma.data.nbytes
+        owner = weakref.ref(memory_owner(out.data))
+        del out
+        assert (owner() is not None) == leaky
+
+    def test_gamma_and_beta_come_together(self):
+        x, k = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3)))
+        g = Tensor(np.ones((1, 3, 1, 1)))
+        for kw in (dict(gamma=g), dict(beta=g), dict(leaky=True)):
+            with pytest.raises(ValueError, match=r"^conv2d: gamma and beta come together"):
+                T.conv2d(x, k, **kw)
+
+
 class TestBackwardSemantics:
     def test_sum_loss_gives_ones(self):
         w = Tensor(np.zeros((3, 2)), requires_grad=True)

@@ -22,9 +22,10 @@ as two clusters, not only as a wide quartile spread), the change/parent
 ratio of the medians, the number of pairs in which the change was better
 (ties count for neither side; two values of a metric with unit `count` tie
 when they agree to a relative 1e-9) and `gain_rule`: whether a
-gain on that metric may be claimed, i.e. the set has at least 10 pairs, the
-change was better in at least 9 of every 10 of them and its median is better
-than the parent's by more than the parent's interquartile range. Which
+gain on that metric may be claimed, i.e. every run of the set passed its
+correctness gates with 0 failed operations, the set has at least 10 pairs,
+the change was better in at least 9 of every 10 of them and its median is
+better than the parent's by more than the parent's interquartile range. Which
 direction is better comes from BENCHMARK.json; a metric it does not list gets
 no count and no gain_rule. An end-to-end metric that BENCHMARK.json gives a
 `bound` also gets `regressed`: whether the change's median is worse than the
@@ -84,13 +85,13 @@ def _stats(values) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "values": [float(v) for v in values]}
 
 
-def gain_rule(entry: dict, pairs: int) -> bool:
-    """A claimable gain: at least 10 pairs, better in >= 9/10 of them, and the
-    medians apart by more than the parent's interquartile range, in the
-    better direction."""
+def gain_rule(entry: dict, pairs: int, clean: bool) -> bool:
+    """A claimable gain: every run correct with 0 failed (`clean`), at least
+    10 pairs, better in >= 9/10 of them, and the medians apart by more than
+    the parent's interquartile range, in the better direction."""
     sign = -1.0 if entry["better"] == "lower" else 1.0
     p, c = entry["parent"], entry["change"]
-    return bool(pairs >= 10 and 10 * entry["pairs_better"] >= 9 * pairs
+    return bool(clean and pairs >= 10 and 10 * entry["pairs_better"] >= 9 * pairs
                 and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
 
 
@@ -114,6 +115,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need the same, non-zero number of runs per side, got {len(parent)} and {len(change)}")
     runs = {"parent": parent, "change": change}
+    counts = {f"{side}_{key}": sum(r[key] for r in runs[side]) for side in SIDES for key in ("attempted", "failed")}
+    all_correct = all(r["correct"] for side in SIDES for r in runs[side])
+    clean = all_correct and not any(counts[f"{side}_failed"] for side in SIDES)
     metrics = {}
     for name, first in parent[0]["metrics"].items():
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -126,16 +130,11 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
             entry["pairs_better"] = sum(
                 _change_better(p, c, sign, entry["unit"]) for p, c in zip(vals["parent"], vals["change"])
             )
-            entry["gain_rule"] = gain_rule(entry, len(parent))
+            entry["gain_rule"] = gain_rule(entry, len(parent), clean)
             if bounds and name in bounds:
                 entry["regressed"] = regressed(entry, bounds[name])
         metrics[name] = entry
-    return {
-        "pairs": len(parent),
-        **{f"{side}_{key}": sum(r[key] for r in runs[side]) for side in SIDES for key in ("attempted", "failed")},
-        "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
-        "metrics": metrics,
-    }
+    return {"pairs": len(parent), **counts, "all_correct": all_correct, "metrics": metrics}
 
 
 def src_tree_hash(tree: Path) -> str:
@@ -169,16 +168,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 TABLE_HEADER = [
-    "| set | metric | parent median [q1, q3] | change median [q1, q3] | ratio | pairs better | gain_rule | regressed |",
-    "|---|---|---|---|---|---|---|---|",
+    "| set | metric | parent median [q1, q3] | change median [q1, q3] | ratio | pairs better | gain_rule | regressed "
+    "| all correct | failed/attempted, parent · change |",
+    "|---|---|---|---|---|---|---|---|---|---|",
 ]
 
 
 def table_rows(workload: str, summary: dict, seeds: list[int]) -> list[str]:
     """Markdown rows: metric, both medians with quartiles, ratio, pairs
-    better, whether the gain rule holds and whether the metric regressed
-    past its bound."""
+    better, whether the gain rule holds, whether the metric regressed past
+    its bound, and the set's runs: whether every one was correct, and each
+    side's failed and attempted operations."""
     label = f"{workload} ({summary['pairs']} pairs, seeds {seeds[0]}–{seeds[-1]})"
+    runs = "yes" if summary["all_correct"] else "no"
+    ops = " · ".join(f"{summary[f'{side}_failed']}/{summary[f'{side}_attempted']}" for side in SIDES)
     rows = []
     for name, m in summary["metrics"].items():
         p, c = m["parent"], m["change"]
@@ -186,7 +189,8 @@ def table_rows(workload: str, summary: dict, seeds: list[int]) -> list[str]:
         won = f"{m['pairs_better']}/{summary['pairs']}" if "pairs_better" in m else "–"
         rule, worse = ({True: "yes", False: "no"}.get(m.get(key), "–") for key in ("gain_rule", "regressed"))
         rows.append(f"| {label} | `{name}` | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] | "
-                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} | {rule} | {worse} |")
+                    f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {ratio} | {won} | {rule} | {worse} | "
+                    f"{runs} | {ops} |")
     return rows
 
 
