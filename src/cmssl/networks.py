@@ -188,7 +188,7 @@ class _LayerNormParams:
         self.beta = init.full(f"{name}.beta", 0.0, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, axis=-1)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 def _attention(q, k, v, heads):

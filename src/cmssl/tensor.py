@@ -33,17 +33,18 @@ GEMM per chunk. The forward writes each chunk's columns of one output and is
 bit-identical to a single GEMM; the kernel gradient sums the chunks'
 products in chunk order, which only reorders its rounding.
 
-A conv stage of the networks (conv -> layer norm over channels -> leaky
-relu) is one conv node: given gamma and beta, and leaky, conv3d/conv2d
-normalize, scale, shift and rectify their output in place, in tiles of
-samples of at most _EPILOGUE_TILE_BYTES (512 KiB) that stay in a core's L2
-cache through those passes, bit for bit as the three ops would. Such a node
-holds, besides its input and kernels, the normalized output xhat and
-1/sigma, and a leaky stage its own output, whose sign gives the slope of
-each cell (the next conv holds that output as its input anyway); a stage
-that ends linear lets its output die with its Tensor. Under no_grad it
-keeps nothing. Its backward turns the upstream gradient into the pre-norm
-gradient tile by tile, summing the gamma and beta gradients tile by tile.
+Every conv is a conv stage of the networks (conv -> layer norm over
+channels -> leaky relu), one node: conv3d/conv2d normalize, scale, shift
+and, when leaky, rectify their output in place, in tiles of samples of at
+most _EPILOGUE_TILE_BYTES (512 KiB) that stay in a core's L2 cache through
+those passes. The tests' oracle is the one-GEMM conv, then _normalize over
+channels, gamma, beta and _leaky, bit for bit. A stage holds, besides its
+input and kernels, the normalized output xhat and 1/sigma, and a leaky
+stage its own output, whose sign gives the slope of each cell (the next
+conv holds that output as its input anyway); a stage that ends linear lets
+its output die with its Tensor. Under no_grad it keeps nothing. Its
+backward turns the upstream gradient into the pre-norm gradient tile by
+tile, summing the gamma and beta gradients tile by tile.
 
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
@@ -648,13 +649,12 @@ def _normalize_grad(gh: np.ndarray, xhat: np.ndarray, inv_sigma: np.ndarray, axi
     return np.multiply(gh, inv_sigma, out=gh if out is None else out)
 
 
-def layer_norm(a, gamma, beta, axis: int = -1) -> Tensor:
-    """Normalize over one axis; gamma/beta must broadcast against the output."""
+def layer_norm(a, gamma, beta) -> Tensor:
+    """Normalize over the last axis; gamma/beta must broadcast against the output."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     na, ngamma, nbeta = _grad_node(a), _grad_node(gamma), _grad_node(beta)
     gd = gamma.data
-    ax = axis % a.data.ndim
-    xhat, inv_sigma = _normalize(a.data, ax)
+    xhat, inv_sigma = _normalize(a.data, -1)
     data = xhat * gd
     data += beta.data
 
@@ -664,7 +664,7 @@ def layer_norm(a, gamma, beta, axis: int = -1) -> Tensor:
         if nbeta is not None:
             nbeta._accum(_unbroadcast(g, nbeta.shape))
         if na is not None:
-            na._accum(_normalize_grad(g * gd, xhat, inv_sigma, ax))
+            na._accum(_normalize_grad(g * gd, xhat, inv_sigma, -1))
 
     return _make(data, (a, gamma, beta), "layer_norm", backward)
 
@@ -794,6 +794,23 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
     return dx
 
 
+def _conv_kernel_grad(gmat, x, ksp, out_sp, stride, padding, chunks) -> np.ndarray:
+    """dL/dk of a convolution, (cout, cin, *ksp), from the upstream gradient
+    gmat (cout, B*N) and the unpadded input x (B, cin, *spatial).
+
+    The patch matrix is rebuilt one chunk of samples (lo, hi) of `chunks` at
+    a time and dies with its product. (K, n*N) @ (n*N, cout) runs faster in
+    BLAS than the transposed product; the products are summed in chunk order.
+    """
+    N = int(np.prod(out_sp))
+    parts = (_patch_matrix(x[lo:hi], ksp, out_sp, stride, padding) @ gmat[:, lo * N:hi * N].T
+             for lo, hi in chunks)
+    gk = next(parts)
+    for part in parts:
+        gk += part
+    return gk.T.reshape((gmat.shape[0], x.shape[1]) + tuple(ksp))
+
+
 # the most bytes one patch matrix of _convnd may take; larger batches are
 # split into chunks of samples (see _sample_chunks)
 _PATCH_CHUNK_BYTES = 4 << 20
@@ -802,12 +819,11 @@ _PATCH_CHUNK_BYTES = 4 << 20
 _EPILOGUE_TILE_BYTES = 512 << 10
 
 
-def _sample_chunks(B: int, bytes_per_sample: int, budget: int | None = None) -> list[tuple[int, int]]:
+def _sample_chunks(B: int, bytes_per_sample: int, budget: int) -> list[tuple[int, int]]:
     """(lo, hi) sample ranges covering range(B): the fewest chunks of at most
     max(1, budget // bytes_per_sample) samples, their sizes as equal as
-    possible, so no chunk is a small tail GEMM. budget defaults to
-    _PATCH_CHUNK_BYTES."""
-    per = max(1, (_PATCH_CHUNK_BYTES if budget is None else budget) // bytes_per_sample)
+    possible, so no chunk is a small tail GEMM."""
+    per = max(1, budget // bytes_per_sample)
     n = max(1, -(-B // per))
     bounds = [i * B // n for i in range(n + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -835,17 +851,17 @@ def _patch_matrix(x, ksp, out_sp, stride, padding) -> np.ndarray:
     return cols.reshape(cin * int(np.prod(ksp)), B * int(np.prod(out_sp)))
 
 
-def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: bool) -> Tensor:
-    """Shared 2-D/3-D convolution: GEMMs of the kernels with the patch
-    matrices of balanced chunks of samples (see _sample_chunks), optionally
-    followed in the same node by a layer norm over the output channels
-    (gamma, beta) and a leaky relu, run in place on the output in tiles of
-    samples of at most _EPILOGUE_TILE_BYTES.
+def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: str) -> Tensor:
+    """Shared 2-D/3-D conv stage: GEMMs of the kernels with the patch
+    matrices of balanced chunks of samples (see _sample_chunks), then, in the
+    same node, a layer norm over the output channels (gamma, beta) and, when
+    leaky, a leaky relu, run in place on the output in tiles of samples of at
+    most _EPILOGUE_TILE_BYTES.
 
     a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial); gamma, beta:
     Cout values each, in any shape (the networks keep (1, Cout, 1, ...)).
     """
-    a, kernels = _as_tensor(a), _as_tensor(kernels)
+    a, kernels, gamma, beta = _as_tensor(a), _as_tensor(kernels), _as_tensor(gamma), _as_tensor(beta)
     x = a.data
     kd = kernels.data
     if x.ndim != nd + 2:
@@ -855,11 +871,6 @@ def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: b
     B, cin = x.shape[0], x.shape[1]
     if kd.shape[1] != cin:
         raise ValueError(f"{op}: input channels {cin} != kernel channels {kd.shape[1]} (dim 1)")
-    if (gamma is None) != (beta is None) or (leaky and gamma is None):
-        raise ValueError(f"{op}: gamma and beta come together, and leaky needs them")
-    norm = gamma is not None
-    if norm:
-        gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     spatial = x.shape[2:]
     ksp = kd.shape[2:]
     stride = tuple(int(s) for s in stride)
@@ -871,7 +882,7 @@ def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: b
     N = int(np.prod(out_sp))
     cout = kd.shape[0]
     kmat = kd.reshape(cout, -1)
-    chunks = _sample_chunks(B, kmat.shape[1] * N * x.itemsize)
+    chunks = _sample_chunks(B, kmat.shape[1] * N * x.itemsize, _PATCH_CHUNK_BYTES)
     # channel-major: one row per output channel, one column per sample and
     # output position
     out = np.empty((cout, B * N), dtype=np.result_type(kd, x))
@@ -879,29 +890,26 @@ def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: b
         # a chunk's padded input and patch matrix die after its GEMM, which
         # writes its columns of the output in place
         np.matmul(kmat, _patch_matrix(x[lo:hi], ksp, out_sp, stride, padding), out=out[:, lo * N:hi * N])
-    parents = (a, kernels, gamma, beta) if norm else (a, kernels)
-    na, nk = _grad_node(a), _grad_node(kernels)
-    ngamma, nbeta = (_grad_node(gamma), _grad_node(beta)) if norm else (None, None)
+    parents = (a, kernels, gamma, beta)
+    na, nk, ngamma, nbeta = (_grad_node(t) for t in parents)
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
     dtype = out.dtype
     # the backward reads xhat and 1/sigma; without it each tile is normalized
     # in place and nothing is kept
-    xhat = np.empty_like(out) if norm and keep else None
-    inv_sigma = np.empty((1, B * N), dtype=dtype) if norm and keep else None
-    gd = tiles = None  # read by the backward only when norm
-    if norm:
-        gd, bd = gamma.data.reshape(cout, 1), beta.data.reshape(cout, 1)
-        tiles = _sample_chunks(B, cout * N * out.itemsize, _EPILOGUE_TILE_BYTES)
-        for lo, hi in tiles:
-            cols = slice(lo * N, hi * N)
-            blk = out[:, cols]
-            xh, inv = _normalize(blk, 0, out=blk if xhat is None else xhat[:, cols])
-            if keep:
-                inv_sigma[:, cols] = inv
-            np.multiply(xh, gd, out=blk)
-            blk += bd
-            if leaky:
-                _leaky(blk, out=blk)
+    xhat = np.empty_like(out) if keep else None
+    inv_sigma = np.empty((1, B * N), dtype=dtype) if keep else None
+    gd, bd = gamma.data.reshape(cout, 1), beta.data.reshape(cout, 1)
+    tiles = _sample_chunks(B, cout * N * out.itemsize, _EPILOGUE_TILE_BYTES)
+    for lo, hi in tiles:
+        cols = slice(lo * N, hi * N)
+        blk = out[:, cols]
+        xh, inv = _normalize(blk, 0, out=blk if xhat is None else xhat[:, cols])
+        if keep:
+            inv_sigma[:, cols] = inv
+        np.multiply(xh, gd, out=blk)
+        blk += bd
+        if leaky:
+            _leaky(blk, out=blk)
     # the kernel gradient rebuilds the patch matrices, chunk by chunk, from
     # the unpadded input, about prod(ksp)/prod(stride) times smaller than the
     # whole patch matrix; the input gradient reads the kernels. _patch_matrix
@@ -913,42 +921,29 @@ def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: b
     y = out if leaky and keep else None
 
     def backward(g):
-        if not norm:
-            gmat = np.moveaxis(g, 1, 0).reshape(cout, B * N)
-        else:
-            # dL/d(conv output), channel-major, tile by tile
-            gmat = np.empty((cout, B * N), dtype=np.result_type(g, dtype))
-            g = g.reshape(B, cout, N)
-            ggamma = gbeta = 0  # each sum becomes its first tile's array
-            for lo, hi in tiles:
-                # (n, cout, N) views of the tile, with g in the layout it came
-                # in, so that every sum runs in the order it does in
-                # leaky_relu(layer_norm(conv(x), gamma, beta, axis=1))
-                def samples(m):
-                    return m[:, lo * N:hi * N].reshape(-1, hi - lo, N).swapaxes(0, 1)
+        # dL/d(conv output), channel-major, tile by tile
+        gmat = np.empty((cout, B * N), dtype=np.result_type(g, dtype))
+        g = g.reshape(B, cout, N)
+        ggamma = gbeta = 0  # each sum becomes its first tile's array
+        for lo, hi in tiles:
+            # (n, cout, N) views of the tile, with g in the layout it came in
+            def samples(m):
+                return m[:, lo * N:hi * N].reshape(-1, hi - lo, N).swapaxes(0, 1)
 
-                gc = g[lo:hi] if y is None else _leaky_grad(samples(y) > 0, g[lo:hi], dtype)
-                xh = samples(xhat)
-                if ngamma is not None:
-                    ggamma += (gc * xh).sum(axis=(0, 2))
-                if nbeta is not None:
-                    gbeta += gc.sum(axis=(0, 2))
-                if na is not None or nk is not None:
-                    _normalize_grad(gc * gd.reshape(1, cout, 1), xh, samples(inv_sigma), 1, out=samples(gmat))
+            gc = g[lo:hi] if y is None else _leaky_grad(samples(y) > 0, g[lo:hi], dtype)
+            xh = samples(xhat)
             if ngamma is not None:
-                ngamma._accum(ggamma.reshape(ngamma.shape))
+                ggamma += (gc * xh).sum(axis=(0, 2))
             if nbeta is not None:
-                nbeta._accum(gbeta.reshape(nbeta.shape))
+                gbeta += gc.sum(axis=(0, 2))
+            if na is not None or nk is not None:
+                _normalize_grad(gc * gd.reshape(1, cout, 1), xh, samples(inv_sigma), 1, out=samples(gmat))
+        if ngamma is not None:
+            ngamma._accum(ggamma.reshape(ngamma.shape))
+        if nbeta is not None:
+            nbeta._accum(gbeta.reshape(nbeta.shape))
         if nk is not None:
-            # (K, n*N) @ (n*N, cout) runs faster in BLAS than the transposed
-            # product; each chunk's rebuilt patch matrix dies with its product,
-            # and the products are summed in chunk order
-            parts = (_patch_matrix(x_in[lo:hi], ksp, out_sp, stride, padding) @ gmat[:, lo * N:hi * N].T
-                     for lo, hi in chunks)
-            gk = next(parts)
-            for part in parts:
-                gk += part
-            nk._accum(gk.T.reshape(nk.shape))
+            nk._accum(_conv_kernel_grad(gmat, x_in, ksp, out_sp, stride, padding, chunks))
         if na is not None:
             na._accum(np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0))
 
@@ -956,14 +951,13 @@ def _convnd(a, kernels, stride, padding, nd: int, op: str, gamma, beta, leaky: b
     return _make(out, parents, op, backward)
 
 
-def conv3d(a, kernels, stride=(1, 1, 1), padding=(0, 0, 0), gamma=None, beta=None, leaky=False) -> Tensor:
-    """3-D convolution over (B, Cin, T, H, W); with gamma and beta, a layer
-    norm over the output channels follows in the same node, equal to
-    layer_norm(conv3d(a, kernels), gamma, beta, axis=1), and with leaky a
-    leaky relu after it."""
-    return _convnd(a, kernels, stride, padding, 3, "conv3d", gamma, beta, leaky)
+def conv3d(a, kernels, gamma, beta, stride, padding, leaky) -> Tensor:
+    """3-D conv stage over (B, Cin, T, H, W): the convolution, a layer norm
+    over the output channels with gamma and beta, and, when leaky, a leaky
+    relu, in one node (see _convnd)."""
+    return _convnd(a, kernels, gamma, beta, stride, padding, leaky, 3, "conv3d")
 
 
-def conv2d(a, kernels, stride=(1, 1), padding=(0, 0), gamma=None, beta=None, leaky=False) -> Tensor:
-    """2-D convolution over (B, Cin, H, W); gamma, beta and leaky as in conv3d."""
-    return _convnd(a, kernels, stride, padding, 2, "conv2d", gamma, beta, leaky)
+def conv2d(a, kernels, gamma, beta, stride, padding, leaky) -> Tensor:
+    """2-D conv stage over (B, Cin, H, W), as conv3d."""
+    return _convnd(a, kernels, gamma, beta, stride, padding, leaky, 2, "conv2d")

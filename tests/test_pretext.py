@@ -820,7 +820,7 @@ class TestFloat32Step:
             if n.op in ("conv2d", "conv3d"):
                 kernel = n._parents[1]
                 per_sample = int(np.prod(kernel.shape[1:])) * int(np.prod(n.shape[2:])) * n.dtype.itemsize
-                sizes += [(hi - lo) * per_sample for lo, hi in T._sample_chunks(n.shape[0], per_sample)]
+                sizes += [(hi - lo) * per_sample for lo, hi in T._sample_chunks(n.shape[0], per_sample, T._PATCH_CHUNK_BYTES)]
         return max(sizes)
 
     def test_backward_frees_the_graph_as_it_walks(self, batches):

@@ -125,13 +125,15 @@ DTYPE_CASES = {
     "matmul": (lambda a, b, c: T.matmul(T.matmul(a, b), c), [(2, 3, 4), (4, 5), (2, 5, 3)]),
     "softmax": (lambda a: T.softmax(a, axis=1), [(3, 4)]),
     "logsumexp": (lambda a: T.logsumexp(a, axis=1), [(3, 4)]),
-    "layer_norm": (lambda a, g, b: T.layer_norm(a, g, b, axis=1), [(2, 3, 4), (1, 3, 1), (1, 3, 1)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)]),
     "dropout": (lambda a: T.dropout(a, 0.25, rng=np.random.default_rng(0)), [(3, 4)]),
     "global_avg_pool": (T.global_avg_pool, [(3, 2, 2)]),
     "cosine_similarity": (T.cosine_similarity, [(5,), (5,)]),
     "l2_normalize": (lambda a: T.l2_normalize(a, axis=1), [(3, 4)]),
-    "conv2d": (lambda a, k: T.conv2d(a, k, stride=(2, 1), padding=(1, 1)), [(2, 2, 5, 5), (3, 2, 3, 3)]),
-    "conv3d": (lambda a, k: T.conv3d(a, k, stride=(1, 2, 1), padding=(1, 0, 1)), [(2, 2, 3, 5, 4), (3, 2, 3, 3, 3)]),
+    "conv2d": (lambda a, k, g, b: T.conv2d(a, k, g, b, (2, 1), (1, 1), True),
+               [(2, 2, 5, 5), (3, 2, 3, 3), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    "conv3d": (lambda a, k, g, b: T.conv3d(a, k, g, b, (1, 2, 1), (1, 0, 1), False),
+               [(2, 2, 3, 5, 4), (3, 2, 3, 3, 3), (1, 3, 1, 1, 1), (1, 3, 1, 1, 1)]),
 }
 
 
@@ -272,15 +274,9 @@ class TestLayerNorm:
             gamma = r.normal(size=(5,))
             beta = r.normal(size=(5,))
             assert_grad_matches(
-                lambda a, g, b: T.tsum(T.mul(T.layer_norm(a, g, b, axis=1), T.layer_norm(a, g, b, axis=1))),
+                lambda a, g, b: T.tsum(T.mul(T.layer_norm(a, g, b), T.layer_norm(a, g, b))),
                 [x, gamma, beta],
             )
-
-    def test_channel_axis_on_conv_map(self):
-        r = rng_for(3)
-        x = r.normal(size=(2, 4, 3, 3))
-        out = T.layer_norm(Tensor(x), Tensor(np.ones((1, 4, 1, 1))), Tensor(np.zeros((1, 4, 1, 1))), axis=1)
-        np.testing.assert_allclose(out.data.mean(axis=1), 0.0, atol=1e-9)
 
 
 class TestDropout:
@@ -366,76 +362,100 @@ class TestCosineSimilarity:
             assert -1.0 - 1e-9 <= c.item() <= 1.0 + 1e-9
 
 
+@pytest.fixture
+def nan_filled_empty(monkeypatch):
+    """np.empty hands out NaN-filled arrays, so a cell that the input gradient
+    or a conv stage allocates and never writes reads NaN instead of whatever
+    the allocator left there (often zeros)."""
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=float, *a, **kw: np.full(shape, np.nan, dtype=dtype))
+
+
+def conv_out_sp(x_shape, k_shape, stride, padding) -> tuple:
+    """The output positions per axis of a conv of x_shape (B, cin, *spatial)
+    with kernels of k_shape (cout, cin, *ksp)."""
+    return tuple((n + 2 * p - k) // s + 1 for n, k, s, p in zip(x_shape[2:], k_shape[2:], stride, padding))
+
+
+def stage(x, k, gamma, beta, stride, padding, leaky):
+    """T.conv3d or T.conv2d, picked by the length of stride."""
+    conv = T.conv3d if len(stride) == 3 else T.conv2d
+    return conv(x, k, gamma, beta, stride, padding, leaky)
+
+
+def stage_arrays(x_shape, k_shape, dtype, seed=0):
+    """Random input, kernels, gamma near 1 and beta near 0 of a conv stage."""
+    r = rng_for(seed)
+    gshape = (1, k_shape[0]) + (1,) * (len(x_shape) - 2)
+    return [r.normal(size=x_shape).astype(dtype), r.normal(size=k_shape).astype(dtype),
+            (1.0 + 0.5 * r.normal(size=gshape)).astype(dtype), (0.5 * r.normal(size=gshape)).astype(dtype)]
+
+
+def reference_conv(x, k, stride, padding) -> np.ndarray:
+    """The convolution of x by k, (B, cout, *out_sp): one GEMM of the kernels
+    with x's whole _patch_matrix."""
+    B, cout = x.shape[0], k.shape[0]
+    out_sp = conv_out_sp(x.shape, k.shape, stride, padding)
+    y = k.reshape(cout, -1) @ T._patch_matrix(x, k.shape[2:], out_sp, stride, padding)
+    return y.reshape(cout, B, -1).transpose(1, 0, 2).reshape((B, cout) + out_sp)
+
+
+def reference_stage(x, k, gamma, beta, stride, padding, leaky) -> np.ndarray:
+    """The conv stage in numpy: reference_conv, then _normalize over the
+    channels, times gamma plus beta, then _leaky when leaky."""
+    y = T._normalize(reference_conv(x, k, stride, padding), 1)[0] * gamma + beta
+    return T._leaky(y) if leaky else y
+
+
+@pytest.mark.usefixtures("nan_filled_empty")
 class TestConv:
-    @pytest.fixture(autouse=True)
-    def nan_filled_empty(self, monkeypatch):
-        """np.empty hands out NaN-filled arrays in these tests, so a cell the
-        input gradient allocates and never writes reads NaN instead of
-        whatever the allocator left there (often zeros)."""
-        monkeypatch.setattr(np, "empty", lambda shape, dtype=float, *a, **kw: np.full(shape, np.nan, dtype=dtype))
+    """The conv stage's forward against reference_stage, and its kernels
+    _conv_input_grad and _conv_kernel_grad against numpy oracles."""
 
-    def test_conv2d_identity_kernel(self):
-        r = rng_for(0)
-        x = r.normal(size=(1, 1, 5, 5))
-        k = np.ones((1, 1, 1, 1))
-        out = T.conv2d(Tensor(x), Tensor(k), stride=(1, 1), padding=(0, 0))
-        np.testing.assert_allclose(out.data, x)
+    @pytest.mark.parametrize("leaky", [True, False])
+    @pytest.mark.parametrize("nd", [2, 3])
+    def test_identity_kernel(self, nd, leaky):
+        # a 1x1 identity kernel passes x through, so the stage only normalizes it
+        x, _, gamma, beta = stage_arrays((2, 3) + (3, 4, 4)[-nd:], (3, 3) + (1,) * nd, np.float64)
+        k = np.eye(3).reshape((3, 3) + (1,) * nd)
+        ones, zeros = (1,) * nd, (0,) * nd
+        np.testing.assert_array_equal(reference_conv(x, k, ones, zeros), x)
+        out = stage(*map(Tensor, (x, k, gamma, beta)), ones, zeros, leaky)
+        np.testing.assert_array_equal(out.data, reference_stage(x, k, gamma, beta, ones, zeros, leaky))
 
-    def test_conv3d_identity_kernel(self):
-        r = rng_for(0)
-        x = r.normal(size=(1, 1, 3, 4, 4))
-        k = np.ones((1, 1, 1, 1, 1))
-        out = T.conv3d(Tensor(x), Tensor(k))
-        np.testing.assert_allclose(out.data, x)
-
-    def test_zero_input_zero_output(self):
+    @pytest.mark.parametrize("leaky", [True, False])
+    def test_zero_input_gives_beta(self, leaky):
+        # a zero conv output normalizes to zero, so every cell is beta
         k = rng_for(1).normal(size=(2, 3, 3, 3, 3))
-        out = T.conv3d(Tensor(np.zeros((1, 3, 4, 6, 6))), Tensor(k), stride=(1, 1, 1), padding=(1, 1, 1))
-        np.testing.assert_allclose(out.data, 0.0)
+        beta = np.array([0.5, -2.0]).reshape(1, 2, 1, 1, 1)
+        out = T.conv3d(Tensor(np.zeros((1, 3, 4, 6, 6))), Tensor(k), Tensor(np.full(beta.shape, 3.0)), Tensor(beta),
+                       (1, 1, 1), (1, 1, 1), leaky)
+        np.testing.assert_array_equal(out.data, np.broadcast_to(T._leaky(beta) if leaky else beta, out.shape))
 
     def test_conv2d_matches_naive_loops(self):
         r = rng_for(2)
         x = r.normal(size=(2, 6, 7))
         k = r.normal(size=(3, 2, 3, 3))
-        out = T.conv2d(Tensor(x[None]), Tensor(k), stride=(2, 1), padding=(1, 0)).data[0]
+        _, _, gamma, beta = stage_arrays((1, 2, 6, 7), k.shape, np.float64, seed=2)
+        conv = reference_conv(x[None], k, (2, 1), (1, 0))[0]
         xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
-        naive = np.zeros_like(out)
+        naive = np.zeros_like(conv)
         for co in range(3):
-            for i in range(out.shape[1]):
-                for j in range(out.shape[2]):
+            for i in range(conv.shape[1]):
+                for j in range(conv.shape[2]):
                     patch = xp[:, i * 2 : i * 2 + 3, j : j + 3]
                     naive[co, i, j] = (patch * k[co]).sum()
-        np.testing.assert_allclose(out, naive, atol=1e-12)
+        np.testing.assert_allclose(conv, naive, atol=1e-12)
+        out = T.conv2d(*map(Tensor, (x[None], k, gamma, beta)), (2, 1), (1, 0), True)
+        np.testing.assert_array_equal(out.data, reference_stage(x[None], k, gamma, beta, (2, 1), (1, 0), True))
 
-    def test_conv3d_gradients_vs_fd(self):
-        for seed in SEEDS[:3]:
-            r = rng_for(seed)
-            x = r.normal(size=(1, 2, 4, 6, 6))
-            k = r.normal(size=(2, 2, 3, 3, 3))
-            assert_grad_matches(
-                lambda a, w: T.tsum(T.mul(T.conv3d(a, w, stride=(1, 2, 2), padding=(1, 1, 1)),
-                                          T.conv3d(a, w, stride=(1, 2, 2), padding=(1, 1, 1)))),
-                [x, k],
-            )
-
-    def test_conv2d_gradients_vs_fd(self):
-        for seed in SEEDS[:3]:
-            r = rng_for(seed)
-            x = r.normal(size=(1, 2, 6, 5))
-            k = r.normal(size=(3, 2, 3, 3))
-            assert_grad_matches(
-                lambda a, w: T.tsum(T.mul(T.conv2d(a, w, stride=(2, 1), padding=(1, 1)),
-                                          T.conv2d(a, w, stride=(2, 1), padding=(1, 1)))),
-                [x, k],
-            )
-
-    def test_batched_matches_per_sample(self):
-        r = rng_for(4)
-        x = r.normal(size=(3, 2, 4, 5, 5))
-        k = r.normal(size=(4, 2, 3, 3, 3))
-        batched = T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1)).data
+    @pytest.mark.parametrize("nd", [2, 3])
+    def test_batched_matches_per_sample(self, nd):
+        x_shape, k_shape = (3, 2) + (4, 5, 5)[-nd:], (4, 2) + (3, 3, 3)[-nd:]
+        x, k, gamma, beta = stage_arrays(x_shape, k_shape, np.float64, seed=4)
+        ones = (1,) * nd
+        batched = stage(*map(Tensor, (x, k, gamma, beta)), ones, ones, True).data
         for b in range(3):
-            single = T.conv3d(Tensor(x[b : b + 1]), Tensor(k), padding=(1, 1, 1)).data
+            single = reference_stage(x[b : b + 1], k, gamma, beta, ones, ones, True)
             np.testing.assert_allclose(batched[b : b + 1], single, atol=1e-12)
 
     @staticmethod
@@ -455,21 +475,19 @@ class TestConv:
         return dxp[(slice(None), slice(None)) + core]
 
     def check_input_grad(self, seed, x_shape, k_shape, stride, padding, dtype=np.float64):
-        """The input gradient against col2im_oracle in float64; returns it."""
+        """_conv_input_grad against col2im_oracle in float64; returns it, (B, cin, *spatial)."""
         r = rng_for(seed)
-        x = r.normal(size=x_shape)
         k = r.normal(size=k_shape)
-        conv = T.conv3d if len(stride) == 3 else T.conv2d
-        xt = Tensor(x.astype(dtype), requires_grad=True)
-        out = conv(xt, Tensor(k.astype(dtype)), stride=stride, padding=padding)
-        g = r.normal(size=out.shape)
-        T.tsum(T.mul(out, Tensor(g.astype(dtype)))).backward()
-        want = self.col2im_oracle(g, k, x.shape, stride, padding)
+        out_sp = conv_out_sp(x_shape, k_shape, stride, padding)
+        g = r.normal(size=(x_shape[0], k_shape[0]) + out_sp)
+        gmat = np.moveaxis(g, 1, 0).reshape(k_shape[0], -1).astype(dtype)
+        dx = np.moveaxis(T._conv_input_grad(gmat, k.astype(dtype), x_shape, out_sp, stride, padding), 1, 0)
+        want = self.col2im_oracle(g, k, x_shape, stride, padding)
         # float32: rounding of a sum of ~cout*prod(k) products of unit scale
         tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
-        assert xt.grad.dtype == dtype
-        np.testing.assert_allclose(xt.grad, want, **tol)
-        return xt.grad
+        assert dx.dtype == dtype
+        np.testing.assert_allclose(dx, want, **tol)
+        return dx
 
     @pytest.mark.parametrize("nd", [2, 3])
     @pytest.mark.parametrize("s", [1, 2])
@@ -528,23 +546,27 @@ class TestConv:
         "x_shape, k_shape, stride, padding",
         [
             ((2, 3, 5, 7, 6), (4, 3, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
-            # a kernel no longer than its stride: the gradient needs no zero
-            # extension and is read through a view
+            # a kernel no longer than its stride: the input gradient needs no
+            # zero extension and reads its gradient through a view
             ((1, 3, 6, 8), (2, 3, 2, 2), (2, 2), (0, 0)),
         ],
         ids=["extended", "unextended"],
     )
     def test_backward_leaves_its_gradient_unchanged(self, x_shape, k_shape, stride, padding):
-        r = rng_for(12)
-        conv = T.conv3d if len(stride) == 3 else T.conv2d
-        x = Tensor(r.normal(size=x_shape), requires_grad=True)
-        k = Tensor(r.normal(size=k_shape), requires_grad=True)
-        out = conv(x, k, stride=stride, padding=padding)
-        g = r.normal(size=out.shape)
+        leaves = [Tensor(a, requires_grad=True) for a in stage_arrays(x_shape, k_shape, np.float64, seed=12)]
+        x, k = leaves[:2]
+        out = stage(*leaves, stride, padding, True)
+        g = rng_for(12).normal(size=out.shape)
         before = g.copy()
         out._backward(g)
         np.testing.assert_array_equal(g, before)
-        assert np.any(x.grad != 0.0) and np.any(k.grad != 0.0)
+        assert all(np.any(leaf.grad != 0.0) for leaf in leaves)
+        # the kernels read the channel-major gradient the closure hands them
+        gmat = np.ascontiguousarray(np.moveaxis(g, 1, 0).reshape(k_shape[0], -1))
+        before = gmat.copy()
+        T._conv_input_grad(gmat, k.data, x_shape, out.shape[2:], stride, padding)
+        T._conv_kernel_grad(gmat, x.data, k_shape[2:], out.shape[2:], stride, padding, [(0, x_shape[0])])
+        np.testing.assert_array_equal(gmat, before)
 
     @pytest.mark.parametrize("x_grad, k_grad", [(True, True), (False, True), (True, False)])
     def test_closure_holds_its_input_and_kernels_not_their_patches(self, x_grad, k_grad):
@@ -554,9 +576,12 @@ class TestConv:
         r = rng_for(13)
         x = Tensor(r.normal(size=(2, 16, 8, 32, 32)), requires_grad=x_grad)
         k = Tensor(r.normal(size=(32, 16, 3, 3, 3)), requires_grad=k_grad)
-        out = T.conv3d(x, k, stride=(2, 2, 2), padding=(1, 1, 1))
+        gamma, beta = Tensor(np.ones((1, 32, 1, 1, 1))), Tensor(np.zeros((1, 32, 1, 1, 1)))
+        out = T.conv3d(x, k, gamma, beta, (2, 2, 2), (1, 1, 1), False)
         held = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-        assert sum(v.nbytes for v in held) <= x.data.nbytes + k.data.nbytes
+        # besides the input and the kernels: xhat, 1/sigma and gamma's view
+        norm = out.data.nbytes + out.data.nbytes // 32 + gamma.data.nbytes
+        assert sum(v.nbytes for v in held) <= x.data.nbytes + k.data.nbytes + norm
         # the kernel gradient reads the input, the input gradient the kernels
         assert any(v is x.data for v in held) == k_grad
         assert any(v is k.data for v in held) == x_grad
@@ -603,37 +628,43 @@ class TestConv:
              "chunked_one_sample_3d", "chunked_uneven_3d", "chunked_uneven_2d"],
     )
     def test_kernel_grad_matches_patch_oracle(self, x_shape, k_shape, stride, padding, dtype):
-        """dL/dk of L = sum(conv(x, k) * g) is the einsum of g with the
-        patches, computed in float64."""
+        """_conv_kernel_grad, over the chunks of samples a conv stage of these
+        shapes uses, against dL/dk of L = sum(conv(x, k) * g): the einsum of g
+        with the patches, computed in float64."""
         r = rng_for(15)
         x = r.normal(size=x_shape)
-        k = r.normal(size=k_shape)
-        conv = T.conv3d if len(stride) == 3 else T.conv2d
-        kt = Tensor(k.astype(dtype), requires_grad=True)
-        out = conv(Tensor(x.astype(dtype)), kt, stride=stride, padding=padding)
-        g = r.normal(size=out.shape)
-        T.tsum(T.mul(out, Tensor(g.astype(dtype)))).backward()
+        out_sp = conv_out_sp(x_shape, k_shape, stride, padding)
+        g = r.normal(size=(x_shape[0], k_shape[0]) + out_sp)
+        per_sample = int(np.prod(k_shape[1:])) * int(np.prod(out_sp)) * np.dtype(dtype).itemsize
+        chunks = T._sample_chunks(x_shape[0], per_sample, T._PATCH_CHUNK_BYTES)
+        gmat = np.moveaxis(g, 1, 0).reshape(k_shape[0], -1).astype(dtype)
+        gk = T._conv_kernel_grad(gmat, x.astype(dtype), k_shape[2:], out_sp, stride, padding, chunks)
         B, cout = g.shape[:2]
         want = np.einsum("bcpn,bon->ocp", self.explicit_patches(x, k_shape, stride, padding),
                          g.reshape(B, cout, -1)).reshape(k_shape)
         # float32: as in check_input_grad
         tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
-        assert kt.grad.dtype == dtype
-        np.testing.assert_allclose(kt.grad, want, **tol)
+        assert gk.dtype == dtype and gk.shape == k_shape
+        np.testing.assert_allclose(gk, want, **tol)
 
     def test_channel_mismatch_rejected(self):
+        gamma, beta = Tensor(np.ones((1, 2, 1, 1, 1))), Tensor(np.zeros((1, 2, 1, 1, 1)))
         with pytest.raises(ValueError, match="channels"):
-            T.conv3d(Tensor(np.ones((1, 3, 4, 4, 4))), Tensor(np.ones((2, 4, 3, 3, 3))))
+            T.conv3d(Tensor(np.ones((1, 3, 4, 4, 4))), Tensor(np.ones((2, 4, 3, 3, 3))), gamma, beta,
+                     (1, 1, 1), (0, 0, 0), False)
 
     def test_unbatched_input_rejected(self):
+        gamma, beta = Tensor(np.ones((1, 2, 1, 1, 1))), Tensor(np.zeros((1, 2, 1, 1, 1)))
         with pytest.raises(ValueError, match=r"^conv3d: input rank must be 5, got 4$"):
-            T.conv3d(Tensor(np.ones((3, 4, 4, 4))), Tensor(np.ones((2, 3, 3, 3, 3))))
+            T.conv3d(Tensor(np.ones((3, 4, 4, 4))), Tensor(np.ones((2, 3, 3, 3, 3))), gamma, beta,
+                     (1, 1, 1), (0, 0, 0), False)
         with pytest.raises(ValueError, match=r"^conv2d: input rank must be 4, got 3$"):
-            T.conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((2, 3, 3, 3))))
+            T.conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((2, 3, 3, 3))), gamma, beta, (1, 1), (0, 0), False)
 
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError, match="H"):
-            T.conv2d(Tensor(np.ones((1, 1, 2, 8))), Tensor(np.ones((1, 1, 5, 3))))
+            T.conv2d(Tensor(np.ones((1, 1, 2, 8))), Tensor(np.ones((1, 1, 5, 3))), Tensor(np.ones((1, 1, 1, 1))),
+                     Tensor(np.zeros((1, 1, 1, 1))), (1, 1), (0, 0), False)
 
 
 def model_convs():
@@ -643,8 +674,7 @@ def model_convs():
     for net, x_shape in (("v_net", (3, 8, 32, 32)), ("i_net", (3, 32, 32)), ("m_net", (2, 8, 32, 32))):
         for i, (kernel, _, _, stride, padding) in enumerate(getattr(bundle, net).layers):
             convs.append(pytest.param(x_shape, kernel.shape, stride, padding, id=f"{net}_conv{i}"))
-            x_shape = (kernel.shape[0],) + tuple(
-                (n + 2 * p - k) // s + 1 for n, k, s, p in zip(x_shape[1:], kernel.shape[2:], stride, padding))
+            x_shape = (kernel.shape[0],) + conv_out_sp((1,) + x_shape, kernel.shape, stride, padding)
     return convs
 
 
@@ -657,13 +687,13 @@ class TestConvChunks:
         # m_net's second conv at 24 clips: 18 samples fit, so 12 + 12, not 18 + 6
         per_sample = 432 * 128 * 4
         assert budget // per_sample == 18
-        assert T._sample_chunks(24, per_sample) == [(0, 12), (12, 24)]
+        assert T._sample_chunks(24, per_sample, budget) == [(0, 12), (12, 24)]
         # a batch that fits is one chunk, and a sample past the budget is a chunk of its own
-        assert T._sample_chunks(18, per_sample) == [(0, 18)]
-        assert T._sample_chunks(3, budget + 1) == [(0, 1), (1, 2), (2, 3)]
+        assert T._sample_chunks(18, per_sample, budget) == [(0, 18)]
+        assert T._sample_chunks(3, budget + 1, budget) == [(0, 1), (1, 2), (2, 3)]
         for B in range(1, 40):
             for per in (1, 2, 5, 18):
-                chunks = T._sample_chunks(B, budget // per)
+                chunks = T._sample_chunks(B, budget // per, budget)
                 sizes = [hi - lo for lo, hi in chunks]
                 assert chunks[0][0] == 0 and chunks[-1][1] == B
                 assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
@@ -674,16 +704,10 @@ class TestConvChunks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape, k_shape, stride, padding", model_convs())
     def test_forward_bit_identical_to_one_gemm(self, x_shape, k_shape, stride, padding, dtype, B):
-        r = rng_for(B)
-        x = r.normal(size=(B,) + x_shape).astype(dtype)
-        k = r.normal(size=k_shape).astype(dtype)
-        conv = T.conv3d if len(stride) == 3 else T.conv2d
-        got = conv(Tensor(x), Tensor(k), stride=stride, padding=padding).data
-        out_sp = got.shape[2:]
-        want = k.reshape(k_shape[0], -1) @ T._patch_matrix(x, k_shape[2:], out_sp, stride, padding)
-        want = want.reshape(k_shape[0], B, -1).transpose(1, 0, 2).reshape(got.shape)
+        arrays = stage_arrays((B,) + x_shape, k_shape, dtype, seed=B)
+        got = stage(*map(Tensor, arrays), stride, padding, True).data
         assert got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, reference_stage(*arrays, stride, padding, True))
 
     def test_no_grad_v_forward_builds_no_whole_patch_matrix(self):
         # at 16 clips v_net's second conv's whole patch matrix is 27 MiB and
@@ -708,45 +732,42 @@ STAGES = [
 ]
 
 
+@pytest.mark.usefixtures("nan_filled_empty")
 class TestConvStage:
-    """conv3d/conv2d with gamma, beta and leaky: one node that equals
-    leaky_relu(layer_norm(conv(x), gamma, beta, axis=1)), its layer norm and
-    leaky relu run in tiles of samples of the output."""
-
-    @pytest.fixture(autouse=True)
-    def nan_filled_empty(self, monkeypatch):
-        """As in TestConv: a cell of an np.empty array that the stage never
-        writes reads NaN."""
-        monkeypatch.setattr(np, "empty", lambda shape, dtype=float, *a, **kw: np.full(shape, np.nan, dtype=dtype))
+    """conv3d/conv2d: one node whose forward equals the three ops, conv ->
+    layer norm over channels -> leaky relu, as reference_stage computes them,
+    bit for bit, its layer norm and leaky relu run in tiles of samples of the
+    output."""
 
     @staticmethod
     def blocks(monkeypatch, x_shape, k_shape, stride, padding, dtype, per_chunk, per_tile):
         """Shrink _PATCH_CHUNK_BYTES and _EPILOGUE_TILE_BYTES to per_chunk
         and per_tile samples of this conv (None keeps a budget as it is)."""
-        out_sp = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(x_shape[2:], k_shape[2:], stride, padding)]
-        n_out = int(np.prod(out_sp)) * np.dtype(dtype).itemsize
+        n_out = int(np.prod(conv_out_sp(x_shape, k_shape, stride, padding))) * np.dtype(dtype).itemsize
         if per_chunk is not None:
             monkeypatch.setattr(T, "_PATCH_CHUNK_BYTES", per_chunk * int(np.prod(k_shape[1:])) * n_out)
         if per_tile is not None:
             monkeypatch.setattr(T, "_EPILOGUE_TILE_BYTES", per_tile * k_shape[0] * n_out)
 
     @staticmethod
-    def arrays(x_shape, k_shape, dtype, seed=0):
-        r = rng_for(seed)
-        gshape = (1, k_shape[0]) + (1,) * (len(x_shape) - 2)
-        return [r.normal(size=x_shape).astype(dtype), r.normal(size=k_shape).astype(dtype),
-                (1.0 + 0.5 * r.normal(size=gshape)).astype(dtype), (0.5 * r.normal(size=gshape)).astype(dtype)]
-
-    @staticmethod
-    def fused(x, k, gamma, beta, stride, padding, leaky):
-        conv = T.conv3d if len(stride) == 3 else T.conv2d
-        return conv(x, k, stride=stride, padding=padding, gamma=gamma, beta=beta, leaky=leaky)
-
-    @staticmethod
-    def three_ops(x, k, gamma, beta, stride, padding, leaky):
-        conv = T.conv3d if len(stride) == 3 else T.conv2d
-        out = T.layer_norm(conv(x, k, stride=stride, padding=padding), gamma, beta, axis=1)
-        return T.leaky_relu(out) if leaky else out
+    def reference_grads(x, k, gamma, beta, stride, padding, leaky, w):
+        """dL/d(x, k, gamma, beta) of L = sum(stage * w): autograd through
+        moveaxis -> layer_norm -> moveaxis -> leaky_relu from the conv output,
+        a leaf, then _conv_input_grad and _conv_kernel_grad in one chunk."""
+        cout, nd = k.shape[0], len(stride)
+        conv = Tensor(reference_conv(x, k, stride, padding), requires_grad=True)
+        g, b = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        last = (0,) + tuple(range(2, nd + 2)) + (1,)  # channels moved to the last axis
+        y = T.layer_norm(T.transpose(conv, last), T.reshape(g, (cout,)), T.reshape(b, (cout,)))
+        y = T.transpose(y, np.argsort(last))
+        if leaky:
+            y = T.leaky_relu(y)
+        T.tsum(T.mul(y, Tensor(w))).backward()
+        gmat = np.moveaxis(conv.grad, 1, 0).reshape(cout, -1)
+        out_sp = conv.shape[2:]
+        dx = np.moveaxis(T._conv_input_grad(gmat, k, x.shape, out_sp, stride, padding), 1, 0)
+        dk = T._conv_kernel_grad(gmat, x, k.shape[2:], out_sp, stride, padding, [(0, x.shape[0])])
+        return [dx, dk, g.grad, b.grad]
 
     # samples per patch chunk and per epilogue tile: one of each, one sample
     # each, and chunks of 1+2+2 against tiles of 2+3
@@ -759,13 +780,13 @@ class TestConvStage:
     def test_forward_equals_the_three_ops_bit_for_bit(self, monkeypatch, x_shape, k_shape, stride, padding,
                                                       dtype, leaky, per_chunk, per_tile):
         self.blocks(monkeypatch, x_shape, k_shape, stride, padding, dtype, per_chunk, per_tile)
-        arrays = self.arrays(x_shape, k_shape, dtype)
-        want = self.three_ops(*map(Tensor, arrays), stride, padding, leaky).data
+        arrays = stage_arrays(x_shape, k_shape, dtype)
+        want = reference_stage(*arrays, stride, padding, leaky)
         # under grad xhat goes to its own buffer; under no_grad the output
         # is normalized in place
-        graph = self.fused(*[Tensor(a, requires_grad=True) for a in arrays], stride, padding, leaky)
+        graph = stage(*[Tensor(a, requires_grad=True) for a in arrays], stride, padding, leaky)
         with T.no_grad():
-            frozen = self.fused(*map(Tensor, arrays), stride, padding, leaky)
+            frozen = stage(*map(Tensor, arrays), stride, padding, leaky)
         assert graph.data.dtype == frozen.data.dtype == dtype
         np.testing.assert_array_equal(graph.data, want)
         np.testing.assert_array_equal(frozen.data, want)
@@ -777,10 +798,10 @@ class TestConvStage:
     ])
     def test_gradients_vs_fd(self, monkeypatch, x_shape, k_shape, stride, padding, leaky):
         self.blocks(monkeypatch, x_shape, k_shape, stride, padding, np.float64, 1, 2)
-        arrays = self.arrays(x_shape, k_shape, np.float64, seed=1)
-        out_shape = self.fused(*map(Tensor, arrays), stride, padding, leaky).shape
+        arrays = stage_arrays(x_shape, k_shape, np.float64, seed=1)
+        out_shape = stage(*map(Tensor, arrays), stride, padding, leaky).shape
         w = Tensor(rng_for(2).normal(size=out_shape))
-        assert_grad_matches(lambda *t: T.tsum(T.mul(self.fused(*t, stride, padding, leaky), w)), arrays)
+        assert_grad_matches(lambda *t: T.tsum(T.mul(stage(*t, stride, padding, leaky), w)), arrays)
 
     @pytest.mark.parametrize("layout", ["sample_major", "channel_major", "channels_last"])
     @pytest.mark.parametrize("per_chunk, per_tile", BLOCKS)
@@ -793,27 +814,25 @@ class TestConvStage:
         gradient in each layout the networks hand a stage: from a loss, from
         the next conv's input gradient and from the heads' transposes."""
         self.blocks(monkeypatch, x_shape, k_shape, stride, padding, dtype, per_chunk, per_tile)
-        arrays = self.arrays(x_shape, k_shape, dtype)
-        out_shape = self.fused(*map(Tensor, arrays), stride, padding, leaky).shape
+        arrays = stage_arrays(x_shape, k_shape, dtype)
+        out_shape = stage(*map(Tensor, arrays), stride, padding, leaky).shape
         w = rng_for(3).normal(size=out_shape).astype(dtype)
         if layout == "channel_major":
             w = np.moveaxis(np.ascontiguousarray(np.moveaxis(w, 1, 0)), 0, 1)
         elif layout == "channels_last":
             w = np.moveaxis(np.ascontiguousarray(np.moveaxis(w, 1, -1)), -1, 1)
-        grads = []
-        for build in (self.fused, self.three_ops):
-            leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            T.tsum(T.mul(build(*leaves, stride, padding, leaky), Tensor(w))).backward()
-            grads.append([leaf.grad for leaf in leaves])
-        for name, got, want in zip(("input", "kernels", "gamma", "beta"), *grads):
-            assert got.dtype == dtype, name
-            scale = np.abs(want).max()
-            assert np.abs(got - want).max() <= 1e-6 * scale, name
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        T.tsum(T.mul(stage(*leaves, stride, padding, leaky), Tensor(w))).backward()
+        want = self.reference_grads(*arrays, stride, padding, leaky, w)
+        for name, leaf, ref in zip(("input", "kernels", "gamma", "beta"), leaves, want):
+            assert leaf.grad.dtype == ref.dtype == dtype, name
+            scale = np.abs(ref).max()
+            assert np.abs(leaf.grad - ref).max() <= 1e-6 * scale, name
 
     def test_no_grad_leaves_no_node(self):
-        arrays = self.arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)
+        arrays = stage_arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)
         with T.no_grad():
-            out = self.fused(*[Tensor(a, requires_grad=True) for a in arrays], (1, 2, 2), (1, 1, 1), True)
+            out = stage(*[Tensor(a, requires_grad=True) for a in arrays], (1, 2, 2), (1, 1, 1), True)
         assert not out.requires_grad and out._backward is None and out._parents == ()
 
     @pytest.mark.parametrize("leaky", [True, False])
@@ -823,8 +842,8 @@ class TestConvStage:
         whose sign gives the slope; a stage that ends linear holds no output,
         which dies with its tensor."""
         x, k, gamma, beta = [Tensor(a, requires_grad=True)
-                             for a in self.arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)]
-        out = self.fused(x, k, gamma, beta, (1, 2, 2), (1, 1, 1), leaky)
+                             for a in stage_arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)]
+        out = stage(x, k, gamma, beta, (1, 2, 2), (1, 1, 1), leaky)
         held = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
         assert not [v for v in held if v.dtype == bool]
         assert any(v is x.data for v in held) and any(v is k.data for v in held)
@@ -835,13 +854,6 @@ class TestConvStage:
         owner = weakref.ref(memory_owner(out.data))
         del out
         assert (owner() is not None) == leaky
-
-    def test_gamma_and_beta_come_together(self):
-        x, k = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3)))
-        g = Tensor(np.ones((1, 3, 1, 1)))
-        for kw in (dict(gamma=g), dict(beta=g), dict(leaky=True)):
-            with pytest.raises(ValueError, match=r"^conv2d: gamma and beta come together"):
-                T.conv2d(x, k, **kw)
 
 
 class TestBackwardSemantics:
@@ -875,26 +887,22 @@ class TestBackwardSemantics:
             Tensor(np.ones(3), requires_grad=True).backward()
 
     def test_composed_graph_matches_fd(self):
-        # conv3d -> relu -> pool -> cosine against a fixed direction
+        # conv3d stage -> relu -> pool -> cosine against a fixed direction
         for seed in SEEDS[:3]:
-            r = rng_for(seed)
-            x = r.normal(size=(1, 2, 3, 5, 5))
-            k = r.normal(size=(3, 2, 3, 3, 3)) * 0.5
-            ref = r.normal(size=3)
+            x, k, gamma, beta = stage_arrays((1, 2, 3, 5, 5), (3, 2, 3, 3, 3), np.float64, seed=seed)
+            ref = rng_for(seed).normal(size=3)
 
-            def build(a, w):
+            def build(a, w, g, b):
                 # the one sample's (C, T, H, W) map, pooled per channel
-                feat = T.global_avg_pool(T.reshape(T.relu(T.conv3d(a, w, padding=(1, 1, 1))), (3, 3, 5, 5)))
+                out = T.conv3d(a, w, g, b, (1, 1, 1), (1, 1, 1), False)
+                feat = T.global_avg_pool(T.reshape(T.relu(out), (3, 3, 5, 5)))
                 return T.cosine_similarity(feat, Tensor(ref))
 
-            assert_grad_matches(build, [x, k], tol=1e-4)
+            assert_grad_matches(build, [x, k, gamma, beta], tol=1e-4)
 
     def test_forward_deterministic(self):
-        r = rng_for(5)
-        x = r.normal(size=(1, 2, 3, 4, 4))
-        k = r.normal(size=(2, 2, 3, 3, 3))
-        a = T.tsum(T.relu(T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1))))
-        b = T.tsum(T.relu(T.conv3d(Tensor(x), Tensor(k), padding=(1, 1, 1))))
+        arrays = stage_arrays((1, 2, 3, 4, 4), (2, 2, 3, 3, 3), np.float64, seed=5)
+        a, b = (T.tsum(T.relu(T.conv3d(*map(Tensor, arrays), (1, 1, 1), (1, 1, 1), True))) for _ in range(2))
         assert a.item() == b.item()
 
     def test_leaf_never_adopts_a_shared_gradient(self):
@@ -957,7 +965,7 @@ class TestBackwardSemantics:
         x = Tensor(r.normal(size=(2, 3, 4, 4)), requires_grad=True)
         k = Tensor(r.normal(size=(2, 3, 3, 3)), requires_grad=True)
         w = Tensor(r.normal(size=(2, 3)), requires_grad=True)
-        h = T.leaky_relu(T.conv2d(x, k, padding=(1, 1)))
+        h = T.conv2d(x, k, Tensor(np.ones((1, 2, 1, 1))), Tensor(np.zeros((1, 2, 1, 1))), (1, 1), (1, 1), True)
         # the non-leaves h and logits have two consumers each
         logits = T.matmul(T.tmean(h, axis=(2, 3)), w)
         loss = T.add(T.tsum(T.mul(T.softmax(logits, axis=1), logits)), T.tsum(T.mul(h, h)))
@@ -1006,7 +1014,7 @@ class TestBackwardSemantics:
         k = Tensor(r.normal(size=(3, 2, 3, 3)), requires_grad=True)
         gamma = Tensor(np.ones((1, 3, 1, 1)), requires_grad=True)
         beta = Tensor(np.zeros((1, 3, 1, 1)), requires_grad=True)
-        h = T.layer_norm(T.conv2d(x, k, stride=(2, 2), padding=(1, 1)), gamma, beta, axis=1)
+        h = T.conv2d(x, k, gamma, beta, (2, 2), (1, 1), False)
         tokens = T.transpose(T.reshape(h, (2, 3, -1)), (0, 2, 1))
         z = T.l2_normalize(T.concat([tokens, T.scale(tokens, 2.0)], axis=1), axis=-1)
         loss = T.tmean(T.logsumexp(T.matmul(z, T.transpose(z, (0, 2, 1))), axis=-1))
@@ -1035,27 +1043,28 @@ def memory_owner(v: np.ndarray) -> np.ndarray:
 
 class TestGraphLifetime:
     @staticmethod
-    def chain(x, k, gamma, beta, w, refs=None):
-        """sum(leaky_relu(layer_norm(conv3d(x, k))) @ w); `refs` collects
-        weakrefs to each of the conv, layer-norm and leaky-ReLU output arrays
-        and to the array that owns its memory."""
-        h = T.conv3d(x, k, stride=(1, 2, 2), padding=(1, 1, 1))
-        n = T.layer_norm(h, gamma, beta, axis=1)
+    def chain(x, w, gamma, beta, v, refs=None):
+        """sum(leaky_relu(layer_norm(x @ w)) @ v), the path of the
+        Transformer's blocks and the heads; `refs` collects weakrefs to each
+        of the matmul, layer-norm and leaky-ReLU output arrays and to the
+        array that owns its memory."""
+        h = T.matmul(x, w)
+        n = T.layer_norm(h, gamma, beta)
         act = T.leaky_relu(n)
         if refs is not None:
             refs.extend((weakref.ref(t.data), weakref.ref(memory_owner(t.data))) for t in (h, n, act))
-        return T.tsum(T.matmul(act, w))
+        return T.tsum(T.matmul(act, v))
 
     def test_dropped_intermediates_free_what_no_backward_reads(self):
         r = rng_for(14)
-        arrays = [r.normal(size=(2, 2, 3, 5, 5)), r.normal(size=(3, 2, 3, 3, 3)),
-                  r.normal(size=(1, 3, 1, 1, 1)) + 1.0, r.normal(size=(1, 3, 1, 1, 1)), r.normal(size=(3, 2))]
+        arrays = [r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)),
+                  r.normal(size=5) + 1.0, r.normal(size=5), r.normal(size=(5, 2))]
         refs = []
         loss = self.chain(*[Tensor(a, requires_grad=True) for a in arrays], refs=refs)
-        (conv_out, conv_owner), (norm_out, norm_owner), (act_out, act_owner) = refs
-        # the conv output feeds only layer_norm, which reads its xhat, and the
-        # layer-norm output feeds only leaky_relu, which reads its mask
-        assert conv_out() is None and conv_owner() is None
+        (mm_out, mm_owner), (norm_out, norm_owner), (act_out, act_owner) = refs
+        # the matmul output feeds only layer_norm, which reads its xhat, and
+        # the layer-norm output feeds only leaky_relu, which reads its mask
+        assert mm_out() is None and mm_owner() is None
         assert norm_out() is None and norm_owner() is None
         # matmul's weight gradient reads its input
         assert act_out() is not None
