@@ -169,8 +169,11 @@ class MlpHead:
         return T.add(T.matmul(h, self.w2), self.b2)
 
     def forward_points(self, x: Tensor) -> Tensor:
-        """(B, in_dim, N) -> (B, out_dim, N): each column projected independently."""
-        return T.transpose(self.forward(T.transpose(x, (0, 2, 1))), (0, 2, 1))
+        """(M, in_dim, *spatial) map -> (M * N, out_dim) rows, each point projected
+        independently: row m * N + n is sample m at flat position n."""
+        M, C = x.shape[:2]
+        rows = self.forward(T.transpose(T.reshape(x, (M, C, -1)), (0, 2, 1)))  # (M, N, out_dim)
+        return T.reshape(rows, (-1, rows.shape[2]))
 
 
 class _Linear:
@@ -192,18 +195,16 @@ class _LayerNormParams:
 
 
 def _attention(q, k, v, heads):
-    """Multi-head scaled dot-product attention over (B, S, D) tensors."""
+    """Multi-head scaled dot-product attention over (B, S, D) tensors, the heads
+    an axis: q and v (B, heads, S, dh), k straight to (B, heads, dh, Sk)."""
     B, Sq, D = q.shape
     Sk = k.shape[1]
     dh = D // heads
-    def split(x, S):
-        return T.reshape(T.transpose(T.reshape(x, (B, S, heads, dh)), (0, 2, 1, 3)), (B * heads, S, dh))
-    qh, kh, vh = split(q, Sq), split(k, Sk), split(v, Sk)
-    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    out = T.matmul(attn, vh)
-    out = T.reshape(T.transpose(T.reshape(out, (B, heads, Sq, dh)), (0, 2, 1, 3)), (B, Sq, D))
-    return out
+    qh = T.transpose(T.reshape(q, (B, Sq, heads, dh)), (0, 2, 1, 3))
+    kt = T.transpose(T.reshape(k, (B, Sk, heads, dh)), (0, 2, 3, 1))
+    vh = T.transpose(T.reshape(v, (B, Sk, heads, dh)), (0, 2, 1, 3))
+    attn = T.softmax(T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(dh)), axis=-1)
+    return T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (B, Sq, D))
 
 
 class _AttentionBlock:

@@ -415,18 +415,12 @@ def context_matching_loss(clip_emb: Tensor, iframe_emb: Tensor, tau: float):
 
 
 def motion_prediction_loss(pred: Tensor, truth: Tensor, negatives: Tensor | None, tau: float):
-    """Pointwise InfoNCE: anchors are predicted points, positives the true
-    point at the same (video, position); hard-negative points only enlarge
-    the denominator pool. Returns (loss, logits numpy (P, Q))."""
-    B, C, N = pred.shape
-    if tuple(truth.shape) != (B, C, N):
+    """Pointwise InfoNCE over `MlpHead.forward_points` rows (P, C): anchor i is
+    a predicted point, positive i the true point at the same (video, position);
+    hard-negative rows only enlarge the pool. Returns (loss, logits numpy (P, Q))."""
+    if tuple(truth.shape) != tuple(pred.shape):
         raise ValueError(f"pred {tuple(pred.shape)} vs truth {tuple(truth.shape)} shape mismatch")
-
-    def points(x):  # (M, C, N) -> (M * N, C), one row per feature point
-        return T.reshape(T.transpose(x, (0, 2, 1)), (x.shape[0] * N, C))
-
-    neg = points(negatives) if negatives is not None and negatives.shape[0] > 0 else None
-    return _info_nce(points(pred), points(truth), neg, tau)
+    return _info_nce(pred, truth, negatives, tau)
 
 
 def motion_mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
@@ -492,14 +486,11 @@ def pretext_forward(bundle: ModelBundle, batch: dict, cfg: PretextConfig) -> Pre
             target = pool_mv_values(batch["mv"], (2, t3, h3, w3))
             j_m = motion_mse_loss(pred, Tensor(target.astype(pred.data.dtype, copy=False)))
         else:
-            vm = bundle.m_forward(batch["mv"])
-            truth = bundle.g_m1.forward_points(T.reshape(vm, (B, c3, n_points)))
-            pred = bundle.g_m2.forward_points(T.reshape(vhat, (B, c3, n_points)))
+            truth = bundle.g_m1.forward_points(bundle.m_forward(batch["mv"]))
+            pred = bundle.g_m2.forward_points(vhat)
             negatives = None
             if batch["neg_mv"].shape[0] > 0:
-                vneg = bundle.m_forward(batch["neg_mv"])
-                nneg = vneg.shape[0]
-                negatives = bundle.g_m1.forward_points(T.reshape(vneg, (nneg, c3, n_points)))
+                negatives = bundle.g_m1.forward_points(bundle.m_forward(batch["neg_mv"]))
             j_m, motion_logits = motion_prediction_loss(pred, truth, negatives, cfg.temperature)
 
     return PretextOutput(

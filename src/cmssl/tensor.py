@@ -55,8 +55,10 @@ Who owns a gradient array:
   copying; a sibling may hold the same array, so later contributions are
   added out of place. Closures therefore never write into the gradient they
   are given.
-- A non-leaf node's gradient is released (set to None) as soon as its
-  closure has run, so after backward() only leaves hold gradients.
+- backward() takes a non-leaf node's gradient off the node as it passes it
+  to the closure, so after backward() only leaves hold gradients, and a
+  closure can free its gradient before it returns: a conv stage does, once
+  its tiles have turned it into the pre-norm gradient.
 - backward() consumes the graph: once a node's closure has run, the closure
   is replaced by a spent marker and the node's parent links are dropped, so
   the arrays it read are freed during the walk, not when the loss is
@@ -67,8 +69,8 @@ Who owns a gradient array:
 Memory between steps: a training step allocates its activations and
 gradients and frees them as backward() walks the graph. By tracemalloc, a
 B=8 forward of the default float32 model leaves 33.8 MiB live, the peak of
-its backward is 38.6 MiB, and 1.1 MiB stays live after it while the
-forward's outputs are still held (72.8, 81.9 and 2.1 MiB at float64). The
+its backward is 37.7 MiB, and 1.1 MiB stays live after it while the
+forward's outputs are still held (72.8, 80.6 and 2.1 MiB at float64). The
 backward's peak holds one chunk of a rebuilt patch matrix; rebuilding each
 whole peaked at 40.6 MiB, and holding every patch matrix from the forward
 left 70.7 MiB live and peaked at 72.7 MiB. A no_grad v_net forward peaks at
@@ -257,10 +259,15 @@ class Tensor:
             if node._backward is None:  # a leaf
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
+                node._backward(_take_grad(node))
             node._backward = _spent
             node._parents = ()
+
+
+def _take_grad(node: _Node) -> np.ndarray:
+    """node's gradient, set to None on the node, for its closure to own."""
+    g, node.grad = node.grad, None
+    return g
 
 
 def _spent(g):
@@ -554,8 +561,8 @@ def tmean(a, axis=None) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """a @ b. Supports 2-D @ 2-D, N-D @ 2-D (trailing-dim contraction),
-    and equal-batch 3-D @ 3-D."""
+    """a @ b: N-D @ 2-D (trailing-dim contraction), or batched N-D @ N-D whose
+    leading dims `shape[:-2]` are equal, as attention's (B, heads, S, dh)."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     if ad.shape[-1] != bd.shape[-2]:
@@ -576,16 +583,16 @@ def matmul(a, b) -> Tensor:
                 gb = g.reshape(-1, g.shape[-1])
                 nb._accum(a_in.reshape(-1, a_in.shape[-1]).T @ gb)
 
-    elif ad.ndim == 3 and bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0]:
-            raise ValueError(f"matmul batch dims differ: {ad.shape} @ {bd.shape} (dim 0)")
+    elif ad.ndim == bd.ndim:
+        if ad.shape[:-2] != bd.shape[:-2]:
+            raise ValueError(f"matmul batch dims differ: {ad.shape} @ {bd.shape} (leading dims)")
         data = ad @ bd
 
         def backward(g):
             if na is not None:
-                na._accum(g @ b_in.transpose(0, 2, 1))
+                na._accum(g @ b_in.swapaxes(-1, -2))
             if nb is not None:
-                nb._accum(a_in.transpose(0, 2, 1) @ g)
+                nb._accum(a_in.swapaxes(-1, -2) @ g)
 
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.shape} @ {bd.shape}")
@@ -938,6 +945,7 @@ def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: 
                 gbeta += gc.sum(axis=(0, 2))
             if na is not None or nk is not None:
                 _normalize_grad(gc * gd.reshape(1, cout, 1), xh, samples(inv_sigma), 1, out=samples(gmat))
+        g = gc = None  # the kernel and input gradients read only gmat
         if ngamma is not None:
             ngamma._accum(ggamma.reshape(ngamma.shape))
         if nbeta is not None:

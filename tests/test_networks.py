@@ -14,6 +14,7 @@ from cmssl.networks import (
     _Init,
     ModelConfig,
     TransformerConfig,
+    _attention,
     load_arrays,
     load_checkpoint,
     save_arrays,
@@ -21,7 +22,7 @@ from cmssl.networks import (
 )
 from cmssl.tensor import Tensor
 
-from conftest import graph_nodes
+from conftest import assert_grad_matches, graph_nodes
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +68,13 @@ class TestShapeContracts:
     def test_per_point_projection_column_count(self, bundle):
         rng = np.random.default_rng(5)
         fmap = bundle.m_forward(rng.normal(size=(2, 2, 8, 32, 32)))
-        B, c3 = fmap.shape[0], fmap.shape[1]
-        n = int(np.prod(fmap.shape[2:]))
-        flat = T.reshape(fmap, (B, c3, n))
-        out = bundle.g_m1.forward_points(flat)
-        assert out.shape == (2, 32, 32)  # N = 2*4*4 = 32 columns
+        out = bundle.g_m1.forward_points(fmap)
+        assert out.shape == (2 * 32, 32)  # N = 2*4*4 = 32 rows per sample
+        # row m*N + n is sample m at flat position n (t-major, then h, then w)
+        for m, (t, y, x) in ((0, (0, 0, 0)), (1, (1, 2, 3)), (0, (1, 3, 1))):
+            n = (t * 4 + y) * 4 + x
+            point = bundle.g_m1.forward(Tensor(fmap.data[m, :, t, y, x])).data
+            np.testing.assert_allclose(out.data[m * 32 + n], point, rtol=1e-5, atol=1e-6)
 
     def test_geometry_mismatch_rejected(self, bundle):
         with pytest.raises(ValueError, match="clip shape"):
@@ -145,8 +148,9 @@ class TestForwardSemantics:
             x = rng.normal(size=(2, 5, w1.shape[0]))
             want = leaky(x @ w1 + b1) @ w2 + b2
             np.testing.assert_allclose(head.forward(Tensor(x)).data, want, atol=1e-12)
+            # a (2, in_dim, 5) map gives 10 rows: row m*5 + n is sample m, position n
             points = head.forward_points(Tensor(x.transpose(0, 2, 1))).data
-            np.testing.assert_allclose(points, want.transpose(0, 2, 1), atol=1e-12)
+            np.testing.assert_allclose(points, want.reshape(10, -1), atol=1e-12)
 
     def test_eval_forward_bitwise_deterministic(self, bundle):
         rng = np.random.default_rng(6)
@@ -208,6 +212,48 @@ class TestTransformer:
         # ln1 and ln2 per encoder layer, ln1 to ln3 per decoder layer, and the
         # two final norms: self-attention reads one pre-norm as query, key and value
         assert len(norms) == 2 * cfg.encoder_layers + 3 * cfg.decoder_layers + 2 == 18
+
+    def test_attention_keeps_heads_as_an_axis(self, bundle):
+        x = Tensor(np.random.default_rng(11).normal(size=(2, 32, 2, 8, 8)).astype(np.float32))
+        shape_ops = [n for n in graph_nodes(bundle.transformer.forward(x)) if n.op in ("reshape", "transpose")]
+        cfg = bundle.config.transformer
+        attentions = cfg.encoder_layers + 2 * cfg.decoder_layers
+        # each attention: a reshape and a transpose for each of q, k and v
+        # and one of each back, with no fold of the heads into the batch;
+        # plus embed_inputs' transpose (the input takes no gradient, so its
+        # reshape is no node) and tokens_to_map's transpose and reshape
+        assert len(shape_ops) == 8 * attentions + 3 == 83
+
+
+class TestAttention:
+    @staticmethod
+    def oracle(q, k, v, heads):
+        """softmax(q_h k_h^T / sqrt(dh)) v_h for each sample and head, the
+        heads' outputs side by side on the last axis."""
+        B, Sq, D = q.shape
+        dh = D // heads
+        out = np.empty((B, Sq, D))
+        for b in range(B):
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                s = q[b, :, cols] @ k[b, :, cols].T / np.sqrt(dh)
+                p = np.exp(s - s.max(axis=1, keepdims=True))
+                out[b, :, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[b, :, cols]
+        return out
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_oracle(self, heads):
+        # Sq != Sk: the decoder's cross-attention shape
+        rng = np.random.default_rng(12)
+        q, k, v = rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 7, 8)), rng.normal(size=(3, 7, 8))
+        out = _attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        np.testing.assert_allclose(out.data, self.oracle(q, k, v, heads), rtol=0, atol=1e-12)
+
+    def test_gradients_vs_fd(self):
+        rng = np.random.default_rng(13)
+        arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4))]
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        assert_grad_matches(lambda q, k, v: T.tsum(T.mul(_attention(q, k, v, 2), w)), arrays)
 
 
 class TestCheckpoint:

@@ -141,6 +141,12 @@ class TestContextLoss:
         assert moved < base
 
 
+def point_rows(x):
+    """(M, C, N) numpy -> Tensor (M * N, C): row m * N + n is sample m, point n,
+    the rows `MlpHead.forward_points` gives the loss."""
+    return Tensor(x.transpose(0, 2, 1).reshape(-1, x.shape[1]))
+
+
 class TestMotionLoss:
     def test_matches_bruteforce_with_negatives(self):
         for seed in range(6):
@@ -149,27 +155,27 @@ class TestMotionLoss:
             pred = rng.normal(size=(B, C, N))
             truth = rng.normal(size=(B, C, N))
             negs = rng.normal(size=(3, C, N))
-            loss, _ = motion_prediction_loss(Tensor(pred), Tensor(truth), Tensor(negs), tau=0.4)
+            loss, _ = motion_prediction_loss(point_rows(pred), point_rows(truth), point_rows(negs), tau=0.4)
             assert abs(loss.item() - motion_loss_oracle(pred, truth, negs, 0.4)) < 1e-9
 
     def test_matches_bruteforce_without_negatives(self):
         rng = np.random.default_rng(7)
         pred = rng.normal(size=(4, 3, 8))
         truth = rng.normal(size=(4, 3, 8))
-        loss, _ = motion_prediction_loss(Tensor(pred), Tensor(truth), None, tau=0.1)
+        loss, _ = motion_prediction_loss(point_rows(pred), point_rows(truth), None, tau=0.1)
         assert abs(loss.item() - motion_loss_oracle(pred, truth, None, 0.1)) < 1e-9
 
     def test_single_point_no_negatives_is_zero(self):
         rng = np.random.default_rng(8)
         v = rng.normal(size=(1, 4, 1))
-        loss, _ = motion_prediction_loss(Tensor(v), Tensor(v.copy()), None, 0.1)
+        loss, _ = motion_prediction_loss(point_rows(v), point_rows(v.copy()), None, 0.1)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthonormal_closed_form(self):
         # B*N = 4 mutually orthogonal points, prediction equals truth:
         # J_M = -log(e / (e + BN - 1))
         truth = (np.eye(4) * 100.0).reshape(2, 2, 4).transpose(0, 2, 1)  # (B=2, C=4, N=2)
-        loss, _ = motion_prediction_loss(Tensor(truth), Tensor(truth.copy()), None, tau=1.0)
+        loss, _ = motion_prediction_loss(point_rows(truth), point_rows(truth.copy()), None, tau=1.0)
         expected = -math.log(math.e / (math.e + 3.0))
         assert loss.item() == pytest.approx(expected, abs=1e-9)
 
@@ -177,23 +183,23 @@ class TestMotionLoss:
         rng = np.random.default_rng(9)
         pred = rng.normal(size=(2, 4, 5))
         truth = rng.normal(size=(2, 4, 5))
-        base, _ = motion_prediction_loss(Tensor(pred), Tensor(truth), None, 0.2)
+        base, _ = motion_prediction_loss(point_rows(pred), point_rows(truth), None, 0.2)
         for m in (1, 2, 3):
             negs = rng.normal(size=(m, 4, 5))
-            bigger, _ = motion_prediction_loss(Tensor(pred), Tensor(truth), Tensor(negs), 0.2)
+            bigger, _ = motion_prediction_loss(point_rows(pred), point_rows(truth), point_rows(negs), 0.2)
             assert bigger.item() >= base.item() - 1e-12
 
     def test_n_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            motion_prediction_loss(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))), None, 0.1)
+            motion_prediction_loss(Tensor(np.ones((8, 3))), Tensor(np.ones((10, 3))), None, 0.1)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         pred = rng.normal(size=(3, 4, 2))
         truth = rng.normal(size=(3, 4, 2))
-        a, _ = motion_prediction_loss(Tensor(pred), Tensor(truth), None, 0.3)
+        a, _ = motion_prediction_loss(point_rows(pred), point_rows(truth), None, 0.3)
         perm = rng.permutation(3)
-        b, _ = motion_prediction_loss(Tensor(pred[perm]), Tensor(truth[perm]), None, 0.3)
+        b, _ = motion_prediction_loss(point_rows(pred[perm]), point_rows(truth[perm]), None, 0.3)
         assert abs(a.item() - b.item()) < 1e-12
 
 

@@ -7,6 +7,7 @@ oracle in conftest (h = 1e-5, float64, max-norm relative error < 1e-4).
 import ctypes
 import importlib.util
 import inspect
+import re
 import tracemalloc
 import weakref
 
@@ -235,13 +236,24 @@ class TestMatmul:
     def test_batched_3d_grads(self):
         for seed in SEEDS[:5]:
             r = rng_for(seed)
-            a = r.normal(size=(2, 3, 4))
-            b = r.normal(size=(2, 4, 5))
-            assert_grad_matches(lambda x, y: T.tsum(T.mul(T.matmul(x, y), T.matmul(x, y))), [a, b])
+            # one batch dim, and two: the attention's (B, heads) layout
+            for lead in ((2,), (2, 3)):
+                a = r.normal(size=lead + (3, 4))
+                b = r.normal(size=lead + (4, 5))
+                assert_grad_matches(lambda x, y: T.tsum(T.mul(T.matmul(x, y), T.matmul(x, y))), [a, b])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="inner dims"):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (3, 4, 5)),
+        ((2, 3, 3, 4), (2, 2, 4, 5)),
+        ((1, 3, 4), (2, 4, 5)),  # numpy would broadcast; the backward does not
+    ])
+    def test_unequal_leading_dims_rejected(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match=re.escape(f"batch dims differ: {a_shape} @ {b_shape}")):
+            T.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 class TestSoftmax:
@@ -1070,6 +1082,37 @@ class TestGraphLifetime:
         assert act_out() is not None
         loss.backward()
         assert_grad_matches(self.chain, arrays)
+
+    @pytest.mark.parametrize("leaky", [False, True])
+    def test_stage_upstream_gradient_dead_before_its_kernel_gradient(self, monkeypatch, leaky):
+        # the stage's closure turns its upstream gradient into the pre-norm
+        # gradient before the kernel and input gradients run; neither the
+        # backward walk nor the closure may keep the upstream array past that
+        r = rng_for(15)
+        x = Tensor(r.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        k = Tensor(r.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        gamma = Tensor(r.normal(size=(1, 4, 1, 1)) + 1.0, requires_grad=True)
+        beta = Tensor(r.normal(size=(1, 4, 1, 1)), requires_grad=True)
+        y = T.conv2d(x, k, gamma, beta, stride=(1, 1), padding=(1, 1), leaky=leaky)
+        weighted = T.mul(y, Tensor(r.normal(size=y.shape)))
+        upstream = []
+
+        def downstream(g, closure=weighted._backward):
+            closure(g)
+            upstream.append(weakref.ref(y._node.grad))
+
+        weighted._node._backward = downstream
+        dead = []
+        kernel_grad = T._conv_kernel_grad
+
+        def check_then_kernel_grad(*args):
+            dead.append(upstream[0]() is None)
+            return kernel_grad(*args)
+
+        monkeypatch.setattr(T, "_conv_kernel_grad", check_then_kernel_grad)
+        T.tsum(weighted).backward()
+        assert len(upstream) == 1 and dead == [True]
+        assert np.abs(k.grad).max() > 0 and np.abs(x.grad).max() > 0
 
 
 class TestFiniteDifferenceOracle:
