@@ -44,6 +44,7 @@ Container format CMV1 (all integers little-endian):
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -203,14 +204,19 @@ def nearest_raster(n: int, o: int) -> np.ndarray:
     return np.minimum((np.arange(o) * n) // o, n - 1)
 
 
-def _sorted_offsets(search_range: int) -> list[tuple[int, int]]:
-    # tie-break priority: smallest |dx|+|dy|, then smallest dy, then smallest dx
+@functools.cache
+def _sorted_offsets(search_range: int) -> np.ndarray:
+    """The (K, 2) int16 (dx, dy) candidate offsets of a search range in
+    tie-break priority: smallest |dx|+|dy|, then smallest dy, then smallest
+    dx. Computed once per range and read-only, as every call shares it."""
     offs = [
         (dx, dy)
         for dy in range(-search_range, search_range + 1)
         for dx in range(-search_range, search_range + 1)
     ]
     offs.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o[1], o[0]))
+    offs = np.array(offs, dtype=np.int16)
+    offs.flags.writeable = False
     return offs
 
 
@@ -235,7 +241,7 @@ def _estimate_motion_batch(refs: np.ndarray, tgts: np.ndarray, cfg: CodecConfig)
     m = len(f)
     if r == 0 or m == 0:
         return mvs
-    offsets = np.array(_sorted_offsets(r), dtype=np.int16)  # (K, 2) as (dx, dy)
+    offsets = _sorted_offsets(r)  # (K, 2) as (dx, dy)
     # the m moving blocks sit side by side with the block index innermost:
     # targets as (b, 3b, m), and the window of every candidate of a block,
     # r pixels around it, as (b+2r, 3(b+2r), m), cut from references padded

@@ -29,22 +29,43 @@ for bit, from the held input: memory traded for time, as in gradient
 checkpointing. Neither pass builds a conv's whole patch matrix at once: the
 batch runs in the fewest chunks of samples, as equal as possible, whose
 patch matrices each fit _PATCH_CHUNK_BYTES (4 MiB; one sample at least), one
-GEMM per chunk. The forward writes each chunk's columns of one output and is
+GEMM per chunk. The forward writes each chunk's rows of one output and is
 bit-identical to a single GEMM; the kernel gradient sums the chunks'
 products in chunk order, which only reorders its rounding.
+
+Conv layout: a stage indexes every array it makes as (B*N, channels), one
+row per sample and output position, and picks the memory layout from its
+input's channel count. A stage that reads at least _CHANNELS_LAST_MIN_CIN
+(8) channels, every stage after the three stems, runs channels-last: it
+pads each chunk of samples into an (n, *spatial, cin) buffer, so a patch row
+is prod(ksp[:-1]) runs of ksp[-1]*cin values that lie contiguous there,
+multiplies the (n*N, K) patches by the (K, cout) kernel matrix and
+normalizes each output row over its last, contiguous axis. The stems read
+2 or 3 channels, and channels-last their runs would be 6 or 9 values long,
+so they gather the channel-first (K, n*N) patch matrix, whose rows are
+runs of output positions, and keep a channel-major output. Gather times
+of the whole batch in float32 on 2 cores, channel-first against
+channels-last, each input in the layout its stage gets it in:
+v_net conv1 (16 -> 32 channels, 16 clips) 10.0 against 8.6 ms and conv2
+2.4 against 1.1 ms, m_net conv2 at 24 clips 2.0 against 0.35 ms, but v_net
+conv0 (3 channels) 1.8 against 6.3 ms and m_net conv0 (2 channels) 1.3
+against 3.3 ms. Each stage returns the (B, cout, *spatial) view of its
+output's memory, and writes its input gradient with its axes in memory in
+the order of its input's.
 
 Every conv is a conv stage of the networks (conv -> layer norm over
 channels -> leaky relu), one node: conv3d/conv2d normalize, scale, shift
 and, when leaky, rectify their output in place, in tiles of samples of at
 most _EPILOGUE_TILE_BYTES (512 KiB) that stay in a core's L2 cache through
-those passes. The tests' oracle is the one-GEMM conv, then _normalize over
-channels, gamma, beta and _leaky, bit for bit. A stage holds, besides its
-input and kernels, the normalized output xhat and 1/sigma, and a leaky
-stage its own output, whose sign gives the slope of each cell (the next
-conv holds that output as its input anyway); a stage that ends linear lets
-its output die with its Tensor. Under no_grad it keeps nothing. Its
-backward turns the upstream gradient into the pre-norm gradient tile by
-tile, summing the gamma and beta gradients tile by tile.
+those passes. The tests' oracle is the one-GEMM conv in the stage's
+layout, then _normalize over channels, gamma, beta and _leaky, bit for
+bit. A stage holds, besides its input and kernels, the normalized output
+xhat and 1/sigma, and a leaky stage its own output, whose sign gives the
+slope of each cell (the next conv holds that output as its input anyway);
+a stage that ends linear lets its output die with its Tensor. Under
+no_grad it keeps nothing. Its backward turns the upstream gradient into
+the pre-norm gradient tile by tile, summing the gamma and beta gradients
+tile by tile.
 
 Who owns a gradient array:
 - Leaves (tensors not made by an op) own their .grad buffer and accumulate
@@ -69,8 +90,8 @@ Who owns a gradient array:
 Memory between steps: a training step allocates its activations and
 gradients and frees them as backward() walks the graph. By tracemalloc, a
 B=8 forward of the default float32 model leaves 33.8 MiB live, the peak of
-its backward is 37.7 MiB, and 1.1 MiB stays live after it while the
-forward's outputs are still held (72.8, 80.6 and 2.1 MiB at float64). The
+its backward is 37.2 MiB, and 1.1 MiB stays live after it while the
+forward's outputs are still held (72.8, 79.7 and 2.1 MiB at float64). The
 backward's peak holds one chunk of a rebuilt patch matrix; rebuilding each
 whole peaked at 40.6 MiB, and holding every patch matrix from the forward
 left 70.7 MiB live and peaked at 72.7 MiB. A no_grad v_net forward peaks at
@@ -633,24 +654,28 @@ def logsumexp(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), "logsumexp", backward)
 
 
-def _normalize(x: np.ndarray, axis: int, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, inv_sigma) of layer norm over `axis`: xhat = (x - mean) *
-    inv_sigma, inv_sigma = 1 / sqrt(var + LAYER_NORM_EPS). xhat is written
-    into `out` when given, which may be x itself."""
-    mu = x.mean(axis=axis, keepdims=True)
+def _normalize(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, inv_sigma) of layer norm over the last axis: xhat = (x - mean)
+    * inv_sigma, inv_sigma = 1 / sqrt(var + LAYER_NORM_EPS). xhat is written
+    into `out` when given, which may be x itself. Each statistic is one
+    einsum pass over its operands, with no temporary of the squares, in
+    whatever memory layout x has."""
+    c = x.shape[-1]
+    mu = np.einsum("...c->...", x)[..., None] / c
     xhat = np.subtract(x, mu, out=out)
-    var = np.mean(xhat * xhat, axis=axis, keepdims=True)
+    var = np.einsum("...c,...c->...", xhat, xhat)[..., None] / c
     inv_sigma = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv_sigma
     return xhat, inv_sigma
 
 
-def _normalize_grad(gh: np.ndarray, xhat: np.ndarray, inv_sigma: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """dL/dx of layer norm from gh = dL/dxhat (the upstream gradient times
-    gamma), which it overwrites; the result goes into `out` when given, into
-    gh otherwise."""
-    m1 = gh.mean(axis=axis, keepdims=True)
-    m2 = (gh * xhat).mean(axis=axis, keepdims=True)
+def _normalize_grad(gh: np.ndarray, xhat: np.ndarray, inv_sigma: np.ndarray, out=None) -> np.ndarray:
+    """dL/dx of layer norm over the last axis from gh = dL/dxhat (the
+    upstream gradient times gamma), which it overwrites; the result goes
+    into `out` when given, into gh otherwise."""
+    c = gh.shape[-1]
+    m1 = np.einsum("...c->...", gh)[..., None] / c
+    m2 = np.einsum("...c,...c->...", gh, xhat)[..., None] / c
     gh -= m1
     gh -= xhat * m2
     return np.multiply(gh, inv_sigma, out=gh if out is None else out)
@@ -661,7 +686,7 @@ def layer_norm(a, gamma, beta) -> Tensor:
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     na, ngamma, nbeta = _grad_node(a), _grad_node(gamma), _grad_node(beta)
     gd = gamma.data
-    xhat, inv_sigma = _normalize(a.data, -1)
+    xhat, inv_sigma = _normalize(a.data)
     data = xhat * gd
     data += beta.data
 
@@ -671,7 +696,7 @@ def layer_norm(a, gamma, beta) -> Tensor:
         if nbeta is not None:
             nbeta._accum(_unbroadcast(g, nbeta.shape))
         if na is not None:
-            na._accum(_normalize_grad(g * gd, xhat, inv_sigma, -1))
+            na._accum(_normalize_grad(g * gd, xhat, inv_sigma))
 
     return _make(data, (a, gamma, beta), "layer_norm", backward)
 
@@ -737,47 +762,106 @@ def _conv_out_len(n: int, k: int, s: int, p: int, name: str) -> int:
     return m // s + 1
 
 
-def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
-    """dL/dx of a convolution, channel-major (cin, B, *spatial), from the
-    upstream gradient gmat (cout, B*N) and the kernels kd (cout, cin, *ksp).
+# a stage whose input has at least this many channels runs channels-last:
+# every stage after the stems, which read 2 or 3 (see the module docstring)
+_CHANNELS_LAST_MIN_CIN = 8
+
+
+def _rows_buffer(rows: int, cols: int, channels_last: bool, dtype) -> np.ndarray:
+    """An uninitialized (rows, cols) array: C order when channels_last, else
+    the transposed view of a C-order (cols, rows) array, channel-major."""
+    return np.empty((rows, cols), dtype=dtype) if channels_last else np.empty((cols, rows), dtype=dtype).T
+
+
+def _empty_in_order(shape, strides, dtype) -> np.ndarray:
+    """An uninitialized array of `shape` whose axes lie in memory in the
+    order of `strides`, the largest stride outermost."""
+    order = sorted(range(len(shape)), key=lambda i: -strides[i])
+    return np.empty([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
+
+
+def _gemm(a, b, channels_last: bool, out=None) -> np.ndarray:
+    """a @ b, written in the stage's layout: in C order when channels_last,
+    else as the transpose of b.T @ a.T, so that a channel-first stage's
+    operands, transposed views of C-order arrays, reach BLAS as they lie and
+    its product is channel-major."""
+    if channels_last:
+        return np.matmul(a, b, out=out)
+    return np.matmul(b.T, a.T, out=None if out is None else out.T).T
+
+
+def _kernel_matrix(kd, channels_last: bool) -> np.ndarray:
+    """The kernels kd (cout, cin, *ksp) as the (K, cout) matrix that patch
+    rows multiply, K = cin*prod(ksp) running over (*ksp, cin) channels-last
+    and over (cin, *ksp) otherwise."""
+    cout = kd.shape[0]
+    if channels_last:
+        return kd.transpose(tuple(range(2, kd.ndim)) + (1, 0)).reshape(-1, cout)
+    return kd.reshape(cout, -1).T
+
+
+def _kernels_of_matrix(gk, cin: int, ksp: tuple, channels_last: bool) -> np.ndarray:
+    """The (cout, cin, *ksp) kernels of a (K, cout) matrix laid out as by
+    _kernel_matrix."""
+    cout, nd = gk.shape[1], len(ksp)
+    if channels_last:
+        return gk.reshape(ksp + (cin, cout)).transpose((nd + 1, nd) + tuple(range(nd)))
+    return gk.T.reshape((cout, cin) + ksp)
+
+
+def _conv_input_grad(gmat, kd, x_shape, x_strides, out_sp, stride, padding) -> np.ndarray:
+    """dL/dx of a convolution, (B, cin, *spatial) with its axes in memory in
+    the order of x_strides, the input's, from the upstream gradient gmat
+    (B*N, cout), in either stage layout, and the kernels kd (cout, cin, *ksp).
 
     Kernel offset k = q*s + r at output o reads padded input cell
     (o + q)*s + r, so along each axis its product goes to phase r = k mod s
     at position o + q. The gradient is zero-extended once to
     E = O + (k - 1) // s per axis; then the shift by q is one flat offset of
-    a (cin, B*prod(E)) phase buffer, and the cells a flat shift wraps across
+    a (B*prod(E), cin) phase buffer, and the cells a flat shift wraps across
     rows or samples read only the extension's exact zeros. Every add is a
-    contiguous row add, and each phase is written into dx once at the end.
+    shifted add of whole rows, and each phase is written into dx once at the
+    end. The products and phases are channels-last when the input's channel
+    axis is innermost in memory, channel-major otherwise, so that those
+    writes copy runs that lie contiguous in both.
     """
     B, cin = x_shape[:2]
     spatial = x_shape[2:]
     cout, ksp = kd.shape[0], kd.shape[2:]
     nd = len(ksp)
+    out_sp = tuple(out_sp)
+    channels_last = x_strides[1] == min(x_strides)
     ext = tuple(o + (k - 1) // s for o, k, s in zip(out_sp, ksp, stride))
-    if ext == tuple(out_sp):
+    if ext == out_sp:
         gext = gmat
     else:
-        gext = np.zeros((cout, B) + ext, dtype=gmat.dtype)
-        gext[(slice(None), slice(None)) + tuple(slice(0, o) for o in out_sp)] = gmat.reshape((cout, B) + out_sp)
-        gext = gext.reshape(cout, -1)
-    L = gext.shape[1]
+        gext = _rows_buffer(B * int(np.prod(ext)), cout, channels_last, gmat.dtype)
+        gext[...] = 0.0
+        gext = gext.reshape((B,) + ext + (cout,))
+        gext[(slice(None),) + tuple(slice(0, o) for o in out_sp)] = gmat.reshape((B,) + out_sp + (cout,))
+        gext = gext.reshape(-1, cout)
+    L = gext.shape[0]
     ext_strides = [int(np.prod(ext[d + 1:])) for d in range(nd)]
-    # one (k_last*cin, cout) @ (cout, L) product per row of kernel offsets
+    # one (L, cout) @ (cout, k_last*cin) product per row of kernel offsets
     kl = ksp[-1]
-    wt = np.ascontiguousarray(kd.reshape(cout, cin, -1).transpose(2, 1, 0)).reshape(-1, kl * cin, cout)
+    wt = _kernel_matrix(kd, True).reshape(-1, kl * cin, cout)
     offsets = list(np.ndindex(*ksp))
     phases = {}
     for row, w in enumerate(wt):
-        prod = (w @ gext).reshape(kl, cin, L)
-        for off, p in zip(offsets[row * kl:(row + 1) * kl], prod):
+        prod = _gemm(gext, w.T, channels_last).reshape(L, kl, cin)
+        for j, off in enumerate(offsets[row * kl:(row + 1) * kl]):
+            p = prod[:, j]
             r = tuple(k % s for k, s in zip(off, stride))
             shift = sum((k // s) * e for k, s, e in zip(off, stride, ext_strides))
             if r not in phases:  # a phase's first offset in ndindex order is r itself: no shift
-                phases[r] = p.copy()
+                phases[r] = p.copy(order="K")
             else:
-                phases[r][:, shift:] += p[:, :L - shift]
+                phases[r][shift:] += p[:L - shift]
+    # dx comes once the last product is dropped: the phases hold all it reads
+    prod = p = gext = None
+    dx = _empty_in_order(x_shape, x_strides, np.result_type(kd, gmat))
     # per axis, each phase's (source, destination) slices of its write into dx
-    dx = np.empty((cin, B) + tuple(spatial), dtype=np.result_type(wt, gext))
+    dxl = np.moveaxis(dx, 1, -1)  # (B, *spatial, cin)
     writes = []
     for d in range(nd):
         s, p = stride[d], padding[d]
@@ -793,29 +877,30 @@ def _conv_input_grad(gmat, kd, x_shape, out_sp, stride, padding) -> np.ndarray:
         # no phase writes a position of a phase no offset reaches (a kernel
         # shorter than its stride) or past the last window: its gradient is 0
         if not covered.all():
-            dx[(slice(None),) * (2 + d) + (~covered,)] = 0.0
+            dxl[(slice(None),) * (1 + d) + (~covered,)] = 0.0
     for r, acc in phases.items():
-        src = (slice(None),) * 2 + tuple(writes[d][r[d]][0] for d in range(nd))
-        dst = (slice(None),) * 2 + tuple(writes[d][r[d]][1] for d in range(nd))
-        dx[dst] = acc.reshape((cin, B) + ext)[src]
+        src = (slice(None),) + tuple(writes[d][r[d]][0] for d in range(nd))
+        dst = (slice(None),) + tuple(writes[d][r[d]][1] for d in range(nd))
+        dxl[dst] = acc.reshape((B,) + ext + (cin,))[src]
     return dx
 
 
-def _conv_kernel_grad(gmat, x, ksp, out_sp, stride, padding, chunks) -> np.ndarray:
+def _conv_kernel_grad(gmat, x, ksp, out_sp, stride, padding, chunks, channels_last: bool) -> np.ndarray:
     """dL/dk of a convolution, (cout, cin, *ksp), from the upstream gradient
-    gmat (cout, B*N) and the unpadded input x (B, cin, *spatial).
+    gmat (B*N, cout) in the stage's layout and the unpadded input x
+    (B, cin, *spatial).
 
     The patch matrix is rebuilt one chunk of samples (lo, hi) of `chunks` at
     a time and dies with its product. (K, n*N) @ (n*N, cout) runs faster in
     BLAS than the transposed product; the products are summed in chunk order.
     """
     N = int(np.prod(out_sp))
-    parts = (_patch_matrix(x[lo:hi], ksp, out_sp, stride, padding) @ gmat[:, lo * N:hi * N].T
+    parts = (_patch_matrix(x[lo:hi], ksp, out_sp, stride, padding, channels_last).T @ gmat[lo * N:hi * N]
              for lo, hi in chunks)
     gk = next(parts)
     for part in parts:
         gk += part
-    return gk.T.reshape((gmat.shape[0], x.shape[1]) + tuple(ksp))
+    return _kernels_of_matrix(gk, x.shape[1], tuple(ksp), channels_last)
 
 
 # the most bytes one patch matrix of _convnd may take; larger batches are
@@ -836,26 +921,42 @@ def _sample_chunks(B: int, bytes_per_sample: int, budget: int) -> list[tuple[int
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _patch_matrix(x, ksp, out_sp, stride, padding) -> np.ndarray:
-    """The (cin*prod(ksp), B*prod(out_sp)) im2col matrix of x (B, cin, *spatial).
+def _patch_matrix(x, ksp, out_sp, stride, padding, channels_last: bool) -> np.ndarray:
+    """The (B*N, K) im2col matrix of x (B, cin, *spatial), N = prod(out_sp),
+    K = cin*prod(ksp): one row per sample and output position.
 
-    Rows run over (cin, *ksp) and columns over (B, *out_sp), so the samples
-    fold into the GEMM columns. _convnd passes a chunk of samples at a time,
-    each chunk's matrix at most _PATCH_CHUNK_BYTES unless one sample alone
-    passes it. x is zero-padded into a fresh buffer first; the buffer dies
-    with the call.
+    x is zero-padded into a fresh buffer first, which dies with the call.
+    Channels-last the buffer is (B, *padded, cin), the columns run over
+    (*ksp, cin), and a row is prod(ksp[:-1]) runs of ksp[-1]*cin values that
+    lie contiguous in the buffer; the matrix is in C order. Channel-first the
+    buffer is (B, cin, *padded), the columns run over (cin, *ksp), and the
+    matrix is the transposed view of a C-order (K, B*N) array. _convnd passes
+    a chunk of samples at a time, each chunk's matrix at most
+    _PATCH_CHUNK_BYTES unless one sample alone passes it.
     """
     B, cin = x.shape[:2]
+    nd = len(ksp)
+    if channels_last:
+        x = np.moveaxis(x, 1, -1)
+    sp0 = 1 if channels_last else 2  # the buffer's first spatial axis
     if any(padding):
-        xp = np.zeros(x.shape[:2] + tuple(n + 2 * p for p, n in zip(padding, x.shape[2:])), dtype=x.dtype)
-        xp[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))] = x
+        shape, core = list(x.shape), [slice(None)] * x.ndim
+        for d, p in enumerate(padding):
+            shape[sp0 + d] += 2 * p
+            core[sp0 + d] = slice(p, p + x.shape[sp0 + d])
+        xp = np.zeros(shape, dtype=x.dtype)
+        xp[tuple(core)] = x
     else:
         xp = x
     sx = xp.strides
-    view_shape = (B, cin) + ksp + out_sp
-    view_strides = sx + tuple(d * s for d, s in zip(sx[2:], stride))
-    cols = np.moveaxis(np.lib.stride_tricks.as_strided(xp, view_shape, view_strides), 0, len(ksp) + 1)
-    return cols.reshape(cin * int(np.prod(ksp)), B * int(np.prod(out_sp)))
+    sp = sx[sp0:sp0 + nd]
+    win = tuple(d * s for d, s in zip(sp, stride))
+    K, N = cin * int(np.prod(ksp)), int(np.prod(out_sp))
+    if channels_last:
+        view = np.lib.stride_tricks.as_strided(xp, (B,) + out_sp + ksp + (cin,), (sx[0],) + win + sp + (sx[-1],))
+        return view.reshape(B * N, K)
+    view = np.lib.stride_tricks.as_strided(xp, (cin,) + ksp + (B,) + out_sp, (sx[1],) + sp + (sx[0],) + win)
+    return view.reshape(K, B * N).T
 
 
 def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: str) -> Tensor:
@@ -864,6 +965,11 @@ def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: 
     same node, a layer norm over the output channels (gamma, beta) and, when
     leaky, a leaky relu, run in place on the output in tiles of samples of at
     most _EPILOGUE_TILE_BYTES.
+
+    Every array of the stage is indexed (B*N, channels), one row per sample
+    and output position; a stage whose input has at least
+    _CHANNELS_LAST_MIN_CIN channels lays them out channels-last (C order),
+    any other channel-major (the transposed view of a C-order array).
 
     a: (B, Cin, *spatial); kernels: (Cout, Cin, *kspatial); gamma, beta:
     Cout values each, in any shape (the networks keep (1, Cout, 1, ...)).
@@ -888,74 +994,75 @@ def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: 
     )
     N = int(np.prod(out_sp))
     cout = kd.shape[0]
-    kmat = kd.reshape(cout, -1)
-    chunks = _sample_chunks(B, kmat.shape[1] * N * x.itemsize, _PATCH_CHUNK_BYTES)
-    # channel-major: one row per output channel, one column per sample and
-    # output position
-    out = np.empty((cout, B * N), dtype=np.result_type(kd, x))
+    cl = cin >= _CHANNELS_LAST_MIN_CIN
+    wmat = _kernel_matrix(kd, cl)
+    chunks = _sample_chunks(B, wmat.shape[0] * N * x.itemsize, _PATCH_CHUNK_BYTES)
+    dtype = np.result_type(kd, x)
+    out = _rows_buffer(B * N, cout, cl, dtype)
     for lo, hi in chunks:
         # a chunk's padded input and patch matrix die after its GEMM, which
-        # writes its columns of the output in place
-        np.matmul(kmat, _patch_matrix(x[lo:hi], ksp, out_sp, stride, padding), out=out[:, lo * N:hi * N])
+        # writes its rows of the output in place
+        _gemm(_patch_matrix(x[lo:hi], ksp, out_sp, stride, padding, cl), wmat, cl, out=out[lo * N:hi * N])
     parents = (a, kernels, gamma, beta)
     na, nk, ngamma, nbeta = (_grad_node(t) for t in parents)
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
-    dtype = out.dtype
     # the backward reads xhat and 1/sigma; without it each tile is normalized
     # in place and nothing is kept
-    xhat = np.empty_like(out) if keep else None
-    inv_sigma = np.empty((1, B * N), dtype=dtype) if keep else None
-    gd, bd = gamma.data.reshape(cout, 1), beta.data.reshape(cout, 1)
+    xhat = _rows_buffer(B * N, cout, cl, dtype) if keep else None
+    inv_sigma = np.empty((B * N, 1), dtype=dtype) if keep else None
+    gd, bd = gamma.data.reshape(1, cout), beta.data.reshape(1, cout)
     tiles = _sample_chunks(B, cout * N * out.itemsize, _EPILOGUE_TILE_BYTES)
     for lo, hi in tiles:
-        cols = slice(lo * N, hi * N)
-        blk = out[:, cols]
-        xh, inv = _normalize(blk, 0, out=blk if xhat is None else xhat[:, cols])
+        rows = slice(lo * N, hi * N)
+        blk = out[rows]
+        xh, inv = _normalize(blk, out=blk if xhat is None else xhat[rows])
         if keep:
-            inv_sigma[:, cols] = inv
+            inv_sigma[rows] = inv
         np.multiply(xh, gd, out=blk)
         blk += bd
         if leaky:
             _leaky(blk, out=blk)
     # the kernel gradient rebuilds the patch matrices, chunk by chunk, from
     # the unpadded input, about prod(ksp)/prod(stride) times smaller than the
-    # whole patch matrix; the input gradient reads the kernels. _patch_matrix
-    # takes x_in as an argument, so a conv with frozen kernels holds no input.
-    # A leaky stage reads its slope from the sign of its own output, which the
-    # next conv holds as its input anyway.
+    # whole patch matrix; the input gradient reads the kernels and writes dx
+    # in the memory layout of the input. _patch_matrix takes x_in as an
+    # argument, so a conv with frozen kernels holds no input. A leaky stage
+    # reads its slope from the sign of its own output, which the next conv
+    # holds as its input anyway.
     x_in = x if nk is not None else None
     k_in = kd if na is not None else None
+    x_shape, x_strides = x.shape, x.strides
     y = out if leaky and keep else None
 
     def backward(g):
-        # dL/d(conv output), channel-major, tile by tile
-        gmat = np.empty((cout, B * N), dtype=np.result_type(g, dtype))
-        g = g.reshape(B, cout, N)
+        # dL/d(conv output), in the stage's layout, tile by tile
+        gmat = _rows_buffer(B * N, cout, cl, np.result_type(g, dtype))
+        g = np.moveaxis(g.reshape(B, cout, N), 1, -1)  # (B, N, cout), in the layout it came in
         ggamma = gbeta = 0  # each sum becomes its first tile's array
         for lo, hi in tiles:
-            # (n, cout, N) views of the tile, with g in the layout it came in
+            # (n, N, cout) views of the tile's rows
             def samples(m):
-                return m[:, lo * N:hi * N].reshape(-1, hi - lo, N).swapaxes(0, 1)
+                return m[lo * N:hi * N].reshape(hi - lo, N, -1)
 
             gc = g[lo:hi] if y is None else _leaky_grad(samples(y) > 0, g[lo:hi], dtype)
             xh = samples(xhat)
             if ngamma is not None:
-                ggamma += (gc * xh).sum(axis=(0, 2))
+                ggamma += (gc * xh).sum(axis=(0, 1))
             if nbeta is not None:
-                gbeta += gc.sum(axis=(0, 2))
+                gbeta += gc.sum(axis=(0, 1))
             if na is not None or nk is not None:
-                _normalize_grad(gc * gd.reshape(1, cout, 1), xh, samples(inv_sigma), 1, out=samples(gmat))
+                _normalize_grad(gc * gd, xh, samples(inv_sigma), out=samples(gmat))
         g = gc = None  # the kernel and input gradients read only gmat
         if ngamma is not None:
             ngamma._accum(ggamma.reshape(ngamma.shape))
         if nbeta is not None:
             nbeta._accum(gbeta.reshape(nbeta.shape))
         if nk is not None:
-            nk._accum(_conv_kernel_grad(gmat, x_in, ksp, out_sp, stride, padding, chunks))
+            nk._accum(_conv_kernel_grad(gmat, x_in, ksp, out_sp, stride, padding, chunks, cl))
         if na is not None:
-            na._accum(np.moveaxis(_conv_input_grad(gmat, k_in, (B, cin) + spatial, out_sp, stride, padding), 1, 0))
+            na._accum(_conv_input_grad(gmat, k_in, x_shape, x_strides, out_sp, stride, padding))
 
-    out = out.reshape(cout, B, N).transpose(1, 0, 2).reshape((B, cout) + out_sp)
+    out = np.moveaxis(out.reshape((B,) + out_sp + (cout,)), -1, 1)
     return _make(out, parents, op, backward)
 
 

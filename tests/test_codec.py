@@ -116,6 +116,16 @@ class TestMotionEstimation:
         mv = estimate_motion(random_frame(rng), random_frame(rng), CodecConfig(search_range=0))
         assert np.all(mv == 0)
 
+    @pytest.mark.parametrize("r", [1, 3, 7])
+    def test_tie_break_order_computed_once_read_only(self, r):
+        # the priority brute_force_sad_search breaks ties by, for every
+        # candidate of the range, shared by every search of that range
+        offsets = [(dx, dy) for dy in range(-r, r + 1) for dx in range(-r, r + 1)]
+        want = sorted(offsets, key=lambda o: (abs(o[0]) + abs(o[1]), o[1], o[0]))
+        got = codec._sorted_offsets(r)
+        assert got.dtype == np.int16 and got.tolist() == [list(o) for o in want]
+        assert codec._sorted_offsets(r) is got and not got.flags.writeable
+
     def test_translation_recovered_on_interior_blocks(self):
         rng = np.random.default_rng(2)
         cfg = CodecConfig()

@@ -1,8 +1,10 @@
 """Names that code outside the package reaches: console scripts, the
 benchmark's tracer, which patches ops and forward methods by name, and the
-benchmark's workloads, which read the records load_videos returns."""
+benchmark's workloads, which read the records load_videos returns and hold
+the model's numbers to committed references."""
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -98,3 +100,25 @@ def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
     params = list(bundle.params().values())
     loss = workloads.train_step(bundle, params, videos, np.random.default_rng(0), batch_size=2)
     assert np.isfinite(loss)
+
+
+def test_benchmark_correctness_gates_hold(monkeypatch, tmp_path):
+    """The benchmark marks a run incorrect unless the losses of its gate SGD
+    steps and its frozen features on the reference dataset stay within
+    perfbench/reference.json's tol; a change that moves the model's numbers
+    past a gate fails here first."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    ref = json.loads(workloads.REFERENCE_FILE.read_text())
+    assert workloads.build_reference_dataset(tmp_path) == ref["dataset_digest"]
+    got = {
+        "pretrain": workloads.gate_losses(pretext.load_videos(tmp_path, split="train"), workloads.REF_SEED),
+        "embed": workloads.gate_features(pretext.load_videos(tmp_path), workloads.REF_SEED),
+    }
+    for key, name in (("pretrain", "losses"), ("embed", "features")):
+        values = np.asarray(got[key], dtype=np.float64)
+        want = np.asarray(ref[key][name])
+        assert values.shape == want.shape and np.isfinite(values).all(), key
+        dev = np.abs(values - want).max()
+        assert dev <= ref[key]["tol"], f"{key} {name}: max deviation {dev:.3g} past tol {ref[key]['tol']:.3g}"

@@ -7,6 +7,7 @@ oracle in conftest (h = 1e-5, float64, max-norm relative error < 1e-4).
 import ctypes
 import importlib.util
 import inspect
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -402,20 +403,72 @@ def stage_arrays(x_shape, k_shape, dtype, seed=0):
             (1.0 + 0.5 * r.normal(size=gshape)).astype(dtype), (0.5 * r.normal(size=gshape)).astype(dtype)]
 
 
+def explicit_patches(x, k_shape, stride, padding):
+    """(B, cin, prod(ksp), prod(out_sp)) patches of x, gathered by fancy
+    indexing from an np.pad copy."""
+    nd = len(stride)
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    out_sp = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], k_shape[2:], stride))
+    offs = np.array(list(np.ndindex(*k_shape[2:])))
+    outs = np.array(list(np.ndindex(*out_sp)))
+    pos = offs[:, None, :] + outs[None, :, :] * np.array(stride)
+    return xp[(slice(None), slice(None)) + tuple(pos[..., i] for i in range(nd))]
+
+
+def channels_last(cin: int) -> bool:
+    """Whether a stage reading cin channels runs channels-last."""
+    return cin >= T._CHANNELS_LAST_MIN_CIN
+
+
+def as_map(rows, B, out_sp) -> np.ndarray:
+    """(B, cout, *out_sp) view of a stage's (B*N, cout) rows."""
+    return np.moveaxis(rows.reshape((B,) + tuple(out_sp) + (rows.shape[1],)), -1, 1)
+
+
+def reference_rows(x, k, stride, padding) -> np.ndarray:
+    """The convolution of x by k as (B*N, cout) rows, one GEMM in the layout
+    of the stage: channels-last, the (B*N, K) patches, columns over
+    (*ksp, cin), times the (K, cout) kernels; channel-first, the (cout, K)
+    kernels times the (K, B*N) patches, columns over (cin, *ksp), transposed."""
+    cout, cin = k.shape[:2]
+    P = explicit_patches(x, k.shape, stride, padding)  # (B, cin, prod(ksp), N)
+    if channels_last(cin):
+        rows = np.ascontiguousarray(P.transpose(0, 3, 2, 1)).reshape(-1, P.shape[1] * P.shape[2])
+        return rows @ np.ascontiguousarray(k.reshape(cout, cin, -1).transpose(2, 1, 0)).reshape(-1, cout)
+    cols = np.ascontiguousarray(P.transpose(1, 2, 0, 3)).reshape(cin * P.shape[2], -1)
+    return (k.reshape(cout, -1) @ cols).T
+
+
 def reference_conv(x, k, stride, padding) -> np.ndarray:
-    """The convolution of x by k, (B, cout, *out_sp): one GEMM of the kernels
-    with x's whole _patch_matrix."""
-    B, cout = x.shape[0], k.shape[0]
-    out_sp = conv_out_sp(x.shape, k.shape, stride, padding)
-    y = k.reshape(cout, -1) @ T._patch_matrix(x, k.shape[2:], out_sp, stride, padding)
-    return y.reshape(cout, B, -1).transpose(1, 0, 2).reshape((B, cout) + out_sp)
+    """The convolution of x by k, (B, cout, *out_sp), by reference_rows."""
+    return as_map(reference_rows(x, k, stride, padding), x.shape[0], conv_out_sp(x.shape, k.shape, stride, padding))
 
 
 def reference_stage(x, k, gamma, beta, stride, padding, leaky) -> np.ndarray:
-    """The conv stage in numpy: reference_conv, then _normalize over the
+    """The conv stage in numpy: reference_rows, then _normalize over the
     channels, times gamma plus beta, then _leaky when leaky."""
-    y = T._normalize(reference_conv(x, k, stride, padding), 1)[0] * gamma + beta
-    return T._leaky(y) if leaky else y
+    cout = k.shape[0]
+    y = T._normalize(reference_rows(x, k, stride, padding))[0] * gamma.reshape(1, cout) + beta.reshape(1, cout)
+    y = T._leaky(y) if leaky else y
+    return as_map(y, x.shape[0], conv_out_sp(x.shape, k.shape, stride, padding))
+
+
+def stage_gmat(g, layout_channels_last: bool) -> np.ndarray:
+    """The upstream gradient g (B, cout, *out_sp) as the (B*N, cout) rows
+    the conv kernels read: C order channels-last, else the transposed view
+    of a channel-major array."""
+    cout = g.shape[1]
+    if layout_channels_last:
+        return np.ascontiguousarray(np.moveaxis(g, 1, -1)).reshape(-1, cout)
+    return np.ascontiguousarray(np.moveaxis(g, 1, 0)).reshape(cout, -1).T
+
+
+def layout_strides(shape, channels_last_memory: bool) -> tuple:
+    """The strides of a float64 (B, cin, *spatial) array laid out
+    channels-last in memory, or channel-major, (cin, B, *spatial)."""
+    if channels_last_memory:
+        return np.moveaxis(np.empty((shape[0],) + tuple(shape[2:]) + (shape[1],)), -1, 1).strides
+    return np.moveaxis(np.empty((shape[1], shape[0]) + tuple(shape[2:])), 0, 1).strides
 
 
 @pytest.mark.usefixtures("nan_filled_empty")
@@ -487,19 +540,25 @@ class TestConv:
         return dxp[(slice(None), slice(None)) + core]
 
     def check_input_grad(self, seed, x_shape, k_shape, stride, padding, dtype=np.float64):
-        """_conv_input_grad against col2im_oracle in float64; returns it, (B, cin, *spatial)."""
+        """_conv_input_grad against col2im_oracle in float64, with the
+        upstream gradient in each stage layout and the input in each memory
+        layout; returns every dx, (B, cin, *spatial)."""
         r = rng_for(seed)
         k = r.normal(size=k_shape)
         out_sp = conv_out_sp(x_shape, k_shape, stride, padding)
         g = r.normal(size=(x_shape[0], k_shape[0]) + out_sp)
-        gmat = np.moveaxis(g, 1, 0).reshape(k_shape[0], -1).astype(dtype)
-        dx = np.moveaxis(T._conv_input_grad(gmat, k.astype(dtype), x_shape, out_sp, stride, padding), 1, 0)
         want = self.col2im_oracle(g, k, x_shape, stride, padding)
         # float32: rounding of a sum of ~cout*prod(k) products of unit scale
         tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
-        assert dx.dtype == dtype
-        np.testing.assert_allclose(dx, want, **tol)
-        return dx
+        got = []
+        for cl, x_cl in itertools.product((False, True), repeat=2):
+            strides = layout_strides(x_shape, x_cl)
+            dx = T._conv_input_grad(stage_gmat(g, cl).astype(dtype), k.astype(dtype), x_shape, strides, out_sp,
+                                    stride, padding)
+            assert dx.dtype == dtype and np.argsort(dx.strides).tolist() == np.argsort(strides).tolist()
+            np.testing.assert_allclose(dx, want, **tol, err_msg=f"gmat channels-last {cl}, x channels-last {x_cl}")
+            got.append(dx)
+        return got
 
     @pytest.mark.parametrize("nd", [2, 3])
     @pytest.mark.parametrize("s", [1, 2])
@@ -532,15 +591,15 @@ class TestConv:
     def test_input_grad_zero_where_no_window_reads(self):
         # kernel 2 < stride 3 along H: padded rows 2, 5, 8 are read by no
         # window; kernel 1 < stride 2 along W: odd columns are never read
-        dx = self.check_input_grad(8, (2, 3, 9, 8), (4, 3, 2, 1), (3, 2), (0, 0))
-        unread = np.zeros(dx.shape, dtype=bool)
+        unread = np.zeros((2, 3, 9, 8), dtype=bool)
         unread[:, :, 2::3, :] = True
         unread[:, :, :, 1::2] = True
-        assert np.all(dx[unread] == 0.0)
-        assert np.all(dx[~unread] != 0.0)
+        for dx in self.check_input_grad(8, (2, 3, 9, 8), (4, 3, 2, 1), (3, 2), (0, 0)):
+            assert np.all(dx[unread] == 0.0)
+            assert np.all(dx[~unread] != 0.0)
         # the same with padding: padded row i is input row i - 1
-        dx = self.check_input_grad(9, (2, 3, 5, 9, 8), (4, 3, 3, 2, 1), (2, 3, 2), (1, 1, 0))
-        assert np.all(dx[:, :, :, 1::3, :] == 0.0) and np.all(dx[:, :, :, :, 1::2] == 0.0)
+        for dx in self.check_input_grad(9, (2, 3, 5, 9, 8), (4, 3, 3, 2, 1), (2, 3, 2), (1, 1, 0)):
+            assert np.all(dx[:, :, :, 1::3, :] == 0.0) and np.all(dx[:, :, :, :, 1::2] == 0.0)
 
     @pytest.mark.parametrize(
         "x_shape, k_shape, stride, padding",
@@ -561,8 +620,10 @@ class TestConv:
             # a kernel no longer than its stride: the input gradient needs no
             # zero extension and reads its gradient through a view
             ((1, 3, 6, 8), (2, 3, 2, 2), (2, 2), (0, 0)),
+            ((2, 8, 5, 7, 6), (4, 8, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+            ((1, 8, 6, 8), (2, 8, 2, 2), (2, 2), (0, 0)),
         ],
-        ids=["extended", "unextended"],
+        ids=["extended", "unextended", "extended_channels_last", "unextended_channels_last"],
     )
     def test_backward_leaves_its_gradient_unchanged(self, x_shape, k_shape, stride, padding):
         leaves = [Tensor(a, requires_grad=True) for a in stage_arrays(x_shape, k_shape, np.float64, seed=12)]
@@ -573,12 +634,14 @@ class TestConv:
         out._backward(g)
         np.testing.assert_array_equal(g, before)
         assert all(np.any(leaf.grad != 0.0) for leaf in leaves)
-        # the kernels read the channel-major gradient the closure hands them
-        gmat = np.ascontiguousarray(np.moveaxis(g, 1, 0).reshape(k_shape[0], -1))
-        before = gmat.copy()
-        T._conv_input_grad(gmat, k.data, x_shape, out.shape[2:], stride, padding)
-        T._conv_kernel_grad(gmat, x.data, k_shape[2:], out.shape[2:], stride, padding, [(0, x_shape[0])])
-        np.testing.assert_array_equal(gmat, before)
+        # the kernels read the pre-norm gradient the closure hands them, in
+        # either stage layout
+        for cl in (False, True):
+            gmat = stage_gmat(g, cl)
+            before = gmat.copy()
+            T._conv_input_grad(gmat, k.data, x_shape, x.data.strides, out.shape[2:], stride, padding)
+            T._conv_kernel_grad(gmat, x.data, k_shape[2:], out.shape[2:], stride, padding, [(0, x_shape[0])], cl)
+            np.testing.assert_array_equal(gmat, before)
 
     @pytest.mark.parametrize("x_grad, k_grad", [(True, True), (False, True), (True, False)])
     def test_closure_holds_its_input_and_kernels_not_their_patches(self, x_grad, k_grad):
@@ -599,18 +662,6 @@ class TestConv:
         assert any(v is k.data for v in held) == x_grad
         if not k_grad:
             assert not any(np.shares_memory(v, x.data) for v in held)
-
-    @staticmethod
-    def explicit_patches(x, k_shape, stride, padding):
-        """(B, cin, prod(ksp), prod(out_sp)) patches of x, gathered by fancy
-        indexing from an np.pad copy."""
-        nd = len(stride)
-        xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-        out_sp = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], k_shape[2:], stride))
-        offs = np.array(list(np.ndindex(*k_shape[2:])))
-        outs = np.array(list(np.ndindex(*out_sp)))
-        pos = offs[:, None, :] + outs[None, :, :] * np.array(stride)
-        return xp[(slice(None), slice(None)) + tuple(pos[..., i] for i in range(nd))]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
@@ -640,24 +691,26 @@ class TestConv:
              "chunked_one_sample_3d", "chunked_uneven_3d", "chunked_uneven_2d"],
     )
     def test_kernel_grad_matches_patch_oracle(self, x_shape, k_shape, stride, padding, dtype):
-        """_conv_kernel_grad, over the chunks of samples a conv stage of these
-        shapes uses, against dL/dk of L = sum(conv(x, k) * g): the einsum of g
-        with the patches, computed in float64."""
+        """_conv_kernel_grad, in either stage layout, over the chunks of
+        samples a conv stage of these shapes uses, against dL/dk of
+        L = sum(conv(x, k) * g): the einsum of g with the patches, computed
+        in float64."""
         r = rng_for(15)
         x = r.normal(size=x_shape)
         out_sp = conv_out_sp(x_shape, k_shape, stride, padding)
         g = r.normal(size=(x_shape[0], k_shape[0]) + out_sp)
         per_sample = int(np.prod(k_shape[1:])) * int(np.prod(out_sp)) * np.dtype(dtype).itemsize
         chunks = T._sample_chunks(x_shape[0], per_sample, T._PATCH_CHUNK_BYTES)
-        gmat = np.moveaxis(g, 1, 0).reshape(k_shape[0], -1).astype(dtype)
-        gk = T._conv_kernel_grad(gmat, x.astype(dtype), k_shape[2:], out_sp, stride, padding, chunks)
         B, cout = g.shape[:2]
-        want = np.einsum("bcpn,bon->ocp", self.explicit_patches(x, k_shape, stride, padding),
+        want = np.einsum("bcpn,bon->ocp", explicit_patches(x, k_shape, stride, padding),
                          g.reshape(B, cout, -1)).reshape(k_shape)
         # float32: as in check_input_grad
         tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-4)
-        assert gk.dtype == dtype and gk.shape == k_shape
-        np.testing.assert_allclose(gk, want, **tol)
+        for cl in (False, True):
+            gk = T._conv_kernel_grad(stage_gmat(g, cl).astype(dtype), x.astype(dtype), k_shape[2:], out_sp, stride,
+                                     padding, chunks, cl)
+            assert gk.dtype == dtype and gk.shape == k_shape
+            np.testing.assert_allclose(gk, want, **tol, err_msg=f"channels_last={cl}")
 
     def test_channel_mismatch_rejected(self):
         gamma, beta = Tensor(np.ones((1, 2, 1, 1, 1))), Tensor(np.zeros((1, 2, 1, 1, 1)))
@@ -716,6 +769,8 @@ class TestConvChunks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape, k_shape, stride, padding", model_convs())
     def test_forward_bit_identical_to_one_gemm(self, x_shape, k_shape, stride, padding, dtype, B):
+        # the stems against the channel-first GEMM, every later stage against
+        # the channels-last one
         arrays = stage_arrays((B,) + x_shape, k_shape, dtype, seed=B)
         got = stage(*map(Tensor, arrays), stride, padding, True).data
         assert got.dtype == dtype
@@ -723,7 +778,10 @@ class TestConvChunks:
 
     def test_no_grad_v_forward_builds_no_whole_patch_matrix(self):
         # at 16 clips v_net's second conv's whole patch matrix is 27 MiB and
-        # its first's 13.5 MiB; built whole, the forward peaked at 46.3 MiB
+        # its first's 13.5 MiB; built whole, the forward peaked at 46.3 MiB.
+        # Built in chunks it peaks at 14.8 MiB, with the stem's output, the
+        # second conv's output and one chunk's padded input and patch matrix
+        # live; the bound leaves under 1 MiB for anything more
         bundle = ModelBundle(seed=0)
         clip = rng_for(16).normal(size=(16, 3, 8, 32, 32)).astype(np.float32)
         with T.no_grad():
@@ -734,13 +792,16 @@ class TestConvChunks:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert peak <= 30 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak <= 15.79 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
-# a v_net-like 3-D stage and an i_net-like 2-D stage, small
+# a v_net-like 3-D stage and an i_net-like 2-D stage, small: stems, which
+# run channel-first, and later stages, which run channels-last
 STAGES = [
     pytest.param((5, 3, 4, 8, 8), (4, 3, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d"),
     pytest.param((5, 3, 9, 8), (4, 3, 3, 3), (2, 1), (1, 1), id="2d"),
+    pytest.param((5, 8, 4, 8, 8), (4, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d_channels_last"),
+    pytest.param((5, 8, 9, 8), (4, 8, 3, 3), (2, 1), (1, 1), id="2d_channels_last"),
 ]
 
 
@@ -775,10 +836,10 @@ class TestConvStage:
         if leaky:
             y = T.leaky_relu(y)
         T.tsum(T.mul(y, Tensor(w))).backward()
-        gmat = np.moveaxis(conv.grad, 1, 0).reshape(cout, -1)
+        gmat = stage_gmat(conv.grad, True)
         out_sp = conv.shape[2:]
-        dx = np.moveaxis(T._conv_input_grad(gmat, k, x.shape, out_sp, stride, padding), 1, 0)
-        dk = T._conv_kernel_grad(gmat, x, k.shape[2:], out_sp, stride, padding, [(0, x.shape[0])])
+        dx = T._conv_input_grad(gmat, k, x.shape, x.strides, out_sp, stride, padding)
+        dk = T._conv_kernel_grad(gmat, x, k.shape[2:], out_sp, stride, padding, [(0, x.shape[0])], True)
         return [dx, dk, g.grad, b.grad]
 
     # samples per patch chunk and per epilogue tile: one of each, one sample
@@ -807,6 +868,10 @@ class TestConvStage:
     @pytest.mark.parametrize("x_shape, k_shape, stride, padding", [
         pytest.param((3, 2, 3, 5, 5), (3, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d"),
         pytest.param((3, 2, 6, 5), (3, 2, 3, 3), (2, 1), (1, 1), id="2d"),
+        # m_net's last stage, stride 1 in time and 2 in space, and an
+        # i_net-like stage, both channels-last
+        pytest.param((2, 8, 3, 4, 4), (3, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d_channels_last"),
+        pytest.param((2, 8, 6, 5), (3, 8, 3, 3), (2, 1), (1, 1), id="2d_channels_last"),
     ])
     def test_gradients_vs_fd(self, monkeypatch, x_shape, k_shape, stride, padding, leaky):
         self.blocks(monkeypatch, x_shape, k_shape, stride, padding, np.float64, 1, 2)
@@ -840,6 +905,27 @@ class TestConvStage:
             assert leaf.grad.dtype == ref.dtype == dtype, name
             scale = np.abs(ref).max()
             assert np.abs(leaf.grad - ref).max() <= 1e-6 * scale, name
+
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", STAGES)
+    def test_input_layout_changes_no_bit(self, x_shape, k_shape, stride, padding):
+        """The same input values as a contiguous array, a channels-last view
+        and a non-contiguous slice give the same output and gradients bit for
+        bit, and the input gradient's axes lie in memory in the input's order."""
+        x, k, gamma, beta = stage_arrays(x_shape, k_shape, np.float32, seed=5)
+        channels_last_view = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+        wide = np.zeros(x_shape[:-1] + (2 * x_shape[-1],), dtype=x.dtype)
+        wide[..., ::2] = x
+        w = rng_for(6).normal(size=(x_shape[0], k_shape[0]) + conv_out_sp(x_shape, k_shape, stride, padding))
+        results = []
+        for xin in (x, channels_last_view, wide[..., ::2]):
+            leaves = [Tensor(a, requires_grad=True) for a in (xin, k, gamma, beta)]
+            out = stage(*leaves, stride, padding, True)
+            T.tsum(T.mul(out, Tensor(w.astype(x.dtype)))).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+            assert np.argsort(leaves[0].grad.strides).tolist() == np.argsort(xin.strides).tolist()
+        for got in results[1:]:
+            for name, want, value in zip(("output", "input", "kernels", "gamma", "beta"), results[0], got):
+                np.testing.assert_array_equal(value, want, err_msg=name)
 
     def test_no_grad_leaves_no_node(self):
         arrays = stage_arrays((2, 3, 4, 8, 8), (4, 3, 3, 3, 3), np.float32)
