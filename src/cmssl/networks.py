@@ -268,10 +268,8 @@ class Transformer:
 
     def embed_inputs(self, x: Tensor) -> Tensor:
         """(B, C1, T1, H1, W1) -> (B, S, width) tokens with positions added."""
-        c1, t1, h1, w1 = self.in_shape
-        if tuple(x.shape[1:]) != (c1, t1, h1, w1):
-            raise ValueError(f"transformer input shape {x.shape[1:]}, expected {(c1, t1, h1, w1)}")
-        B = x.shape[0]
+        _check_batch(x, self.in_shape, "transformer input")
+        B, c1 = x.shape[:2]
         seq = T.transpose(T.reshape(x, (B, c1, self.seq_in)), (0, 2, 1))
         return T.add(self.in_proj(seq), self.pos_enc)
 

@@ -268,7 +268,7 @@ def augment_frames(frames: np.ndarray, params: AugmentParams, out_size: int) -> 
     if params.flip:
         out = out[..., ::-1, :]
     # Known defect: this filters W and the colour channels, not H and W. The fix moves the
-    # benchmark's gate losses, so it waits for ROADMAP item 3: read no colour result as blur's.
+    # benchmark's gate losses, so it waits for ROADMAP item 4: read no colour result as blur's.
     out = _blur(out, params.blur_sigma)
     if params.brightness != 1.0:
         out = out * params.brightness

@@ -18,9 +18,9 @@ The graph is made of nodes, not of Tensors. A Tensor's `_Node` holds its
 gradient, its backward closure, its parents' nodes, and its op, shape and
 dtype, but not its data. An op's closure holds its parents' nodes and
 exactly the arrays its backward reads (matmul, mul and div inputs; softmax,
-exp and sqrt outputs; layer_norm's xhat; a conv's unpadded input, kept only
-when its kernels take a gradient, and its kernels, kept only when its input
-takes one; masks), never a Tensor. So once the caller drops an intermediate
+exp, sqrt, relu and leaky_relu outputs; layer_norm's xhat; a conv's unpadded
+input, kept only when its kernels take a gradient, and its kernels, kept
+only when its input takes one; dropout's mask), never a Tensor. So once the caller drops an intermediate
 Tensor its array is freed unless some backward reads it: a conv or
 layer_norm output dies with its Tensor. The convs' im2col patch matrices
 would be the largest arrays of a step and are cheap to rebuild, so the
@@ -35,21 +35,24 @@ products in chunk order, which only reorders its rounding.
 
 Conv layout: a stage indexes every array it makes as (B*N, channels), one
 row per sample and output position, and picks the memory layout from its
-input's channel count. A stage that reads at least _CHANNELS_LAST_MIN_CIN
-(8) channels, every stage after the three stems, runs channels-last: it
-pads each chunk of samples into an (n, *spatial, cin) buffer, so a patch row
-is prod(ksp[:-1]) runs of ksp[-1]*cin values that lie contiguous there,
-multiplies the (n*N, K) patches by the (K, cout) kernel matrix and
-normalizes each output row over its last, contiguous axis. The stems read
-2 or 3 channels, and channels-last their runs would be 6 or 9 values long,
-so they gather the channel-first (K, n*N) patch matrix, whose rows are
-runs of output positions, and keep a channel-major output. Gather times
-of the whole batch in float32 on 2 cores, channel-first against
-channels-last, each input in the layout its stage gets it in:
+input's channel count. Every pass multiplies by one kernel matrix, (K, cout)
+with K = prod(ksp)*cin running over (*ksp, cin), and the patch matrices'
+columns run in that order; numpy orients each GEMM by the memory order of
+its operands and output. A stage that reads at least _CHANNELS_LAST_MIN_CIN
+(8) channels, every stage after the three stems, runs channels-last: it pads
+each chunk of samples into a buffer laid out (n, *spatial, cin), so a patch
+row is prod(ksp[:-1]) runs of ksp[-1]*cin values that lie contiguous there,
+multiplies the C-order (n*N, K) patches by the kernel matrix and normalizes
+each output row over its last, contiguous axis. The stems read 2 or 3
+channels, and channels-last their runs would be 6 or 9 values long, so they
+pad into channel-first memory, copy the patches as a C-order (K, n*N)
+array, whose rows are runs of output positions, and keep a channel-major
+output. Gather times of the whole batch in float32 on 2 cores, channel-first
+against channels-last, each input in the layout its stage gets it in:
 v_net conv1 (16 -> 32 channels, 16 clips) 10.0 against 8.6 ms and conv2
 2.4 against 1.1 ms, m_net conv2 at 24 clips 2.0 against 0.35 ms, but v_net
-conv0 (3 channels) 1.8 against 6.3 ms and m_net conv0 (2 channels) 1.3
-against 3.3 ms. Each stage returns the (B, cout, *spatial) view of its
+conv0 (3 channels) 1.7 against 3.3 ms and m_net conv0 (2 channels) 1.3
+against 2.4 ms. Each stage returns the (B, cout, *spatial) view of its
 output's memory, and writes its input gradient with its axes in memory in
 the order of its input's.
 
@@ -476,9 +479,11 @@ def _leaky(x: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(y, x, out=y if out is None else out)
 
 
-def _leaky_grad(positive: np.ndarray, g: np.ndarray, dtype) -> np.ndarray:
-    """g times the leaky relu's slope: 1 where `positive`, LEAKY_RELU_SLOPE elsewhere."""
-    f = positive.astype(dtype)
+def _leaky_grad(y: np.ndarray, g: np.ndarray, dtype) -> np.ndarray:
+    """g times the slope of the leaky relu whose output is y: 1 where y > 0,
+    LEAKY_RELU_SLOPE elsewhere. The slope being positive, y has the sign of
+    the input, so a leaky relu's backward reads only its output."""
+    f = (y > 0).astype(dtype)
     np.maximum(f, LEAKY_RELU_SLOPE, out=f)
     f *= g
     return f
@@ -488,12 +493,12 @@ def leaky_relu(a) -> Tensor:
     """a where a > 0, LEAKY_RELU_SLOPE * a elsewhere."""
     a = _as_tensor(a)
     na = _grad_node(a)
-    mask = a.data > 0
+    data = _leaky(a.data)
 
     def backward(g):
-        na._accum(_leaky_grad(mask, g, na.dtype))
+        na._accum(_leaky_grad(data, g, na.dtype))
 
-    return _make(_leaky(a.data), (a,), "leaky_relu", backward)
+    return _make(data, (a,), "leaky_relu", backward)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -780,33 +785,10 @@ def _empty_in_order(shape, strides, dtype) -> np.ndarray:
     return np.empty([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
 
 
-def _gemm(a, b, channels_last: bool, out=None) -> np.ndarray:
-    """a @ b, written in the stage's layout: in C order when channels_last,
-    else as the transpose of b.T @ a.T, so that a channel-first stage's
-    operands, transposed views of C-order arrays, reach BLAS as they lie and
-    its product is channel-major."""
-    if channels_last:
-        return np.matmul(a, b, out=out)
-    return np.matmul(b.T, a.T, out=None if out is None else out.T).T
-
-
-def _kernel_matrix(kd, channels_last: bool) -> np.ndarray:
+def _kernel_matrix(kd) -> np.ndarray:
     """The kernels kd (cout, cin, *ksp) as the (K, cout) matrix that patch
-    rows multiply, K = cin*prod(ksp) running over (*ksp, cin) channels-last
-    and over (cin, *ksp) otherwise."""
-    cout = kd.shape[0]
-    if channels_last:
-        return kd.transpose(tuple(range(2, kd.ndim)) + (1, 0)).reshape(-1, cout)
-    return kd.reshape(cout, -1).T
-
-
-def _kernels_of_matrix(gk, cin: int, ksp: tuple, channels_last: bool) -> np.ndarray:
-    """The (cout, cin, *ksp) kernels of a (K, cout) matrix laid out as by
-    _kernel_matrix."""
-    cout, nd = gk.shape[1], len(ksp)
-    if channels_last:
-        return gk.reshape(ksp + (cin, cout)).transpose((nd + 1, nd) + tuple(range(nd)))
-    return gk.T.reshape((cout, cin) + ksp)
+    rows multiply, K = prod(ksp)*cin running over (*ksp, cin)."""
+    return kd.transpose(tuple(range(2, kd.ndim)) + (1, 0)).reshape(-1, kd.shape[0])
 
 
 def _conv_input_grad(gmat, kd, x_shape, x_strides, out_sp, stride, padding) -> np.ndarray:
@@ -831,24 +813,22 @@ def _conv_input_grad(gmat, kd, x_shape, x_strides, out_sp, stride, padding) -> n
     nd = len(ksp)
     out_sp = tuple(out_sp)
     channels_last = x_strides[1] == min(x_strides)
+    dtype = np.result_type(kd, gmat)
     ext = tuple(o + (k - 1) // s for o, k, s in zip(out_sp, ksp, stride))
-    if ext == out_sp:
-        gext = gmat
-    else:
-        gext = _rows_buffer(B * int(np.prod(ext)), cout, channels_last, gmat.dtype)
-        gext[...] = 0.0
-        gext = gext.reshape((B,) + ext + (cout,))
-        gext[(slice(None),) + tuple(slice(0, o) for o in out_sp)] = gmat.reshape((B,) + out_sp + (cout,))
-        gext = gext.reshape(-1, cout)
+    gext = _rows_buffer(B * int(np.prod(ext)), cout, channels_last, gmat.dtype)
+    gext[...] = 0.0
+    gext = gext.reshape((B,) + ext + (cout,))
+    gext[(slice(None),) + tuple(slice(0, o) for o in out_sp)] = gmat.reshape((B,) + out_sp + (cout,))
+    gext = gext.reshape(-1, cout)
     L = gext.shape[0]
     ext_strides = [int(np.prod(ext[d + 1:])) for d in range(nd)]
     # one (L, cout) @ (cout, k_last*cin) product per row of kernel offsets
     kl = ksp[-1]
-    wt = _kernel_matrix(kd, True).reshape(-1, kl * cin, cout)
+    wt = _kernel_matrix(kd).reshape(-1, kl * cin, cout)
     offsets = list(np.ndindex(*ksp))
     phases = {}
     for row, w in enumerate(wt):
-        prod = _gemm(gext, w.T, channels_last).reshape(L, kl, cin)
+        prod = np.matmul(gext, w.T, out=_rows_buffer(L, kl * cin, channels_last, dtype)).reshape(L, kl, cin)
         for j, off in enumerate(offsets[row * kl:(row + 1) * kl]):
             p = prod[:, j]
             r = tuple(k % s for k, s in zip(off, stride))
@@ -859,7 +839,7 @@ def _conv_input_grad(gmat, kd, x_shape, x_strides, out_sp, stride, padding) -> n
                 phases[r][shift:] += p[:L - shift]
     # dx comes once the last product is dropped: the phases hold all it reads
     prod = p = gext = None
-    dx = _empty_in_order(x_shape, x_strides, np.result_type(kd, gmat))
+    dx = _empty_in_order(x_shape, x_strides, dtype)
     # per axis, each phase's (source, destination) slices of its write into dx
     dxl = np.moveaxis(dx, 1, -1)  # (B, *spatial, cin)
     writes = []
@@ -900,7 +880,8 @@ def _conv_kernel_grad(gmat, x, ksp, out_sp, stride, padding, chunks, channels_la
     gk = next(parts)
     for part in parts:
         gk += part
-    return _kernels_of_matrix(gk, x.shape[1], tuple(ksp), channels_last)
+    nd = len(ksp)  # gk's rows run over (*ksp, cin), as _kernel_matrix's
+    return gk.reshape(tuple(ksp) + (x.shape[1], -1)).transpose((nd + 1, nd) + tuple(range(nd)))
 
 
 # the most bytes one patch matrix of _convnd may take; larger batches are
@@ -923,40 +904,33 @@ def _sample_chunks(B: int, bytes_per_sample: int, budget: int) -> list[tuple[int
 
 def _patch_matrix(x, ksp, out_sp, stride, padding, channels_last: bool) -> np.ndarray:
     """The (B*N, K) im2col matrix of x (B, cin, *spatial), N = prod(out_sp),
-    K = cin*prod(ksp): one row per sample and output position.
+    K = prod(ksp)*cin: one row per sample and output position, its columns
+    running over (*ksp, cin), as the rows of _kernel_matrix.
 
-    x is zero-padded into a fresh buffer first, which dies with the call.
-    Channels-last the buffer is (B, *padded, cin), the columns run over
-    (*ksp, cin), and a row is prod(ksp[:-1]) runs of ksp[-1]*cin values that
-    lie contiguous in the buffer; the matrix is in C order. Channel-first the
-    buffer is (B, cin, *padded), the columns run over (cin, *ksp), and the
-    matrix is the transposed view of a C-order (K, B*N) array. _convnd passes
-    a chunk of samples at a time, each chunk's matrix at most
-    _PATCH_CHUNK_BYTES unless one sample alone passes it.
+    x is zero-padded into a fresh buffer indexed (B, cin, *padded), which
+    dies with the call, and the windows are one view of it, (B, *out_sp,
+    *ksp, cin). The layout picks only the buffer's memory order and that of
+    the matrix the view is copied into (see _rows_buffer). Channels-last the buffer lies in memory as (B, *padded,
+    cin), so a row is prod(ksp[:-1]) runs of ksp[-1]*cin values that lie
+    contiguous there, and the matrix is in C order. Channel-first the buffer
+    lies as it is indexed, and the matrix is the transposed view of a C-order
+    (K, B*N) array, whose rows are runs of output positions. _convnd passes a
+    chunk of samples at a time, each chunk's matrix at most _PATCH_CHUNK_BYTES
+    unless one sample alone passes it.
     """
     B, cin = x.shape[:2]
-    nd = len(ksp)
+    padded = tuple(n + 2 * p for n, p in zip(x.shape[2:], padding))
     if channels_last:
-        x = np.moveaxis(x, 1, -1)
-    sp0 = 1 if channels_last else 2  # the buffer's first spatial axis
-    if any(padding):
-        shape, core = list(x.shape), [slice(None)] * x.ndim
-        for d, p in enumerate(padding):
-            shape[sp0 + d] += 2 * p
-            core[sp0 + d] = slice(p, p + x.shape[sp0 + d])
-        xp = np.zeros(shape, dtype=x.dtype)
-        xp[tuple(core)] = x
+        xp = np.moveaxis(np.zeros((B,) + padded + (cin,), dtype=x.dtype), -1, 1)
     else:
-        xp = x
-    sx = xp.strides
-    sp = sx[sp0:sp0 + nd]
+        xp = np.zeros((B, cin) + padded, dtype=x.dtype)
+    xp[(slice(None), slice(None)) + tuple(slice(p, p + n) for n, p in zip(x.shape[2:], padding))] = x
+    sb, sc, *sp = xp.strides
     win = tuple(d * s for d, s in zip(sp, stride))
-    K, N = cin * int(np.prod(ksp)), int(np.prod(out_sp))
-    if channels_last:
-        view = np.lib.stride_tricks.as_strided(xp, (B,) + out_sp + ksp + (cin,), (sx[0],) + win + sp + (sx[-1],))
-        return view.reshape(B * N, K)
-    view = np.lib.stride_tricks.as_strided(xp, (cin,) + ksp + (B,) + out_sp, (sx[1],) + sp + (sx[0],) + win)
-    return view.reshape(K, B * N).T
+    view = np.lib.stride_tricks.as_strided(xp, (B,) + out_sp + ksp + (cin,), (sb,) + win + tuple(sp) + (sc,))
+    rows = _rows_buffer(B * int(np.prod(out_sp)), cin * int(np.prod(ksp)), channels_last, x.dtype)
+    rows.reshape(view.shape)[...] = view  # in either layout that reshape is a view of rows
+    return rows
 
 
 def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: str) -> Tensor:
@@ -995,14 +969,15 @@ def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: 
     N = int(np.prod(out_sp))
     cout = kd.shape[0]
     cl = cin >= _CHANNELS_LAST_MIN_CIN
-    wmat = _kernel_matrix(kd, cl)
+    wmat = _kernel_matrix(kd)
     chunks = _sample_chunks(B, wmat.shape[0] * N * x.itemsize, _PATCH_CHUNK_BYTES)
     dtype = np.result_type(kd, x)
     out = _rows_buffer(B * N, cout, cl, dtype)
     for lo, hi in chunks:
         # a chunk's padded input and patch matrix die after its GEMM, which
-        # writes its rows of the output in place
-        _gemm(_patch_matrix(x[lo:hi], ksp, out_sp, stride, padding, cl), wmat, cl, out=out[lo * N:hi * N])
+        # writes its rows of the output in place; numpy makes the transposed
+        # BLAS call when those rows are channel-major
+        np.matmul(_patch_matrix(x[lo:hi], ksp, out_sp, stride, padding, cl), wmat, out=out[lo * N:hi * N])
     parents = (a, kernels, gamma, beta)
     na, nk, ngamma, nbeta = (_grad_node(t) for t in parents)
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
@@ -1044,7 +1019,7 @@ def _convnd(a, kernels, gamma, beta, stride, padding, leaky: bool, nd: int, op: 
             def samples(m):
                 return m[lo * N:hi * N].reshape(hi - lo, N, -1)
 
-            gc = g[lo:hi] if y is None else _leaky_grad(samples(y) > 0, g[lo:hi], dtype)
+            gc = g[lo:hi] if y is None else _leaky_grad(samples(y), g[lo:hi], dtype)
             xh = samples(xhat)
             if ngamma is not None:
                 ggamma += (gc * xh).sum(axis=(0, 1))

@@ -3,6 +3,7 @@ the BENCH_<sha>.json it writes, on hand-made results."""
 
 import importlib.util
 import json
+import subprocess
 import textwrap
 from pathlib import Path
 
@@ -223,6 +224,7 @@ def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monk
     assert "seed" not in w["change_stamp"]
     # each set names each side's src tree; the fake trees have none
     assert w["parent_src_sha256"] == w["change_src_sha256"] == bp.src_tree_hash(tmp_path / "nowhere")
+    assert w["parent_src_lines"] == w["change_src_lines"] == 0
     assert "repo_head" in w
 
 
@@ -237,3 +239,15 @@ def test_src_tree_hash_skips_pycache_and_sees_one_byte(bp, tmp_path):
     assert bp.src_tree_hash(tmp_path) == before
     (pkg / "b.py").write_bytes(b"y = 3\n")
     assert bp.src_tree_hash(tmp_path) != before
+
+
+def test_src_line_count_is_wc_l_of_the_package_modules(bp, tmp_path):
+    pkg = tmp_path / "src" / "cmssl"
+    (pkg / "__pycache__").mkdir(parents=True)
+    (pkg / "a.py").write_bytes(b"x = 1\ny = 2\n")
+    (pkg / "b.py").write_bytes(b"\n\nz = 3")  # no final newline: wc -l counts 2
+    (pkg / "notes.txt").write_bytes(b"not\ncounted\n")
+    (pkg / "__pycache__" / "a.py").write_bytes(b"not\ncounted\n")
+    assert bp.src_line_count(tmp_path) == 4
+    wc = subprocess.run(["wc", "-l", str(pkg / "a.py"), str(pkg / "b.py")], capture_output=True, text=True)
+    assert wc.stdout.split()[-2:] == ["4", "total"]

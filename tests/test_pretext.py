@@ -397,8 +397,8 @@ class TestSampler:
             idx = draw_sample_indices(36, 0, [0, 12, 24], 12, mcfg, cfg, rng)
             assert idx.clip_indices[0] - 12 <= idx.iframe_index <= idx.clip_indices[-1] + 12
 
-    @pytest.mark.xfail(strict=True, reason="hard-negative starts are drawn with replacement (ROADMAP 2(c)); "
-                       "drawing them without moves perfbench's gate losses, so it waits for ROADMAP 3")
+    @pytest.mark.xfail(strict=True, reason="hard-negative starts are drawn with replacement (ROADMAP 3(c)); "
+                       "drawing them without moves perfbench's gate losses, so it waits for ROADMAP item 4")
     def test_hard_negative_starts_distinct(self):
         # the draw of a 36-frame video (seed 8, motion 2) from default_rng(3): starts [3, 5, 3]
         idx = draw_sample_indices(36, 8, [0, 12, 24], 12, ModelConfig(), PretextConfig(), np.random.default_rng(3))

@@ -426,17 +426,17 @@ def as_map(rows, B, out_sp) -> np.ndarray:
 
 
 def reference_rows(x, k, stride, padding) -> np.ndarray:
-    """The convolution of x by k as (B*N, cout) rows, one GEMM in the layout
-    of the stage: channels-last, the (B*N, K) patches, columns over
-    (*ksp, cin), times the (K, cout) kernels; channel-first, the (cout, K)
-    kernels times the (K, B*N) patches, columns over (cin, *ksp), transposed."""
+    """The convolution of x by k as (B*N, cout) rows, one GEMM of patches
+    whose K = prod(ksp)*cin columns run over (*ksp, cin) with the (K, cout)
+    kernels, in the layout of the stage: channels-last, the (B*N, K) patches
+    times the kernels; channel-first, the transposed kernels times the
+    (K, B*N) patches, transposed."""
     cout, cin = k.shape[:2]
     P = explicit_patches(x, k.shape, stride, padding)  # (B, cin, prod(ksp), N)
+    kmat = np.ascontiguousarray(k.reshape(cout, cin, -1).transpose(2, 1, 0)).reshape(-1, cout)
     if channels_last(cin):
-        rows = np.ascontiguousarray(P.transpose(0, 3, 2, 1)).reshape(-1, P.shape[1] * P.shape[2])
-        return rows @ np.ascontiguousarray(k.reshape(cout, cin, -1).transpose(2, 1, 0)).reshape(-1, cout)
-    cols = np.ascontiguousarray(P.transpose(1, 2, 0, 3)).reshape(cin * P.shape[2], -1)
-    return (k.reshape(cout, -1) @ cols).T
+        return np.ascontiguousarray(P.transpose(0, 3, 2, 1)).reshape(-1, kmat.shape[0]) @ kmat
+    return (kmat.T @ np.ascontiguousarray(P.transpose(2, 1, 0, 3)).reshape(kmat.shape[0], -1)).T
 
 
 def reference_conv(x, k, stride, padding) -> np.ndarray:
@@ -582,8 +582,16 @@ class TestConv:
             ((2, 3, 7, 11, 6), (4, 3, 1, 2, 3), (2, 3, 2), (0, 1, 1)),
             # a kernel as long as its stride along W, ragged along H and W
             ((2, 3, 10, 7), (3, 3, 3, 2), (2, 2), (0, 0)),
+            # E == O on every axis: a 1x1 kernel with no padding, and
+            # kernel 2 at stride 2, with the stems' and the later stages'
+            # channel counts
+            ((2, 3, 4, 5, 6), (4, 3, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+            ((2, 8, 5, 6), (4, 8, 1, 1), (1, 1), (0, 0)),
+            ((2, 3, 8, 6), (4, 3, 2, 2), (2, 2), (0, 0)),
+            ((2, 8, 4, 8, 6), (4, 8, 2, 2, 2), (2, 2, 2), (0, 0, 0)),
         ],
-        ids=["strides_1_2_2", "strides_2_1_3", "ragged_3d", "ragged_2d", "short_kernel_3d", "ragged_end_2d"],
+        ids=["strides_1_2_2", "strides_2_1_3", "ragged_3d", "ragged_2d", "short_kernel_3d", "ragged_end_2d",
+             "1x1_unpadded_3d", "1x1_unpadded_2d_cin8", "kernel_2_stride_2_2d", "kernel_2_stride_2_3d_cin8"],
     )
     def test_input_grad_matches_col2im_oracle_per_axis(self, x_shape, k_shape, stride, padding):
         self.check_input_grad(7, x_shape, k_shape, stride, padding)
@@ -617,8 +625,8 @@ class TestConv:
         "x_shape, k_shape, stride, padding",
         [
             ((2, 3, 5, 7, 6), (4, 3, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
-            # a kernel no longer than its stride: the input gradient needs no
-            # zero extension and reads its gradient through a view
+            # a kernel no longer than its stride: the zero extension adds no
+            # row (E == O), so the input gradient copies its gradient as it is
             ((1, 3, 6, 8), (2, 3, 2, 2), (2, 2), (0, 0)),
             ((2, 8, 5, 7, 6), (4, 8, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
             ((1, 8, 6, 8), (2, 8, 2, 2), (2, 2), (0, 0)),
@@ -872,6 +880,12 @@ class TestConvStage:
         # i_net-like stage, both channels-last
         pytest.param((2, 8, 3, 4, 4), (3, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1), id="3d_channels_last"),
         pytest.param((2, 8, 6, 5), (3, 8, 3, 3), (2, 1), (1, 1), id="2d_channels_last"),
+        # no padding, and a kernel as long as its stride, so that E == O in
+        # the input gradient; in both layouts
+        pytest.param((3, 2, 2, 3, 4), (3, 2, 1, 1, 1), (1, 1, 1), (0, 0, 0), id="1x1_unpadded"),
+        pytest.param((2, 8, 3, 4), (3, 8, 1, 1), (1, 1), (0, 0), id="1x1_unpadded_channels_last"),
+        pytest.param((3, 2, 4, 6), (3, 2, 2, 2), (2, 2), (0, 0), id="kernel_2_stride_2"),
+        pytest.param((2, 8, 2, 4, 4), (3, 8, 2, 2, 2), (2, 2, 2), (0, 0, 0), id="kernel_2_stride_2_channels_last"),
     ])
     def test_gradients_vs_fd(self, monkeypatch, x_shape, k_shape, stride, padding, leaky):
         self.blocks(monkeypatch, x_shape, k_shape, stride, padding, np.float64, 1, 2)
@@ -1161,13 +1175,23 @@ class TestGraphLifetime:
         loss = self.chain(*[Tensor(a, requires_grad=True) for a in arrays], refs=refs)
         (mm_out, mm_owner), (norm_out, norm_owner), (act_out, act_owner) = refs
         # the matmul output feeds only layer_norm, which reads its xhat, and
-        # the layer-norm output feeds only leaky_relu, which reads its mask
+        # the layer-norm output feeds only leaky_relu, which reads its own output
         assert mm_out() is None and mm_owner() is None
         assert norm_out() is None and norm_owner() is None
-        # matmul's weight gradient reads its input
+        # matmul's weight gradient and leaky_relu's gradient read it
         assert act_out() is not None
         loss.backward()
         assert_grad_matches(self.chain, arrays)
+
+    def test_leaky_relu_holds_its_output_not_a_mask(self):
+        """leaky_relu's closure holds its own output, whose sign gives the
+        slope, as a leaky conv stage's does: no bool mask and not its input."""
+        a = Tensor(rng_for(16).normal(size=(3, 4)), requires_grad=True)
+        out = T.leaky_relu(a)
+        held = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert not [v for v in held if v.dtype == bool]
+        assert [v is out.data for v in held] == [True]
+        assert not any(np.shares_memory(v, a.data) for v in held)
 
     @pytest.mark.parametrize("leaky", [False, True])
     def test_stage_upstream_gradient_dead_before_its_kernel_gradient(self, monkeypatch, leaky):

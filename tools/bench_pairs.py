@@ -16,12 +16,13 @@ any repeated sets all land in one file. Each set holds both sides' stamps
 (machine, numpy, BLAS, git sha and dirty flag), this repository's `git
 rev-parse HEAD` (`repo_head`; a side's stamp may name a commit that only its
 own tree holds), each side's SHA-256 over its src/ files (`<side>_src_sha256`,
-see `src_tree_hash`) and, per metric, each side's median and quartiles and
-its value in every run, in pair order (`values`, so a bimodal metric shows
-as two clusters, not only as a wide quartile spread), the change/parent
-ratio of the medians, the number of pairs in which the change was better
-(ties count for neither side; two values of a metric with unit `count` tie
-when they agree to a relative 1e-9) and `gain_rule`: whether a
+see `src_tree_hash`), each side's line count of src/cmssl/*.py as `wc -l`
+gives it (`<side>_src_lines`) and, per metric, each side's median and
+quartiles and its value in every run, in pair order (`values`, so a bimodal
+metric shows as two clusters, not only as a wide quartile spread), the
+change/parent ratio of the medians, the number of pairs in which the change
+was better (ties count for neither side; two values of a metric with unit
+`count` tie when they agree to a relative 1e-9) and `gain_rule`: whether a
 gain on that metric may be claimed, i.e. every run of the set passed its
 correctness gates with 0 failed operations, the set has at least 10 pairs,
 the change was better in at least 9 of every 10 of them and its median is
@@ -152,6 +153,11 @@ def src_tree_hash(tree: Path) -> str:
     return h.hexdigest()
 
 
+def src_line_count(tree: Path) -> int:
+    """The lines of tree/src/cmssl/*.py as `wc -l` counts them: newlines."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src" / "cmssl").glob("*.py"))
+
+
 def repo_head() -> str | None:
     """`git rev-parse HEAD` of this repository, or None outside a git checkout."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
@@ -222,7 +228,8 @@ def main(argv=None) -> int:
                    first=[SIDES[i % 2] for i in range(len(args.seeds))],
                    repo_head=repo_head(),
                    **{f"{side}_stamp": stamps[side] for side in SIDES},
-                   **{f"{side}_src_sha256": src_tree_hash(trees[side]) for side in SIDES})
+                   **{f"{side}_src_sha256": src_tree_hash(trees[side]) for side in SIDES},
+                   **{f"{side}_src_lines": src_line_count(trees[side]) for side in SIDES})
     sha = stamps["change"]["git"]["sha"] or "unknown"
     out = ROOT / f"BENCH_{sha[:12]}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
