@@ -5,8 +5,9 @@ Backbones are small conv stacks (conv -> channel layer norm -> leaky relu,
 with no activation after the last stage, each stage one conv3d/conv2d call
 and one graph node) sized for 32x32 inputs; the geometry of every feature
 map is derived from ModelConfig so shape contracts can be asserted up
-front. Flattening order for transformer sequences is t-major, then h, then
-w (plain C-order reshape), which checkpoint portability depends on.
+front. `point_tokens` owns the one order that flattens a map into point
+tokens, t-major, then h, then w (plain C-order reshape), which checkpoint
+portability depends on.
 
 `_Init` names and orders every parameter: each is drawn under its full
 name, and the bundle's `params()` lists them in draw order, which is the
@@ -169,11 +170,17 @@ class MlpHead:
         return T.add(T.matmul(h, self.w2), self.b2)
 
     def forward_points(self, x: Tensor) -> Tensor:
-        """(M, in_dim, *spatial) map -> (M * N, out_dim) rows, each point projected
-        independently: row m * N + n is sample m at flat position n."""
-        M, C = x.shape[:2]
-        rows = self.forward(T.transpose(T.reshape(x, (M, C, -1)), (0, 2, 1)))  # (M, N, out_dim)
+        """(M, N, in_dim) point tokens -> (M * N, out_dim) rows, each point
+        projected independently: row m * N + n is sample m, point n."""
+        rows = self.forward(x)
         return T.reshape(rows, (-1, rows.shape[2]))
+
+
+def point_tokens(x: Tensor) -> Tensor:
+    """(M, C, *spatial) map -> (M, N, C) point tokens, position n the map's
+    C-order flat index: t-major, then h, then w."""
+    M, C = x.shape[:2]
+    return T.transpose(T.reshape(x, (M, C, -1)), (0, 2, 1))
 
 
 class _Linear:
@@ -203,7 +210,7 @@ def _attention(q, k, v, heads):
     qh = T.transpose(T.reshape(q, (B, Sq, heads, dh)), (0, 2, 1, 3))
     kt = T.transpose(T.reshape(k, (B, Sk, heads, dh)), (0, 2, 3, 1))
     vh = T.transpose(T.reshape(v, (B, Sk, heads, dh)), (0, 2, 1, 3))
-    attn = T.softmax(T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(dh)), axis=-1)
+    attn = T.softmax(T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(dh)))
     return T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (B, Sq, D))
 
 
@@ -219,8 +226,8 @@ class _AttentionBlock:
 
 
 class Transformer:
-    """Pre-LN encoder-decoder predicting motion feature maps from clip
-    feature maps, both flattened t-major/h/w into token sequences."""
+    """Pre-LN encoder-decoder predicting motion point tokens from clip
+    feature maps, both in `point_tokens` order."""
 
     def __init__(self, init, model_cfg: ModelConfig):
         cfg = model_cfg.transformer
@@ -228,7 +235,6 @@ class Transformer:
         c1, t1, h1, w1 = model_cfg.clip_feat_shape
         c3, t3, h3, w3 = model_cfg.motion_feat_shape
         self.in_shape = (c1, t1, h1, w1)
-        self.out_shape = (c3, t3, h3, w3)
         self.seq_in = t1 * h1 * w1
         self.n_queries = t3 * h3 * w3
         d = cfg.width
@@ -269,9 +275,7 @@ class Transformer:
     def embed_inputs(self, x: Tensor) -> Tensor:
         """(B, C1, T1, H1, W1) -> (B, S, width) tokens with positions added."""
         _check_batch(x, self.in_shape, "transformer input")
-        B, c1 = x.shape[:2]
-        seq = T.transpose(T.reshape(x, (B, c1, self.seq_in)), (0, 2, 1))
-        return T.add(self.in_proj(seq), self.pos_enc)
+        return T.add(self.in_proj(point_tokens(x)), self.pos_enc)
 
     def encode(self, tokens: Tensor) -> Tensor:
         h = tokens
@@ -293,15 +297,8 @@ class Transformer:
         return self.dec_norm(q)
 
     def forward(self, x: Tensor) -> Tensor:
-        """(B, C1, T1, H1, W1) -> (B, C3, T3, H3, W3)."""
-        memory = self.encode(self.embed_inputs(x))
-        tokens = self.decode(memory)
-        return self.tokens_to_map(self.out_proj(tokens))
-
-    def tokens_to_map(self, tokens: Tensor) -> Tensor:
-        c3, t3, h3, w3 = self.out_shape
-        B = tokens.shape[0]
-        return T.reshape(T.transpose(tokens, (0, 2, 1)), (B, tokens.shape[2], t3, h3, w3))
+        """(B, C1, T1, H1, W1) -> (B, T3 * H3 * W3, C3) motion point tokens."""
+        return self.out_proj(self.decode(self.encode(self.embed_inputs(x))))
 
 
 def _check_batch(x, want: tuple, what: str):
@@ -372,7 +369,8 @@ class ModelBundle:
         return self.m_net.forward(self._batch(mv_clip))
 
     def transformer_predict(self, x) -> Tensor:
-        """(B, C1, T1, H1, W1) clip features -> (B, C3, T3, H3, W3)."""
+        """(B, C1, T1, H1, W1) clip features -> (B, T3 * H3 * W3, C3) motion
+        point tokens, in `point_tokens` order."""
         return self.transformer.forward(x)
 
     # -- parameter plumbing ---------------------------------------------------

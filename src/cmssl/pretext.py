@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .codec import CompressedVideo, decode_video, extract_modalities, nearest_raster, read_cmv1
-from .networks import ModelBundle, ModelConfig, _positive_int
+from .networks import ModelBundle, ModelConfig, _positive_int, point_tokens
 from .synthgen import SPLITS, load_manifest
 from .tensor import Tensor
 
@@ -391,21 +391,20 @@ def _info_nce(anchors: Tensor, positives: Tensor, negatives: Tensor | None, tau:
     """InfoNCE over (P, C) rows: anchor i is scored against positive i and,
     in the denominator, against every positive and every negative row.
 
-    Returns (mean loss, cosine logits as numpy (P, Q))."""
-    an = T.l2_normalize(anchors, axis=1)
-    pool = T.l2_normalize(positives, axis=1)
-    if negatives is not None:
-        pool = T.concat([pool, T.l2_normalize(negatives, axis=1)], axis=0)
-    logits = T.scale(T.matmul(an, T.transpose(pool, (1, 0))), 1.0 / tau)  # [i, k] = cos(pool_k, a_i)/tau
-    log_z = T.logsumexp(logits, axis=1)
-    diag = T.tsum(T.mul(logits, Tensor(np.eye(*logits.shape, dtype=logits.data.dtype))), axis=1)
-    return T.tmean(T.sub(log_z, diag)), logits.data * tau
+    Returns (mean loss, the logits it read as numpy (P, Q)): [i, k] is
+    cos(a_i, pool_k) / tau over the P positives, then the negatives in order."""
+    an = T.scale(T.l2_normalize(anchors), 1.0 / tau)
+    pos = T.l2_normalize(positives)
+    pool = pos if negatives is None else T.concat([pos, T.l2_normalize(negatives)], axis=0)
+    logits = T.matmul(an, T.transpose(pool, (1, 0)))
+    diag = T.tsum(T.mul(an, pos), axis=1)  # logits[i, i], as a row dot
+    return T.tmean(T.sub(T.logsumexp(logits), diag)), logits.data
 
 
 def context_matching_loss(clip_emb: Tensor, iframe_emb: Tensor, tau: float):
     """Batch InfoNCE between clip anchors and I-frame candidates.
 
-    Returns (loss, similarity logits as numpy (B_anchor, B_candidate))."""
+    Returns (loss, logits as numpy (B_anchor, B_candidate)), see _info_nce."""
     B = clip_emb.shape[0]
     if B == 0:
         raise ValueError("empty batch")
@@ -417,7 +416,8 @@ def context_matching_loss(clip_emb: Tensor, iframe_emb: Tensor, tau: float):
 def motion_prediction_loss(pred: Tensor, truth: Tensor, negatives: Tensor | None, tau: float):
     """Pointwise InfoNCE over `MlpHead.forward_points` rows (P, C): anchor i is
     a predicted point, positive i the true point at the same (video, position);
-    hard-negative rows only enlarge the pool. Returns (loss, logits numpy (P, Q))."""
+    hard-negative rows only enlarge the pool. Returns (loss, logits numpy
+    (P, Q)): cos / tau against the P true points, then each negative row."""
     if tuple(truth.shape) != tuple(pred.shape):
         raise ValueError(f"pred {tuple(pred.shape)} vs truth {tuple(truth.shape)} shape mismatch")
     return _info_nce(pred, truth, negatives, tau)
@@ -441,8 +441,8 @@ def joint_loss(j_i: Tensor | None, j_m: Tensor | None, alpha: float) -> Tensor:
 
 
 def pool_mv_values(mv: np.ndarray, out_shape: tuple) -> np.ndarray:
-    """Average-pool raw (B, 2, T', h, w) motion values to (B, 2, T3, H3, W3);
-    regression target for the MSE variant."""
+    """Average-pool raw (B, 2, T', h, w) motion values to (B, 2, T3, H3, W3),
+    the last three of `out_shape`; regression target for the MSE variant."""
     B, c, t, h, w = mv.shape
     _, t3, h3, w3 = out_shape
     ft, fh, fw = t // t3, h // h3, w // w3
@@ -454,6 +454,9 @@ def pool_mv_values(mv: np.ndarray, out_shape: tuple) -> np.ndarray:
 
 @dataclass
 class PretextOutput:
+    """The losses, and as numpy (P, Q) the logits each InfoNCE read: anchor i
+    against the P positives (its own at column i), then the negatives."""
+
     loss: Tensor
     j_i: Tensor | None
     j_m: Tensor | None
@@ -463,13 +466,10 @@ class PretextOutput:
 
 def pretext_forward(bundle: ModelBundle, batch: dict, cfg: PretextConfig) -> PretextOutput:
     """Run every branch the configured objective needs and combine losses."""
-    c3, t3, h3, w3 = bundle.config.motion_feat_shape
-    n_points = t3 * h3 * w3
     j_i = j_m = None
     context_logits = motion_logits = None
 
     xv = bundle.v_forward(batch["clip"])  # (B, C1, T1, H1, W1)
-    B = xv.shape[0]
 
     if cfg.alpha < 1.0:
         zi = bundle.i_forward(batch["iframe"])
@@ -478,19 +478,17 @@ def pretext_forward(bundle: ModelBundle, batch: dict, cfg: PretextConfig) -> Pre
         j_i, context_logits = context_matching_loss(clip_emb, iframe_emb, cfg.temperature)
 
     if cfg.alpha > 0.0:
-        vhat = bundle.transformer_predict(xv)  # (B, C3, T3, H3, W3)
+        vhat = bundle.transformer_predict(xv)  # (B, N, C3) point tokens
         if cfg.motion_loss == "mse":
-            flat = T.reshape(vhat, (B, c3, n_points))
-            pred_pts = T.transpose(bundle.value_head(T.transpose(flat, (0, 2, 1))), (0, 2, 1))
-            pred = T.reshape(pred_pts, (B, 2, t3, h3, w3))
-            target = pool_mv_values(batch["mv"], (2, t3, h3, w3))
-            j_m = motion_mse_loss(pred, Tensor(target.astype(pred.data.dtype, copy=False)))
+            target = pool_mv_values(batch["mv"], bundle.config.motion_feat_shape)
+            target = point_tokens(Tensor(target.astype(bundle.dtype, copy=False)))  # (B, N, 2)
+            j_m = motion_mse_loss(bundle.value_head(vhat), target)
         else:
-            truth = bundle.g_m1.forward_points(bundle.m_forward(batch["mv"]))
+            truth = bundle.g_m1.forward_points(point_tokens(bundle.m_forward(batch["mv"])))
             pred = bundle.g_m2.forward_points(vhat)
             negatives = None
             if batch["neg_mv"].shape[0] > 0:
-                negatives = bundle.g_m1.forward_points(bundle.m_forward(batch["neg_mv"]))
+                negatives = bundle.g_m1.forward_points(point_tokens(bundle.m_forward(batch["neg_mv"])))
             j_m, motion_logits = motion_prediction_loss(pred, truth, negatives, cfg.temperature)
 
     return PretextOutput(

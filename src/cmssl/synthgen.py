@@ -252,26 +252,23 @@ def generate_dataset(
             f"n_videos={n_videos} below one per (context, motion) pair ({k_context * k_motion})"
         )
 
+    pairs = k_context * k_motion
     entries = []
     for i in range(n_videos):
-        pair = i % (k_context * k_motion)
+        pair = i % pairs
+        # stratified split per (context, motion) pair, rounding half up: video
+        # i is number i // pairs of its pair's count
+        count = n_videos // pairs + (pair < n_videos % pairs)
+        n_train = int(np.floor(count * split_fraction + 0.5))
         entries.append(
             {
                 "index": i,
                 "context_class": pair // k_motion,
                 "motion_class": pair % k_motion,
                 "seed": video_seed(seed, i),
+                "split": "train" if i // pairs < n_train else "test",
             }
         )
-
-    # stratified split per (context, motion) pair, rounding half up
-    by_pair: dict[tuple[int, int], list[dict]] = {}
-    for e in entries:
-        by_pair.setdefault((e["context_class"], e["motion_class"]), []).append(e)
-    for members in by_pair.values():
-        n_train = int(np.floor(len(members) * split_fraction + 0.5))
-        for j, e in enumerate(members):
-            e["split"] = "train" if j < n_train else "test"
 
     def build_one(e):
         spec = SceneSpec(

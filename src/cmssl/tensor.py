@@ -628,33 +628,33 @@ def matmul(a, b) -> Tensor:
 # -- neural-net ops -------------------------------------------------------------
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis."""
+def softmax(a) -> Tensor:
+    """Numerically stable softmax over the last axis."""
     a = _as_tensor(a)
     na = _grad_node(a)
-    data = a.data - a.data.max(axis=axis, keepdims=True)
+    data = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         na._accum((g - dot) * data)
 
     return _make(data, (a,), "softmax", backward)
 
 
-def logsumexp(a, axis: int = -1) -> Tensor:
-    """log(sum(exp(a))) along one axis, stabilized by a detached max shift."""
+def logsumexp(a) -> Tensor:
+    """log(sum(exp(a))) over the last axis, stabilized by a detached max shift."""
     a = _as_tensor(a)
     na = _grad_node(a)
-    m = a.data.max(axis=axis, keepdims=True)
+    m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    data = np.squeeze(np.log(s) + m, axis=axis)
+    s = e.sum(axis=-1, keepdims=True)
+    data = (np.log(s) + m)[..., 0]
     soft = e / s
 
     def backward(g):
-        na._accum(np.expand_dims(g, axis) * soft)
+        na._accum(g[..., None] * soft)
 
     return _make(data, (a,), "logsumexp", backward)
 
@@ -750,10 +750,10 @@ def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
     return div(dot, mul(na, nb))
 
 
-def l2_normalize(a, axis: int = -1) -> Tensor:
-    """Rows of unit L2 norm along `axis` (norm + L2_NORMALIZE_EPS as denominator)."""
+def l2_normalize(a) -> Tensor:
+    """Rows of unit L2 norm over the last axis (norm + L2_NORMALIZE_EPS as denominator)."""
     a = _as_tensor(a)
-    norm = tsqrt(add(tsum(mul(a, a), axis=axis, keepdims=True), _NORM_FLOOR))
+    norm = tsqrt(add(tsum(mul(a, a), axis=-1, keepdims=True), _NORM_FLOOR))
     return div(a, add(norm, L2_NORMALIZE_EPS))
 
 

@@ -17,6 +17,7 @@ from cmssl.networks import (
     _attention,
     load_arrays,
     load_checkpoint,
+    point_tokens,
     save_arrays,
     save_checkpoint,
 )
@@ -57,7 +58,7 @@ class TestShapeContracts:
         assert bundle.transformer.n_queries == 32
         rng = np.random.default_rng(3)
         out = bundle.transformer_predict(rng.normal(size=(1, 32, 2, 8, 8)))
-        assert out.shape == (1, 32, 2, 4, 4)
+        assert out.shape == (1, 32, 32)  # 2*4*4 motion point tokens of 32 channels
 
     def test_head_output_dims(self, bundle):
         rng = np.random.default_rng(4)
@@ -68,7 +69,7 @@ class TestShapeContracts:
     def test_per_point_projection_column_count(self, bundle):
         rng = np.random.default_rng(5)
         fmap = bundle.m_forward(rng.normal(size=(2, 2, 8, 32, 32)))
-        out = bundle.g_m1.forward_points(fmap)
+        out = bundle.g_m1.forward_points(point_tokens(fmap))
         assert out.shape == (2 * 32, 32)  # N = 2*4*4 = 32 rows per sample
         # row m*N + n is sample m at flat position n (t-major, then h, then w)
         for m, (t, y, x) in ((0, (0, 0, 0)), (1, (1, 2, 3)), (0, (1, 3, 1))):
@@ -148,8 +149,8 @@ class TestForwardSemantics:
             x = rng.normal(size=(2, 5, w1.shape[0]))
             want = leaky(x @ w1 + b1) @ w2 + b2
             np.testing.assert_allclose(head.forward(Tensor(x)).data, want, atol=1e-12)
-            # a (2, in_dim, 5) map gives 10 rows: row m*5 + n is sample m, position n
-            points = head.forward_points(Tensor(x.transpose(0, 2, 1))).data
+            # (2, 5, in_dim) tokens give 10 rows: row m*5 + n is sample m, point n
+            points = head.forward_points(Tensor(x)).data
             np.testing.assert_allclose(points, want.reshape(10, -1), atol=1e-12)
 
     def test_eval_forward_bitwise_deterministic(self, bundle):
@@ -220,9 +221,9 @@ class TestTransformer:
         attentions = cfg.encoder_layers + 2 * cfg.decoder_layers
         # each attention: a reshape and a transpose for each of q, k and v
         # and one of each back, with no fold of the heads into the batch;
-        # plus embed_inputs' transpose (the input takes no gradient, so its
-        # reshape is no node) and tokens_to_map's transpose and reshape
-        assert len(shape_ops) == 8 * attentions + 3 == 83
+        # plus point_tokens' transpose of the input (which takes no gradient,
+        # so its reshape is no node); the output stays tokens
+        assert len(shape_ops) == 8 * attentions + 1 == 81
 
 
 class TestAttention:

@@ -203,6 +203,35 @@ class TestMotionLoss:
         assert abs(a.item() - b.item()) < 1e-12
 
 
+class TestLogitsContract:
+    """The (P, Q) array each InfoNCE returns is the logits its loss read, so
+    top-1 accuracies and hit rates can be taken from it by argmax: column j < P
+    is positive j, column P + k negative row k, and [i, i] anchor i's own
+    positive."""
+
+    @staticmethod
+    def check(loss, logits, anchors, pool, tau):
+        P = len(anchors)
+        want = np.array([[cos_oracle(a, p) / tau for p in pool] for a in anchors])
+        assert logits.shape == want.shape
+        np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+        m = logits.max(axis=1)
+        log_z = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+        assert abs(loss.item() - np.mean(log_z - logits[np.arange(P), np.arange(P)])) < 1e-12
+
+    def test_motion_logits_are_positives_then_negatives(self):
+        rng = np.random.default_rng(13)
+        pred, truth, negs = rng.normal(size=(6, 5)), rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
+        loss, logits = motion_prediction_loss(Tensor(pred), Tensor(truth), Tensor(negs), 0.3)
+        self.check(loss, logits, pred, list(truth) + list(negs), 0.3)
+
+    def test_context_logits(self):
+        rng = np.random.default_rng(14)
+        clip, ifr = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
+        loss, logits = context_matching_loss(Tensor(clip), Tensor(ifr), 0.2)
+        self.check(loss, logits, clip, list(ifr), 0.2)
+
+
 class TestMseAndJoint:
     def test_mse_trivial_values(self):
         rng = np.random.default_rng(11)

@@ -74,6 +74,49 @@ def test_benchmark_tracer_times_every_backward_closure_once(monkeypatch):
     assert set(tracing.COMPONENTS) <= timed
 
 
+def test_benchmark_tracer_times_every_head_call(monkeypatch):
+    """The tracer times the heads by wrapping g_v.forward, g_i.forward and
+    g_m1/g_m2.forward_points by name: a step must make five such calls, g_m2's
+    on the Transformer's prediction, or that time drops out of networks.heads
+    unnoticed."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracing
+
+    bundle = ModelBundle(config=TINY_MODEL, seed=0)
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(x):
+            out = fn(x)
+            calls.append((name, x, out))
+            return out
+
+        return wrapper
+
+    # set before the tracer wraps them, so each traced call runs its spy
+    for obj, attr, name in (
+        (bundle.g_v, "forward", "g_v.forward"), (bundle.g_i, "forward", "g_i.forward"),
+        (bundle.g_m1, "forward_points", "g_m1.forward_points"),
+        (bundle.g_m2, "forward_points", "g_m2.forward_points"),
+        (bundle, "transformer_predict", "transformer_predict"),
+    ):
+        setattr(obj, attr, spy(name, getattr(obj, attr)))
+    tracer = tracing.Tracer()
+    tracer.install_modules()
+    tracer.install_bundle(bundle)
+    try:
+        with tracer.unit(0):
+            pretext.pretext_forward(bundle, tiny_batch(), PretextConfig())
+    finally:
+        tracer.uninstall()
+    assert len([s for s in tracer.spans if s.name == "networks.heads"]) == 5
+    heads = sorted(name for name, _, _ in calls if name != "transformer_predict")
+    assert heads == ["g_i.forward", "g_m1.forward_points", "g_m1.forward_points", "g_m2.forward_points", "g_v.forward"]
+    (vhat,) = [out for name, _, out in calls if name == "transformer_predict"]
+    (pred_in,) = [x for name, x, _ in calls if name == "g_m2.forward_points"]
+    assert pred_in is vhat
+
+
 def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
     """The benchmark's build unit passes generate_dataset these keywords and
     reads every video back bit-exact against a fresh render; its embed and

@@ -164,6 +164,21 @@ class TestGenerateDataset:
             assert splits.count("train") == 3
             assert splits.count("test") == 1
 
+    @pytest.mark.parametrize("n, k_context, k_motion, fraction", [(17, 4, 4, 0.3), (23, 2, 2, 2 / 3)])
+    def test_ragged_pairs_split_like_grouped_oracle(self, tmp_path, n, k_context, k_motion, fraction):
+        """n not a multiple of the grid: pairs differ in count, and each still
+        sends its first floor(count * fraction + 0.5) videos by index to train."""
+        generate_dataset(tmp_path, n_videos=n, k_context=k_context, k_motion=k_motion, frames=13,
+                         resolution=(32, 32), seed=3, split_fraction=fraction)
+        groups = {}
+        for r in sorted(load_manifest(tmp_path), key=lambda r: r["path"]):  # video_<index>.cmv1
+            groups.setdefault((r["context_class"], r["motion_class"]), []).append(r["split"])
+        assert len(groups) == k_context * k_motion
+        assert len({len(splits) for splits in groups.values()}) == 2
+        for splits in groups.values():
+            n_train = int(np.floor(len(splits) * fraction + 0.5))
+            assert splits == ["train"] * n_train + ["test"] * (len(splits) - n_train)
+
     def test_motion_marginal_identical_per_context(self, tmp_path):
         generate_dataset(tmp_path, n_videos=32, k_context=4, k_motion=4, frames=13, seed=2)
         records = load_manifest(tmp_path)

@@ -125,13 +125,13 @@ DTYPE_CASES = {
     "tsum": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
     "tmean": (lambda a: T.tmean(a, axis=0), [(3, 4)]),
     "matmul": (lambda a, b, c: T.matmul(T.matmul(a, b), c), [(2, 3, 4), (4, 5), (2, 5, 3)]),
-    "softmax": (lambda a: T.softmax(a, axis=1), [(3, 4)]),
-    "logsumexp": (lambda a: T.logsumexp(a, axis=1), [(3, 4)]),
+    "softmax": (lambda a: T.softmax(a), [(3, 4)]),
+    "logsumexp": (lambda a: T.logsumexp(a), [(3, 4)]),
     "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)]),
     "dropout": (lambda a: T.dropout(a, 0.25, rng=np.random.default_rng(0)), [(3, 4)]),
     "global_avg_pool": (T.global_avg_pool, [(3, 2, 2)]),
     "cosine_similarity": (T.cosine_similarity, [(5,), (5,)]),
-    "l2_normalize": (lambda a: T.l2_normalize(a, axis=1), [(3, 4)]),
+    "l2_normalize": (lambda a: T.l2_normalize(a), [(3, 4)]),
     "conv2d": (lambda a, k, g, b: T.conv2d(a, k, g, b, (2, 1), (1, 1), True),
                [(2, 2, 5, 5), (3, 2, 3, 3), (1, 3, 1, 1), (1, 3, 1, 1)]),
     "conv3d": (lambda a, k, g, b: T.conv3d(a, k, g, b, (1, 2, 1), (1, 0, 1), False),
@@ -260,13 +260,13 @@ class TestMatmul:
 class TestSoftmax:
     def test_uniform_on_constant(self):
         for n in (2, 5, 9):
-            out = T.softmax(Tensor(np.full(n, 3.7)), axis=0)
+            out = T.softmax(Tensor(np.full(n, 3.7)))
             np.testing.assert_allclose(out.data, 1.0 / n, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         r = rng_for(1)
         x = r.normal(size=(6, 7)) * 10
-        out = T.softmax(Tensor(x), axis=1)
+        out = T.softmax(Tensor(x))
         assert np.all(out.data >= 0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -275,8 +275,8 @@ class TestSoftmax:
             r = rng_for(seed)
             a = r.normal(size=(3, 4))
             w = r.normal(size=(3, 4))
-            assert_grad_matches(lambda x: T.tsum(T.mul(T.softmax(x, axis=1), Tensor(w))), [a])
-            assert_grad_matches(lambda x: T.tsum(T.logsumexp(x, axis=1)), [a])
+            assert_grad_matches(lambda x: T.tsum(T.mul(T.softmax(x), Tensor(w))), [a])
+            assert_grad_matches(lambda x: T.tsum(T.logsumexp(x)), [a])
 
 
 class TestLayerNorm:
@@ -1080,7 +1080,7 @@ class TestBackwardSemantics:
         h = T.conv2d(x, k, Tensor(np.ones((1, 2, 1, 1))), Tensor(np.zeros((1, 2, 1, 1))), (1, 1), (1, 1), True)
         # the non-leaves h and logits have two consumers each
         logits = T.matmul(T.tmean(h, axis=(2, 3)), w)
-        loss = T.add(T.tsum(T.mul(T.softmax(logits, axis=1), logits)), T.tsum(T.mul(h, h)))
+        loss = T.add(T.tsum(T.mul(T.softmax(logits), logits)), T.tsum(T.mul(h, h)))
         loss.backward()
         once = [t.grad.copy() for t in (x, k, w)]
         # the fresh branch into the leaf x is newer than the consumed logits,
@@ -1128,8 +1128,8 @@ class TestBackwardSemantics:
         beta = Tensor(np.zeros((1, 3, 1, 1)), requires_grad=True)
         h = T.conv2d(x, k, gamma, beta, (2, 2), (1, 1), False)
         tokens = T.transpose(T.reshape(h, (2, 3, -1)), (0, 2, 1))
-        z = T.l2_normalize(T.concat([tokens, T.scale(tokens, 2.0)], axis=1), axis=-1)
-        loss = T.tmean(T.logsumexp(T.matmul(z, T.transpose(z, (0, 2, 1))), axis=-1))
+        z = T.l2_normalize(T.concat([tokens, T.scale(tokens, 2.0)], axis=1))
+        loss = T.tmean(T.logsumexp(T.matmul(z, T.transpose(z, (0, 2, 1)))))
         non_leaves = [n for n in graph_nodes(loss) if n._backward is not None]
         assert len(non_leaves) > 10
         loss.backward()
