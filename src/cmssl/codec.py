@@ -110,6 +110,12 @@ def _allocate(cfg: CodecConfig, height: int, width: int, frame_count: int) -> li
     return [np.empty(shape, dtype) for shape, (_, dtype) in zip(_shapes(cfg, height, width, frame_count), _ARRAYS)]
 
 
+def _p_frame_place(p, gop_size: int) -> str:
+    """Where P-frame p, counted in frame order, sits: "GOP gi P-frame pi"."""
+    gi, pi = divmod(int(p), gop_size - 1)
+    return f"GOP {gi} P-frame {pi}"
+
+
 def _check_geometry(cfg: CodecConfig, height: int, width: int, frame_count: int):
     """The geometry a video is laid out by: a whole block grid, one frame or more."""
     b = cfg.block_size
@@ -159,9 +165,8 @@ class CompressedVideo:
         # a uint8 pixel minus a uint8 prediction lies in [-255, 255]
         if res is not None and (res.min() < -255 or res.max() > 255):
             p, y, x, c = np.argwhere((res < -255) | (res > 255))[0]
-            gi, pi = divmod(int(p), g - 1)
             raise ValueError(
-                f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: residual {res[p, y, x, c]} outside [-255, 255]"
+                f"{_p_frame_place(p, g)} pixel ({y}, {x}) channel {c}: residual {res[p, y, x, c]} outside [-255, 255]"
             )
         # per block, the (dx, dy) bounds of the search window cut to the frame
         r = cfg.search_range
@@ -173,10 +178,9 @@ class CompressedVideo:
         bad = (self.mvs < low) | (self.mvs > high)
         if bad.any():
             p, by, bx, _ = np.argwhere(bad)[0]
-            gi, pi = divmod(int(p), g - 1)
             dx, dy = (int(v) for v in self.mvs[p, by, bx])
             what = f"exceeds search_range {r}" if max(abs(dx), abs(dy)) > r else f"moves the block outside the {h}x{w} frame"
-            raise ValueError(f"GOP {gi} P-frame {pi} block ({by}, {bx}): motion vector ({dx}, {dy}) {what}")
+            raise ValueError(f"{_p_frame_place(p, g)} block ({by}, {bx}): motion vector ({dx}, {dy}) {what}")
 
     @property
     def height(self) -> int:
@@ -350,9 +354,8 @@ def decode_video(cv: CompressedVideo) -> RawVideo:
         frames[j::g] = out
     if len(recon) and (recon.min() < 0 or recon.max() > 255):
         p, y, x, c = np.argwhere((recon < 0) | (recon > 255))[0]
-        gi, pi = divmod(int(p), g - 1)
         raise ValueError(
-            f"GOP {gi} P-frame {pi} pixel ({y}, {x}) channel {c}: "
+            f"{_p_frame_place(p, g)} pixel ({y}, {x}) channel {c}: "
             f"reconstruction {recon[p, y, x, c]} outside [0, 255]"
         )
     return RawVideo(frames=frames)

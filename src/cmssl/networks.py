@@ -217,12 +217,39 @@ def _attention(q, k, v, heads):
 class _AttentionBlock:
     def __init__(self, name, init, d):
         self.q = _Linear(f"{name}.q", init, d, d)
-        self.k = _Linear(f"{name}.k", init, d, d)
+        # no key bias: q·b_k is the same for every key, so the softmax ignores it
+        self.k_w = init.normal(f"{name}.k.w", np.sqrt(1.0 / d), (d, d))
         self.v = _Linear(f"{name}.v", init, d, d)
         self.o = _Linear(f"{name}.o", init, d, d)
 
     def __call__(self, x_q, x_kv, heads):
-        return self.o(_attention(self.q(x_q), self.k(x_kv), self.v(x_kv), heads))
+        return self.o(_attention(self.q(x_q), T.matmul(x_kv, self.k_w), self.v(x_kv), heads))
+
+
+class _Block:
+    """One pre-LN residual block: self-attention on one pre-norm, then
+    cross-attention to the encoder memory (decoder blocks only), then the
+    feed-forward MlpHead, each added back to its input. The norms are
+    numbered ln1, ln2, ln3 in that order."""
+
+    def __init__(self, name, init, cfg: TransformerConfig, cross: bool):
+        d = cfg.width
+        self.heads = cfg.heads
+        self.ln1 = _LayerNormParams(f"{name}.ln1", init, d)
+        self.self_attn = _AttentionBlock(f"{name}.self_attn", init, d)
+        self.ln_cross = self.cross_attn = None
+        if cross:
+            self.ln_cross = _LayerNormParams(f"{name}.ln2", init, d)
+            self.cross_attn = _AttentionBlock(f"{name}.cross_attn", init, d)
+        self.ln_ff = _LayerNormParams(f"{name}.ln{3 if cross else 2}", init, d)
+        self.ff = MlpHead(f"{name}.ff", init, d, cfg.ff_width, d)
+
+    def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
+        h = self.ln1(x)  # self-attention: the one pre-norm is query, key and value
+        x = T.add(x, self.self_attn(h, h, self.heads))
+        if self.cross_attn is not None:
+            x = T.add(x, self.cross_attn(self.ln_cross(x), memory, self.heads))
+        return T.add(x, self.ff.forward(self.ln_ff(x)))
 
 
 class Transformer:
@@ -244,30 +271,8 @@ class Transformer:
         self.queries = init.normal("transformer.queries", 0.02, (self.n_queries, d))
         self.query_pos = init.normal("transformer.query_pos", 0.02, (self.n_queries, d))
 
-        self.enc_layers = []
-        for i in range(cfg.encoder_layers):
-            p = f"transformer.enc{i}"
-            self.enc_layers.append(
-                {
-                    "ln1": _LayerNormParams(f"{p}.ln1", init, d),
-                    "attn": _AttentionBlock(f"{p}.attn", init, d),
-                    "ln2": _LayerNormParams(f"{p}.ln2", init, d),
-                    "ff": MlpHead(f"{p}.ff", init, d, cfg.ff_width, d),
-                }
-            )
-        self.dec_layers = []
-        for i in range(cfg.decoder_layers):
-            p = f"transformer.dec{i}"
-            self.dec_layers.append(
-                {
-                    "ln1": _LayerNormParams(f"{p}.ln1", init, d),
-                    "self_attn": _AttentionBlock(f"{p}.self_attn", init, d),
-                    "ln2": _LayerNormParams(f"{p}.ln2", init, d),
-                    "cross_attn": _AttentionBlock(f"{p}.cross_attn", init, d),
-                    "ln3": _LayerNormParams(f"{p}.ln3", init, d),
-                    "ff": MlpHead(f"{p}.ff", init, d, cfg.ff_width, d),
-                }
-            )
+        self.enc_layers = [_Block(f"transformer.enc{i}", init, cfg, cross=False) for i in range(cfg.encoder_layers)]
+        self.dec_layers = [_Block(f"transformer.dec{i}", init, cfg, cross=True) for i in range(cfg.decoder_layers)]
         self.enc_norm = _LayerNormParams("transformer.enc_norm", init, d)
         self.dec_norm = _LayerNormParams("transformer.dec_norm", init, d)
         self.out_proj = _Linear("transformer.out_proj", init, d, c3)
@@ -280,9 +285,7 @@ class Transformer:
     def encode(self, tokens: Tensor) -> Tensor:
         h = tokens
         for layer in self.enc_layers:
-            x = layer["ln1"](h)  # self-attention: the one pre-norm is query, key and value
-            h = T.add(h, layer["attn"](x, x, self.cfg.heads))
-            h = T.add(h, layer["ff"].forward(layer["ln2"](h)))
+            h = layer(h)
         return self.enc_norm(h)
 
     def decode(self, memory: Tensor) -> Tensor:
@@ -290,10 +293,7 @@ class Transformer:
         zeros = np.zeros((B, self.n_queries, self.cfg.width), dtype=self.queries.data.dtype)
         q = T.add(T.add(self.queries, self.query_pos), Tensor(zeros))
         for layer in self.dec_layers:
-            x = layer["ln1"](q)
-            q = T.add(q, layer["self_attn"](x, x, self.cfg.heads))
-            q = T.add(q, layer["cross_attn"](layer["ln2"](q), memory, self.cfg.heads))
-            q = T.add(q, layer["ff"].forward(layer["ln3"](q)))
+            q = layer(q, memory)
         return self.dec_norm(q)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -20,18 +20,17 @@ dtype, but not its data. An op's closure holds its parents' nodes and
 exactly the arrays its backward reads (matmul, mul and div inputs; softmax,
 exp, sqrt, relu and leaky_relu outputs; layer_norm's xhat; a conv's unpadded
 input, kept only when its kernels take a gradient, and its kernels, kept
-only when its input takes one; dropout's mask), never a Tensor. So once the caller drops an intermediate
-Tensor its array is freed unless some backward reads it: a conv or
-layer_norm output dies with its Tensor. The convs' im2col patch matrices
-would be the largest arrays of a step and are cheap to rebuild, so the
-forward frees each after its GEMM and the kernel gradient rebuilds it, bit
-for bit, from the held input: memory traded for time, as in gradient
-checkpointing. Neither pass builds a conv's whole patch matrix at once: the
-batch runs in the fewest chunks of samples, as equal as possible, whose
-patch matrices each fit _PATCH_CHUNK_BYTES (4 MiB; one sample at least), one
-GEMM per chunk. The forward writes each chunk's rows of one output and is
-bit-identical to a single GEMM; the kernel gradient sums the chunks'
-products in chunk order, which only reorders its rounding.
+only when its input takes one; dropout's mask), never a Tensor. So once
+the caller drops an intermediate Tensor its array is freed unless some
+backward reads it: a conv or layer_norm output dies with its Tensor. No
+conv keeps its im2col patch matrix: the forward frees each after its GEMM
+and the kernel gradient rebuilds it, bit for bit, from the held input.
+Neither pass builds a conv's whole patch matrix at once: the batch runs in
+the fewest chunks of samples, as equal as possible, whose patch matrices
+each fit _PATCH_CHUNK_BYTES (one sample at least), one GEMM per chunk. The
+forward writes each chunk's rows of one output and is bit-identical to a
+single GEMM; the kernel gradient sums the chunks' products in chunk order,
+which only reorders its rounding.
 
 Conv layout: a stage indexes every array it makes as (B*N, channels), one
 row per sample and output position, and picks the memory layout from its
@@ -47,20 +46,15 @@ each output row over its last, contiguous axis. The stems read 2 or 3
 channels, and channels-last their runs would be 6 or 9 values long, so they
 pad into channel-first memory, copy the patches as a C-order (K, n*N)
 array, whose rows are runs of output positions, and keep a channel-major
-output. Gather times of the whole batch in float32 on 2 cores, channel-first
-against channels-last, each input in the layout its stage gets it in:
-v_net conv1 (16 -> 32 channels, 16 clips) 10.0 against 8.6 ms and conv2
-2.4 against 1.1 ms, m_net conv2 at 24 clips 2.0 against 0.35 ms, but v_net
-conv0 (3 channels) 1.7 against 3.3 ms and m_net conv0 (2 channels) 1.3
-against 2.4 ms. Each stage returns the (B, cout, *spatial) view of its
-output's memory, and writes its input gradient with its axes in memory in
-the order of its input's.
+output. Each stage returns the (B, cout, *spatial) view of its output's
+memory, and writes its input gradient with its axes in memory in the order
+of its input's.
 
 Every conv is a conv stage of the networks (conv -> layer norm over
 channels -> leaky relu), one node: conv3d/conv2d normalize, scale, shift
 and, when leaky, rectify their output in place, in tiles of samples of at
-most _EPILOGUE_TILE_BYTES (512 KiB) that stay in a core's L2 cache through
-those passes. The tests' oracle is the one-GEMM conv in the stage's
+most _EPILOGUE_TILE_BYTES, which stay in a core's L2 cache through those
+passes. The tests' oracle is the one-GEMM conv in the stage's
 layout, then _normalize over channels, gamma, beta and _leaky, bit for
 bit. A stage holds, besides its input and kernels, the normalized output
 xhat and 1/sigma, and a leaky stage its own output, whose sign gives the
@@ -90,30 +84,13 @@ Who owns a gradient array:
   loss or from any loss that shares a node with it, raises RuntimeError
   before any gradient is touched.
 
-Memory between steps: a training step allocates its activations and
-gradients and frees them as backward() walks the graph. By tracemalloc, a
-B=8 forward of the default float32 model leaves 33.8 MiB live, the peak of
-its backward is 37.2 MiB, and 1.1 MiB stays live after it while the
-forward's outputs are still held (72.8, 79.7 and 2.1 MiB at float64). The
-backward's peak holds one chunk of a rebuilt patch matrix; rebuilding each
-whole peaked at 40.6 MiB, and holding every patch matrix from the forward
-left 70.7 MiB live and peaked at 72.7 MiB. A no_grad v_net forward peaks at
-9.8, 14.8 and 24.8 MiB for 8, 16 and 32 clips (12.8, 25.5 and 51.0 MiB with
-each stage's layer norm and leaky relu as ops of their own, and 23.1, 46.3
-and 92.6 MiB with whole patch matrices).
-The walk frees the forward's arrays newest first, the reverse of the order
-they were allocated in, so the heap unwinds much like a stack and the next
-step's forward finds the same free space again. A walk in depth-first order
-from the loss left small live blocks scattered through that space, and a
-warmed-up step then faulted up to ≈1000 fresh pages as the heap grew around
-them. By default glibc hands the freed heap top back to the OS and unmaps
-every array above its mmap threshold, so each step would fault the same
-amount of fresh, zeroed pages in again (≈12k minor faults per float64 B=8
-step, measured when a step held ≈248 MiB). Importing this module therefore
-tells glibc malloc, once, never to trim the heap and never to serve a
-request by mmap; the heap then grows to the largest step and stays mapped,
-and a warmed-up step faults a few pages at most. Where the C library has no
-mallopt this is skipped; no array op depends on it.
+Memory between steps: backward() frees the forward's arrays newest first,
+the reverse of the order they were allocated in, so the heap unwinds much
+like a stack and the next step's forward finds the same free space again.
+Importing this module tells glibc malloc, once, never to trim the heap and
+never to serve a request by mmap, so the heap grows to the largest step and
+stays mapped (skipped where the C library has no mallopt; no array op
+depends on it).
 """
 
 from __future__ import annotations

@@ -635,6 +635,20 @@ class TestPretextForward:
         m_kernel = bundle.m_net.layers[0][0]
         assert np.all(m_kernel.grad == 0)
 
+    def test_every_parameter_learns(self):
+        # TINY_MODEL would not do: its one decoder query leaves dec0's
+        # self-attention q and k with exactly zero gradient
+        videos = [make_video_record(seed=s, motion=s % 4) for s in range(2)]
+        largest = {}
+        for mode in ("pointwise_infonce", "mse"):
+            cfg = PretextConfig(motion_loss=mode)
+            batch = collate(sample_training_batch(videos, 2, ModelConfig(), cfg, np.random.default_rng(0)))
+            bundle = ModelBundle(seed=0, dtype=np.float64)
+            pretext_forward(bundle, batch, cfg).loss.backward()
+            for name, p in bundle.params().items():
+                largest[name] = max(largest.get(name, 0.0), np.abs(p.grad).max())
+        assert not [name for name, g in largest.items() if g <= 1e-12]
+
     def test_logits_shapes(self, batch):
         bundle = ModelBundle(seed=4)
         out = pretext_forward(bundle, batch, PretextConfig())
@@ -804,8 +818,8 @@ class TestResidentHeap:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             step()
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        # with glibc's default trimming every warm step faults ≈28k pages
-        # back in; 1% of that is the bound, for each of them
+        # with glibc's default trimming a warm step faults 1.4k to 4k pages
+        # back in; the bound is about a tenth of that, for each step
         assert max(faults) < 280, f"minor page faults in each warmed-up B=8 step: {faults}"
 
 
@@ -913,11 +927,6 @@ class TestFloat32Step:
         g64 = {name: p.grad for name, p in b64.params().items()}
         for name, p in b32.params().items():
             scale = np.abs(g64[name]).max()
-            if name.endswith(".k.b"):
-                # softmax is shift-invariant, so a key bias's true gradient is
-                # exactly 0 and float32 reads only rounding noise (≈1e-9)
-                assert scale < 1e-12, name
-                scale = 1e-3
             err = np.abs(p.grad.astype(np.float64) - g64[name]).max()
             assert err <= 1e-4 * scale, f"{name}: {err:.3e} against max |grad| {scale:.3e}"
 
@@ -942,7 +951,7 @@ class TestEndToEndGradients:
 
         h = 1e-5
         checked = 0
-        names = ["v_net.conv0.kernel", "m_net.conv1.kernel", "transformer.enc0.attn.q.w",
+        names = ["v_net.conv0.kernel", "m_net.conv1.kernel", "transformer.enc0.self_attn.q.w",
                  "transformer.queries", "g_m2.w1", "g_i.w2"]
         analytic, numeric = [], []
         for name in names:
