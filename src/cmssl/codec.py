@@ -405,15 +405,16 @@ def _body_bytes(cfg: CodecConfig, height: int, width: int, frame_count: int) -> 
 
 def _gop_records(cfg: CodecConfig, height: int, width: int, frame_count: int):
     """The CMV1 body as records of its first, longest GOP: the record dtype
-    (I-frame, then an (MV grid, residual) pair per P-frame) and the (record,
-    pair) index of every P-frame in frame order. The last GOP may be
+    (I-frame, then an (MV grid, residual) pair per P-frame) and, per record,
+    the slice of the frame-order P-frames it holds. The last GOP may be
     shorter, so the body is a prefix of one record per GOP."""
     b = cfg.block_size
     n = min(cfg.gop_size, frame_count)
     pframe = np.dtype([("mv", "<i2", (height // b, width // b, 2)), ("res", "<i2", (height, width, 3))])
     gop = np.dtype([("i", "u1", (height, width, 3)), ("p", pframe, (n - 1,))])
     n_p = frame_count - -(-frame_count // cfg.gop_size)
-    return gop, divmod(np.arange(n_p), max(n - 1, 1))
+    per_gop = max(n - 1, 1)
+    return gop, [slice(lo, min(lo + per_gop, n_p)) for lo in range(0, n_p, per_gop)]
 
 
 def write_cmv1(cv: CompressedVideo, path):
@@ -421,11 +422,12 @@ def write_cmv1(cv: CompressedVideo, path):
     the file is opened."""
     _require_residuals(cv, "write")
     cfg = cv.config
-    gop, slots = _gop_records(cfg, cv.height, cv.width, cv.frame_count)
+    gop, spans = _gop_records(cfg, cv.height, cv.width, cv.frame_count)
     records = np.zeros(len(cv.iframes), dtype=gop)
     records["i"] = cv.iframes
-    records["p"]["mv"][slots] = cv.mvs
-    records["p"]["res"][slots] = cv.residuals
+    for g, ps in enumerate(spans):
+        records["p"]["mv"][g, : ps.stop - ps.start] = cv.mvs[ps]
+        records["p"]["res"][g, : ps.stop - ps.start] = cv.residuals[ps]
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
@@ -478,12 +480,16 @@ def _read_cmv1(path) -> CompressedVideo:
         # that drops the residuals, as load_videos does, frees a block the
         # next video's residuals take)
         iframes, mvs, residuals = _allocate(cfg, h, w, frame_count)
-        body = fh.read(body_bytes)
-    if len(body) < body_bytes:
-        raise ValueError(f"truncated body: read {len(body)} of {body_bytes} bytes")
-    gop, slots = _gop_records(cfg, h, w, frame_count)
-    records = np.frombuffer(body.ljust(len(iframes) * gop.itemsize, b"\0"), dtype=gop)
+        gop, spans = _gop_records(cfg, h, w, frame_count)
+        # one whole record per GOP: the short last GOP's missing P-frames read as zeros
+        body = np.empty(len(iframes) * gop.itemsize, np.uint8)
+        body[body_bytes:] = 0
+        got = fh.readinto(body[:body_bytes])
+    if got < body_bytes:
+        raise ValueError(f"truncated body: read {got} of {body_bytes} bytes")
+    records = body.view(gop)
     iframes[...] = records["i"]
-    mvs[...] = records["p"]["mv"][slots]
-    residuals[...] = records["p"]["res"][slots]
+    for g, ps in enumerate(spans):
+        mvs[ps] = records["p"]["mv"][g, : ps.stop - ps.start]
+        residuals[ps] = records["p"]["res"][g, : ps.stop - ps.start]
     return CompressedVideo(cfg, iframes, mvs, residuals)

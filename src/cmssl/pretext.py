@@ -6,10 +6,15 @@ predicted and encoded future motion features, extended by same-video hard
 negative motion clips in the denominator pool. Variant toggles cover the
 current-vs-future target period and the InfoNCE-vs-MSE motion loss.
 
-All augmentation happens in model space (frames already resized to the
-network input size), so an identity parameter draw leaves a sample
-bit-identical. Horizontal flips negate the dx channel of motion maps, and
-crops rescale offsets by the resize factor.
+Raster contract: `load_videos` resizes each decoded video once, by nearest
+neighbour, to the model raster (`ModelConfig.input_size` square), and a
+`VideoRecord` holds its frames there; `materialize_sample` reads them as they
+are and rejects a record on any other raster. Motion maps are resampled to
+that raster from the codec's block grids as each sample is built.
+
+All augmentation happens in model space, so an identity parameter draw
+leaves a sample bit-identical. Horizontal flips negate the dx channel of
+motion maps, and crops rescale offsets by the resize factor.
 
 Dtypes: every array a sample holds, and so every float array `collate`
 returns, is float32, the default ModelBundle's dtype; a float64 bundle casts
@@ -70,40 +75,46 @@ class PretextConfig:
 
 @dataclass
 class VideoRecord:
-    """A decoded dataset video: what sampling reads and nothing more. `cv`
-    keeps the codec config, the I-frames and the MV grids; its residuals
-    are dropped (None) once `frames` is decoded from them."""
+    """A decoded dataset video: what sampling reads and nothing more.
+    `frames` is the decode resized to the model raster, (T, s, s, 3) uint8
+    with s = `ModelConfig.input_size`. `cv` keeps the codec config, the
+    I-frames and the MV grids at the coded resolution; its residuals are
+    dropped (None) once `frames` is decoded from them."""
 
     video_id: int
-    frames: np.ndarray  # (T, H, W, 3) uint8, decoded
+    frames: np.ndarray  # (T, s, s, 3) uint8, decoded, on the model raster
     cv: CompressedVideo  # residuals None
     context_class: int
     motion_class: int
     split: str
 
 
-def load_videos(dataset_dir, split: str | None = None) -> list[VideoRecord]:
+def load_videos(dataset_dir, split: str | None = None, model_cfg: ModelConfig | None = None) -> list[VideoRecord]:
     """Decode every dataset video of `split` ("train", "test", or None for
-    all) into memory (desk scale keeps this cheap).
+    all) into memory (desk scale keeps this cheap), each resized once to the
+    raster of `model_cfg` (None: `ModelConfig()`), the only one sampling for
+    that model reads.
 
     The manifest is read and checked by `synthgen.load_manifest`, which names
     the record of a path that is not a file. `read_cmv1` checks each file
     once, and decoding adds only the reconstruction-range check. Each
-    video's residuals are dropped as soon as it is decoded, so a record
-    holds its frames, I-frames and MV grids; the next video's arrays reuse
-    the freed residual block.
+    video's full-resolution frames and residuals are dropped as soon as it
+    is decoded and resized, so a record holds its model-raster frames,
+    I-frames and MV grids; the next video's arrays reuse the freed blocks.
     """
     if split not in (None, *SPLITS):
         raise ValueError(f"unknown split {split!r}, expected one of {SPLITS} or None")
+    size = (model_cfg or ModelConfig()).input_size
     dataset_dir = Path(dataset_dir)
     records = []
     for i, rec in enumerate(load_manifest(dataset_dir)):
         if split is not None and rec["split"] != split:
             continue
         cv = read_cmv1(dataset_dir / rec["path"])
-        frames = decode_video(cv).frames
-        # rebinding frees the residuals before the next video is read, so
-        # that its arrays reuse their heap block
+        frames = resize_nn(decode_video(cv).frames, (size, size))
+        # the full-resolution decode is already gone; rebinding frees the
+        # residuals before the next video is read, so that its arrays reuse
+        # their heap block
         cv = replace(cv, residuals=None)
         records.append(
             VideoRecord(
@@ -302,16 +313,22 @@ def materialize_sample(
 ) -> TrainingSample:
     """Extract model-space arrays for drawn indices, then augment.
 
-    The positive motion clip reuses the clip's crop and flip; the I-frame and
+    `video.frames` must sit on the model raster (see `load_videos`). The
+    positive motion clip reuses the clip's crop and flip; the I-frame and
     each hard negative get independent draws. Eval mode applies the identity.
     """
     size = model_cfg.input_size
     horizon = model_cfg.mv_len
     scale_hw = (size, size)
+    if video.frames.shape[1:3] != scale_hw:
+        raise ValueError(
+            f"video {video.video_id}: frames {video.frames.shape} are not on the model raster "
+            f"of input_size {size}; load them with this model's config"
+        )
 
     # float32 u / 255 is float64 u / 255 rounded, for every uint8 u
-    clip_frames = np.divide(resize_nn(video.frames[idx.clip_indices], scale_hw), 255, dtype=np.float32)
-    iframe = np.divide(resize_nn(video.frames[idx.iframe_index], scale_hw), 255, dtype=np.float32)
+    clip_frames = np.divide(video.frames[idx.clip_indices], 255, dtype=np.float32)
+    iframe = np.divide(video.frames[idx.iframe_index], 255, dtype=np.float32)
 
     # the positive window, then each hard negative's, gathered in one call
     windows = [idx.mv_indices] + [s + np.arange(horizon) for s in idx.negative_mv_starts]

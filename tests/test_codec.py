@@ -604,6 +604,20 @@ class TestContainer:
         np.testing.assert_array_equal(out.frames, v.frames)
         assert cv2.config == cv.config
 
+    @pytest.mark.parametrize("gop_size", [2, 5, 12])
+    def test_short_last_gop_reads_back_every_array(self, tmp_path, gop_size):
+        # 27 frames: the last GOP holds 1, 2 and 3 frames
+        cv = encode_video(translating_video(np.random.default_rng(gop_size), t=27), CodecConfig(gop_size=gop_size))
+        assert 27 % gop_size in (1, 2, 3)
+        path = tmp_path / "v.cmv1"
+        write_cmv1(cv, path)
+        got = read_cmv1(path)
+        assert got.config == cv.config
+        for name in ("iframes", "mvs", "residuals"):
+            a, b = getattr(got, name), getattr(cv, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
     def test_identical_bytes_on_rewrite(self, tmp_path):
         rng = np.random.default_rng(17)
         cv = encode_video(random_video(rng, t=13))

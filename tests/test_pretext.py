@@ -301,10 +301,14 @@ class TestMseAndJoint:
 
 
 def make_video_record(seed=0, motion=0, frames=36):
+    """A record as load_videos builds it for ModelConfig(), frames on the
+    model raster, but with its residuals kept: `decode_video(record.cv)`
+    gives the full-resolution frames."""
     lv = generate_video(SceneSpec(context_class=0, motion_class=motion, seed=seed, frames=frames))
     cv = encode_video(lv.video, CodecConfig())
+    size = ModelConfig().input_size
     return VideoRecord(
-        video_id=seed, frames=lv.video.frames, cv=cv,
+        video_id=seed, frames=resize_nn(lv.video.frames, (size, size)), cv=cv,
         context_class=lv.context_class, motion_class=lv.motion_class, split="train",
     )
 
@@ -538,14 +542,15 @@ class TestAugment:
 
     def test_eval_sample_is_the_float64_sample_rounded(self):
         video = make_video_record(seed=3, motion=3)
+        full = decode_video(video.cv).frames  # 64x64, resized here on its own
         mcfg, cfg = ModelConfig(), PretextConfig()
         sr = video.cv.config.search_range
         for seed in range(4):
             idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
                                       np.random.default_rng(seed))
             sample = materialize_sample(video, idx, mcfg, cfg, train=False)
-            clip64 = resize_nn(video.frames[idx.clip_indices], (32, 32)).transpose(3, 0, 1, 2) / 255.0
-            iframe64 = resize_nn(video.frames[idx.iframe_index], (32, 32)).transpose(2, 0, 1) / 255.0
+            clip64 = resize_nn(full[idx.clip_indices], (32, 32)).transpose(3, 0, 1, 2) / 255.0
+            iframe64 = resize_nn(full[idx.iframe_index], (32, 32)).transpose(2, 0, 1) / 255.0
             for got, want in ((sample.clip, clip64), (sample.iframe, iframe64)):
                 assert got.dtype == np.float32
                 np.testing.assert_array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
@@ -557,6 +562,7 @@ class TestAugment:
         """Every augmentation in float64 from the uint8 frames and the codec's
         MV grids; the float32 sample stays within float32 rounding of it."""
         video = make_video_record(seed=5, motion=1)
+        full = decode_video(video.cv).frames  # 64x64, resized here on its own
         mcfg, cfg = ModelConfig(), PretextConfig()
         sr, horizon = video.cv.config.search_range, mcfg.mv_len
         drawn = []
@@ -569,8 +575,8 @@ class TestAugment:
             neg_p = [draw_augment_params(32, cfg, prng) for _ in idx.negative_mv_starts]
             drawn += [clip_p, iframe_p] + neg_p
 
-            clip64 = augment_frames(resize_nn(video.frames[idx.clip_indices], (32, 32)) / 255.0, clip_p, 32)
-            iframe64 = augment_frames(resize_nn(video.frames[idx.iframe_index], (32, 32)) / 255.0, iframe_p, 32)
+            clip64 = augment_frames(resize_nn(full[idx.clip_indices], (32, 32)) / 255.0, clip_p, 32)
+            iframe64 = augment_frames(resize_nn(full[idx.iframe_index], (32, 32)) / 255.0, iframe_p, 32)
 
             def mv64(frames, params):
                 maps = repeat_then_subsample(video.cv, frames, (32, 32)).transpose(1, 0, 2, 3)
@@ -754,6 +760,39 @@ class TestResidualFreeRecords:
             np.testing.assert_array_equal(v.cv.iframes, full.iframes)
             np.testing.assert_array_equal(v.cv.mvs, full.mvs)
             assert v.cv.config == full.config
+
+    @pytest.fixture(scope="class")
+    def dataset64(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("raster64")
+        generate_dataset(d, n_videos=2, k_context=2, k_motion=1, frames=13, resolution=(64, 64), seed=1)
+        return d
+
+    @pytest.mark.parametrize("mcfg", [None, TINY_MODEL], ids=["default", "tiny"])
+    def test_records_sit_on_the_model_raster(self, dataset64, mcfg):
+        """64x64 videos, so the resize to the model raster is not the identity."""
+        s = (mcfg or ModelConfig()).input_size
+        videos = load_videos(dataset64, model_cfg=mcfg)
+        assert len(videos) == 2
+        for v, rec in zip(videos, load_manifest(dataset64)):
+            full = read_cmv1(dataset64 / rec["path"])
+            assert (full.height, full.width) == (64, 64) and s < 64
+            np.testing.assert_array_equal(v.frames, resize_nn(decode_video(full).frames, (s, s)))
+            assert v.frames.dtype == np.uint8 and v.frames.nbytes == full.frame_count * s * s * 3
+            np.testing.assert_array_equal(v.cv.mvs, full.mvs)
+
+    def test_record_off_the_model_raster_rejected(self):
+        video = make_video_record(seed=4)  # frames 32x32, ModelConfig()'s raster
+        cfg = PretextConfig()
+        full_res = dataclasses.replace(video, frames=decode_video(video.cv).frames)
+        for v, mcfg, want in (
+            (video, TINY_MODEL, r"video 4: frames \(36, 32, 32, 3\) are not on the model raster of input_size 8"),
+            (full_res, ModelConfig(), r"video 4: frames \(36, 64, 64, 3\) are not on the model raster of input_size 32"),
+        ):
+            idx = draw_sample_indices(36, 4, video.cv.iframe_indices(), 12, mcfg, cfg, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=want):
+                materialize_sample(v, idx, mcfg, cfg, train=False)
+            with pytest.raises(ValueError, match=want):
+                sample_training_batch([v], 1, mcfg, cfg, np.random.default_rng(0))
 
     @staticmethod
     def full_and_free(seed, motion):

@@ -12,7 +12,7 @@ import pytest
 
 from cmssl import codec, pretext, synthgen
 from cmssl import tensor as T
-from cmssl.networks import ModelBundle
+from cmssl.networks import ModelBundle, ModelConfig
 from cmssl.pretext import PretextConfig
 
 from conftest import TINY_MODEL, graph_nodes, tiny_batch
@@ -121,22 +121,27 @@ def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
     """The benchmark's build unit passes generate_dataset these keywords and
     reads every video back bit-exact against a fresh render; its embed and
     train units run on load_videos records. A refactor that drops a keyword
-    or a name they read, or breaks that read-back, fails here."""
+    or a name they read, or breaks that read-back, fails here. The videos
+    are 64x64, the benchmark's resolution, so the default load_videos must
+    resize them to the raster of the default bundle those units feed."""
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import workloads
 
     synthgen.generate_dataset(
-        tmp_path, n_videos=2, k_context=2, k_motion=1, frames=36, resolution=(32, 32), seed=0,
+        tmp_path, n_videos=2, k_context=2, k_motion=1, frames=36, resolution=(64, 64), seed=0,
         codec=codec.CodecConfig(), threads=1,
     )
     build = workloads.DatasetBuild(0, workloads.Sizes(build_videos=2), tmp_path)
     assert build._check(tmp_path) == 0 and build.videos_written == 2
     videos = pretext.load_videos(tmp_path)
     assert all(v.cv.residuals is None for v in videos)
+    s = ModelConfig().input_size
     for v in videos:  # what workloads.embed_batch passes to draw_sample_indices
+        assert v.frames.shape == (36, s, s, 3) and (v.cv.height, v.cv.width) == (64, 64)
         assert v.frames.shape[0] == len(v.cv.iframes) + len(v.cv.mvs)
         assert v.cv.iframe_indices()[1] == v.cv.config.gop_size
     bundle = ModelBundle(seed=0)
+    assert bundle.config.input_size == s
     feats = workloads.embed_batch(bundle, videos, seed=0)
     assert feats.shape == (2, bundle.config.v_channels[-1]) and np.isfinite(feats).all()
     np.testing.assert_array_equal(workloads.embed_batch(bundle, videos, seed=0), feats)
