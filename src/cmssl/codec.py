@@ -31,9 +31,10 @@ three arrays:
   residuals  (P, H, W, 3) int16.
 P-frames are in frame order: frame t (t % g != 0) is P-frame p = t - t//g - 1,
 which is P-frame p % (g - 1) of GOP p // (g - 1).
-Residuals are needed only to rebuild pixels. A video whose frames are
-already decoded may drop them (residuals None): its I-frames and MVs are
-still checked when it is built, but decode_video and write_cmv1 refuse it.
+I-frames and residuals are needed only to rebuild pixels. Once a video is
+decoded, what is left to read is its MotionField: the config, the geometry
+and the MV grids, sharing the CompressedVideo's read-only mvs. Holding that
+in place of the CompressedVideo frees the I-frames and residuals.
 
 Container format CMV1 (all integers little-endian):
   magic 'CMV1', version u16, H u32, W u32, gop_size u16, block_size u16,
@@ -51,7 +52,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 CMV1_MAGIC = b"CMV1"
 CMV1_VERSION = 1
@@ -131,20 +132,16 @@ class CompressedVideo:
     """I-frames, then every P-frame's MV grid and residual in frame order
     (see the module docstring). Building one checks everything but the
     reconstruction range, which only decoding can see, and the arrays it
-    holds are read-only, so a CompressedVideo stays valid. Residuals None
-    means they were dropped after decode: the video serves its I-frames and
-    MVs, and cannot be decoded or written."""
+    holds are read-only, so a CompressedVideo stays valid."""
 
     config: CodecConfig
     iframes: np.ndarray  # (G, H, W, 3) uint8
     mvs: np.ndarray  # (P, Hb, Wb, 2) int16, [..., 0] = dx, [..., 1] = dy
-    residuals: np.ndarray | None  # (P, H, W, 3) int16, or None once dropped
+    residuals: np.ndarray  # (P, H, W, 3) int16
 
     def __post_init__(self):
         for name, dtype in _ARRAYS:
             arr = getattr(self, name)
-            if arr is None and name == "residuals":
-                continue
             if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.ndim != 4:
                 got = f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ValueError(f"{name} must be a 4-d {np.dtype(dtype)} array, got {got}")
@@ -157,13 +154,13 @@ class CompressedVideo:
         _check_geometry(cfg, h, w, n)
         for (name, _), want in zip(_ARRAYS, _shapes(cfg, h, w, n)):
             arr = getattr(self, name)
-            if arr is not None and arr.shape != want:
+            if arr.shape != want:
                 raise ValueError(f"{name} of shape {arr.shape}, expected {want} for {n} frames at gop_size {g}")
         if len(self.mvs) == 0:
             return
         res = self.residuals
         # a uint8 pixel minus a uint8 prediction lies in [-255, 255]
-        if res is not None and (res.min() < -255 or res.max() > 255):
+        if res.min() < -255 or res.max() > 255:
             p, y, x, c = np.argwhere((res < -255) | (res > 255))[0]
             raise ValueError(
                 f"{_p_frame_place(p, g)} pixel ({y}, {x}) channel {c}: residual {res[p, y, x, c]} outside [-255, 255]"
@@ -194,13 +191,24 @@ class CompressedVideo:
     def frame_count(self) -> int:
         return len(self.iframes) + len(self.mvs)
 
+    def motion_field(self) -> MotionField:
+        return MotionField(self.config, self.mvs, self.height, self.width, self.frame_count)
+
+
+@dataclass(frozen=True, eq=False)
+class MotionField:
+    """The part of a decoded video that sampling reads: its config, its
+    geometry and its MV grids. Made by `CompressedVideo.motion_field`, whose
+    checked, read-only mvs it shares; it holds no pixels."""
+
+    config: CodecConfig
+    mvs: np.ndarray  # (P, Hb, Wb, 2) int16, as in CompressedVideo
+    height: int
+    width: int
+    frame_count: int
+
     def iframe_indices(self) -> list[int]:
         return list(range(0, self.frame_count, self.config.gop_size))
-
-
-def _require_residuals(cv: CompressedVideo, action: str):
-    if cv.residuals is None:
-        raise ValueError(f"cannot {action} a video whose residuals were dropped after decode")
 
 
 def nearest_raster(n: int, o: int) -> np.ndarray:
@@ -303,7 +311,9 @@ def motion_compensate(reference: np.ndarray, vectors: np.ndarray, block_size: in
         # every b x 3b tile of samples in the frames, addressed by its
         # top-left sample; the moving tiles are all gathered before any is
         # written back
-        tiles = sliding_window_view(rows, (b, 3 * b), axis=(1, 2))
+        sf, sy, sx = rows.strides
+        shape = (len(rows), h - b + 1, 3 * (w - b) + 1, b, 3 * b)
+        tiles = as_strided(rows, shape, (sf, sy, sx, sy, sx), writeable=False)
         moved = tiles[f, by * b + v[:, 1], 3 * (bx * b + v[:, 0])]
         rows.reshape(-1, h // b, b, w // b, 3 * b)[f, by, :, bx] = moved
     return pred
@@ -339,7 +349,6 @@ def decode_video(cv: CompressedVideo) -> RawVideo:
     out of range in frame order, as a frame-by-frame decode would: every
     frame before it was rebuilt from in-range frames only.
     """
-    _require_residuals(cv, "decode")
     g, b = cv.config.gop_size, cv.config.block_size
     n = cv.frame_count
     frames = np.empty((n, cv.height, cv.width, 3), dtype=np.uint8)
@@ -361,7 +370,9 @@ def decode_video(cv: CompressedVideo) -> RawVideo:
     return RawVideo(frames=frames)
 
 
-def extract_modalities(cv: CompressedVideo, frames, out_size: tuple[int, int] | None = None) -> np.ndarray:
+def extract_modalities(
+    cv: CompressedVideo | MotionField, frames, out_size: tuple[int, int] | None = None
+) -> np.ndarray:
     """Pixel-resolution MV maps of the given frame indices, (n, 2, h, w) float32.
 
     Channel 0 is dx, channel 1 is dy; I-frame slots are all zero. When
@@ -418,9 +429,7 @@ def _gop_records(cfg: CodecConfig, height: int, width: int, frame_count: int):
 
 
 def write_cmv1(cv: CompressedVideo, path):
-    """Write cv as a CMV1 file; a video without residuals raises before
-    the file is opened."""
-    _require_residuals(cv, "write")
+    """Write cv as a CMV1 file."""
     cfg = cv.config
     gop, spans = _gop_records(cfg, cv.height, cv.width, cv.frame_count)
     records = np.zeros(len(cv.iframes), dtype=gop)
@@ -477,8 +486,8 @@ def _read_cmv1(path) -> CompressedVideo:
         # the arrays are allocated before the body they are copied from; a
         # body freed below arrays that a caller keeps would leave a heap hole
         # per video that the next, equally large body cannot reuse (a caller
-        # that drops the residuals, as load_videos does, frees a block the
-        # next video's residuals take)
+        # that keeps only the MVs, as load_videos does, frees the I-frame and
+        # residual blocks, which the next video's arrays take)
         iframes, mvs, residuals = _allocate(cfg, h, w, frame_count)
         gop, spans = _gop_records(cfg, h, w, frame_count)
         # one whole record per GOP: the short last GOP's missing P-frames read as zeros

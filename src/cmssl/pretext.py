@@ -10,7 +10,8 @@ Raster contract: `load_videos` resizes each decoded video once, by nearest
 neighbour, to the model raster (`ModelConfig.input_size` square), and a
 `VideoRecord` holds its frames there; `materialize_sample` reads them as they
 are and rejects a record on any other raster. Motion maps are resampled to
-that raster from the codec's block grids as each sample is built.
+that raster from the MV grids of the record's `MotionField` as each sample
+is built; a record holds no I-frame or residual of the codec.
 
 All augmentation happens in model space, so an identity parameter draw
 leaves a sample bit-identical. Horizontal flips negate the dx channel of
@@ -26,13 +27,13 @@ computes in its input's float dtype.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .codec import CompressedVideo, decode_video, extract_modalities, nearest_raster, read_cmv1
+from .codec import MotionField, decode_video, extract_modalities, nearest_raster, read_cmv1
 from .networks import ModelBundle, ModelConfig, _positive_int, point_tokens
 from .synthgen import SPLITS, load_manifest
 from .tensor import Tensor
@@ -77,13 +78,14 @@ class PretextConfig:
 class VideoRecord:
     """A decoded dataset video: what sampling reads and nothing more.
     `frames` is the decode resized to the model raster, (T, s, s, 3) uint8
-    with s = `ModelConfig.input_size`. `cv` keeps the codec config, the
-    I-frames and the MV grids at the coded resolution; its residuals are
-    dropped (None) once `frames` is decoded from them."""
+    with s = `ModelConfig.input_size`. `cv` is the video's `MotionField`:
+    the codec config, the coded height, width and frame count, and the MV
+    grids. No I-frame or residual is held; the context I-frame is read from
+    `frames`."""
 
     video_id: int
     frames: np.ndarray  # (T, s, s, 3) uint8, decoded, on the model raster
-    cv: CompressedVideo  # residuals None
+    cv: MotionField
     context_class: int
     motion_class: int
     split: str
@@ -98,9 +100,9 @@ def load_videos(dataset_dir, split: str | None = None, model_cfg: ModelConfig | 
     The manifest is read and checked by `synthgen.load_manifest`, which names
     the record of a path that is not a file. `read_cmv1` checks each file
     once, and decoding adds only the reconstruction-range check. Each
-    video's full-resolution frames and residuals are dropped as soon as it
-    is decoded and resized, so a record holds its model-raster frames,
-    I-frames and MV grids; the next video's arrays reuse the freed blocks.
+    video's full-resolution frames, I-frames and residuals are dropped as
+    soon as it is decoded and resized, so a record holds its model-raster
+    frames and its MV grids; the next video's arrays reuse the freed blocks.
     """
     if split not in (None, *SPLITS):
         raise ValueError(f"unknown split {split!r}, expected one of {SPLITS} or None")
@@ -113,9 +115,9 @@ def load_videos(dataset_dir, split: str | None = None, model_cfg: ModelConfig | 
         cv = read_cmv1(dataset_dir / rec["path"])
         frames = resize_nn(decode_video(cv).frames, (size, size))
         # the full-resolution decode is already gone; rebinding frees the
-        # residuals before the next video is read, so that its arrays reuse
-        # their heap block
-        cv = replace(cv, residuals=None)
+        # I-frames and residuals before the next video is read, so that its
+        # arrays reuse their heap blocks
+        cv = cv.motion_field()
         records.append(
             VideoRecord(
                 video_id=i,

@@ -381,7 +381,7 @@ class TestGopLayout:
         cv = encode_video(random_video(rng, t=24))
         assert cv.iframes.shape == (2, 32, 32, 3)
         assert cv.mvs.shape == (22, 4, 4, 2) and cv.residuals.shape == (22, 32, 32, 3)
-        assert cv.iframe_indices() == [0, 12]
+        assert cv.motion_field().iframe_indices() == [0, 12]
         np.testing.assert_array_equal(cv.iframes, random_video(np.random.default_rng(4), t=24).frames[[0, 12]])
 
     def test_single_frame_video(self):
@@ -400,7 +400,7 @@ class TestGopLayout:
     def test_iframe_positions_are_gop_multiples(self):
         rng = np.random.default_rng(6)
         cv = encode_video(random_video(rng, t=30), CodecConfig(gop_size=7))
-        assert cv.iframe_indices() == [0, 7, 14, 21, 28]
+        assert cv.motion_field().iframe_indices() == [0, 7, 14, 21, 28]
 
 
 class TestRoundtrip:
@@ -544,52 +544,42 @@ class TestCompressedVideo:
             ({"mvs": cv.mvs[:, :1]}, r"mvs of shape \(11, 1, 2, 2\), expected \(11, 2, 2, 2\)"),
             ({"residuals": cv.residuals[:, :, :8]}, r"residuals of shape \(11, 16, 8, 3\), expected \(11, 16, 16, 3\)"),
             ({"residuals": cv.residuals[:-1]}, r"residuals of shape \(10, 16, 16, 3\), expected \(11, 16, 16, 3\)"),
+            ({"residuals": None}, "residuals must be a 4-d int16 array, got NoneType"),
         ):
             with pytest.raises(ValueError, match=want):
                 dataclasses.replace(cv, **change)
 
 
-class TestResidualFree:
-    """A video whose residuals were dropped after decode (residuals None)."""
+class TestMotionField:
+    """What a record keeps of a decoded video: config, geometry and MV grids."""
 
-    @staticmethod
-    def full_and_free(seed, t=25):
-        cv = encode_video(translating_video(np.random.default_rng(seed), t=t))
-        return cv, dataclasses.replace(cv, residuals=None)
-
-    def test_serves_what_sampling_reads(self):
-        cv, free = self.full_and_free(40)
-        assert free.residuals is None
-        assert (free.frame_count, free.height, free.width) == (cv.frame_count, cv.height, cv.width)
-        assert free.iframe_indices() == cv.iframe_indices() and free.config == cv.config
+    @pytest.mark.parametrize("gop_size, t", [(12, 25), (5, 27)], ids=["gop12", "gop5_short_last"])
+    def test_serves_what_sampling_reads(self, gop_size, t):
+        video = translating_video(np.random.default_rng(40), t=t)
+        cv = encode_video(video, CodecConfig(gop_size=gop_size))
+        field = cv.motion_field()
+        assert (field.frame_count, field.height, field.width) == (cv.frame_count, cv.height, cv.width)
+        assert field.config == cv.config and field.iframe_indices() == list(range(0, t, gop_size))
+        np.testing.assert_array_equal(cv.iframes, video.frames[field.iframe_indices()])
         frames = np.arange(cv.frame_count)
-        np.testing.assert_array_equal(extract_modalities(free, frames), extract_modalities(cv, frames))
-        for arr in (free.iframes, free.mvs):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0, 0, 0] = 1
+        for out_size in (None, (20, 24)):
+            got, want = (extract_modalities(v, frames, out_size) for v in (field, cv))
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
 
-    def test_decode_and_write_refuse_it(self, tmp_path):
-        _, free = self.full_and_free(41)
-        with pytest.raises(ValueError, match="^cannot decode a video whose residuals were dropped after decode$"):
-            decode_video(free)
-        path = tmp_path / "free.cmv1"
-        with pytest.raises(ValueError, match="^cannot write a video whose residuals were dropped after decode$"):
-            write_cmv1(free, path)
-        assert not path.exists()
+    def test_mvs_shared_and_read_only(self):
+        cv = encode_video(translating_video(np.random.default_rng(41), t=25))
+        field = cv.motion_field()
+        assert np.shares_memory(field.mvs, cv.mvs)
+        with pytest.raises(ValueError, match="read-only"):
+            field.mvs[0, 0, 0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            field.mvs = np.zeros_like(field.mvs)
 
-    def test_bad_mvs_and_iframes_still_rejected(self):
-        cv, free = self.full_and_free(42)
-        mvs = cv.mvs.copy()
-        mvs[11 + 2, 0, 0] = (-2, -2)
-        with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\).*outside"):
-            dataclasses.replace(free, mvs=mvs)
-        mvs[11 + 2, 0, 0] = (0, 99)
-        with pytest.raises(ValueError, match=r"GOP 1 P-frame 2 block \(0, 0\): motion vector \(0, 99\) exceeds"):
-            dataclasses.replace(free, mvs=mvs)
-        with pytest.raises(ValueError, match=r"mvs of shape \(22, 2, 4, 2\), expected \(22, 4, 4, 2\)"):
-            dataclasses.replace(free, mvs=cv.mvs[:, :2])
-        with pytest.raises(ValueError, match=r"iframes must be a 4-d uint8 array, got int16"):
-            dataclasses.replace(free, iframes=cv.iframes.astype(np.int16))
+    def test_holds_no_pixels(self):
+        field = encode_video(translating_video(np.random.default_rng(42), t=25)).motion_field()
+        assert not hasattr(field, "iframes") and not hasattr(field, "residuals")
+        assert [f.name for f in dataclasses.fields(field)] == ["config", "mvs", "height", "width", "frame_count"]
 
 
 class TestContainer:

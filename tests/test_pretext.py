@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 from cmssl import tensor as T
-from cmssl.codec import CodecConfig, CompressedVideo, decode_video, encode_video, extract_modalities, read_cmv1
+from cmssl.codec import (
+    CodecConfig,
+    CompressedVideo,
+    MotionField,
+    decode_video,
+    encode_video,
+    extract_modalities,
+    read_cmv1,
+)
 from cmssl.networks import ModelBundle, ModelConfig
 from cmssl.pretext import (
     IFRAME_WINDOW_GOPS,
@@ -300,17 +308,24 @@ class TestMseAndJoint:
         np.testing.assert_allclose(pooled[0, 0, 0, 0, 0], mv[0, 0, :2, :2, :2].mean())
 
 
-def make_video_record(seed=0, motion=0, frames=36):
-    """A record as load_videos builds it for ModelConfig(), frames on the
-    model raster, but with its residuals kept: `decode_video(record.cv)`
-    gives the full-resolution frames."""
+def make_encoded_record(seed=0, motion=0, frames=36):
+    """(record, cv): a record as load_videos builds it for ModelConfig(),
+    frames on the model raster and `cv` the motion field, and next to it the
+    whole CompressedVideo, whose `decode_video` gives the full-resolution
+    frames."""
     lv = generate_video(SceneSpec(context_class=0, motion_class=motion, seed=seed, frames=frames))
     cv = encode_video(lv.video, CodecConfig())
     size = ModelConfig().input_size
-    return VideoRecord(
-        video_id=seed, frames=resize_nn(lv.video.frames, (size, size)), cv=cv,
+    record = VideoRecord(
+        video_id=seed, frames=resize_nn(lv.video.frames, (size, size)), cv=cv.motion_field(),
         context_class=lv.context_class, motion_class=lv.motion_class, split="train",
     )
+    return record, cv
+
+
+def make_video_record(seed=0, motion=0, frames=36):
+    """A record as load_videos builds it for ModelConfig()."""
+    return make_encoded_record(seed, motion, frames)[0]
 
 
 def draw_sample_indices_loop(n_frames, video_id, iframe_positions, gop_size, model_cfg, cfg, rng):
@@ -541,8 +556,8 @@ class TestAugment:
         np.testing.assert_array_equal(got.view(np.uint32), (u / 255.0).astype(np.float32).view(np.uint32))
 
     def test_eval_sample_is_the_float64_sample_rounded(self):
-        video = make_video_record(seed=3, motion=3)
-        full = decode_video(video.cv).frames  # 64x64, resized here on its own
+        video, cv = make_encoded_record(seed=3, motion=3)
+        full = decode_video(cv).frames  # 64x64, resized here on its own
         mcfg, cfg = ModelConfig(), PretextConfig()
         sr = video.cv.config.search_range
         for seed in range(4):
@@ -561,8 +576,8 @@ class TestAugment:
     def test_train_sample_tracks_float64_oracle(self):
         """Every augmentation in float64 from the uint8 frames and the codec's
         MV grids; the float32 sample stays within float32 rounding of it."""
-        video = make_video_record(seed=5, motion=1)
-        full = decode_video(video.cv).frames  # 64x64, resized here on its own
+        video, cv = make_encoded_record(seed=5, motion=1)
+        full = decode_video(cv).frames  # 64x64, resized here on its own
         mcfg, cfg = ModelConfig(), PretextConfig()
         sr, horizon = video.cv.config.search_range, mcfg.mv_len
         drawn = []
@@ -689,15 +704,15 @@ class TestManifest:
         check = CompressedVideo.__post_init__
 
         def counting(cv):
-            checked.append((cv.frame_count, cv.residuals is None))
+            checked.append(cv.frame_count)
             check(cv)
 
         monkeypatch.setattr(CompressedVideo, "__post_init__", counting)
         videos = load_videos(d)
-        # read_cmv1 checks the whole video once; the record's residual-free
-        # copy checks its I-frames and MVs once more, and no residual twice
+        # read_cmv1 checks the whole video once; the record's motion field
+        # shares the checked MVs and is not checked again
         assert [v.frames.shape[0] for v in videos] == [13, 13]
-        assert checked == [(13, False), (13, True)] * 2
+        assert checked == [13, 13]
 
     def test_missing_cmv1_file_named(self, tmp_path):
         d = self.dataset_with(tmp_path, path="gone.cmv1")
@@ -746,26 +761,68 @@ class TestManifest:
         assert load_videos(d, split="test") == []
 
 
-class TestResidualFreeRecords:
-    """load_videos keeps no residuals, and sampling does not need them."""
+def reachable_arrays(obj) -> list:
+    """Every ndarray reachable from obj through instance attributes, lists,
+    tuples and dicts, each counted once by the array that owns its memory."""
+    seen, owners, todo = set(), {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            owners[id(o)] = o
+        elif isinstance(o, dict):
+            todo.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            todo.extend(vars(o).values())
+    return list(owners.values())
 
-    def test_records_hold_no_residuals(self, tmp_path):
+
+class TestMotionFieldRecords:
+    """load_videos keeps only the motion field of each compressed video, and
+    sampling needs no more."""
+
+    def test_records_hold_the_motion_field(self, tmp_path):
         generate_dataset(tmp_path, n_videos=2, k_context=2, k_motion=1, frames=13, resolution=(32, 32), seed=1)
         videos = load_videos(tmp_path)
         assert len(videos) == 2
         for v, rec in zip(videos, load_manifest(tmp_path)):
             full = read_cmv1(tmp_path / rec["path"])
-            assert v.cv.residuals is None
+            assert isinstance(v.cv, MotionField)
             np.testing.assert_array_equal(v.frames, decode_video(full).frames)
-            np.testing.assert_array_equal(v.cv.iframes, full.iframes)
             np.testing.assert_array_equal(v.cv.mvs, full.mvs)
             assert v.cv.config == full.config
+            assert (v.cv.frame_count, v.cv.height, v.cv.width) == (full.frame_count, full.height, full.width)
 
     @pytest.fixture(scope="class")
     def dataset64(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("raster64")
         generate_dataset(d, n_videos=2, k_context=2, k_motion=1, frames=13, resolution=(64, 64), seed=1)
         return d
+
+    def test_record_holds_only_frames_and_mvs(self, dataset64):
+        """The arrays reachable from a record of a 64x64 video are its
+        model-raster frames and its MV grids: no I-frame and no residual."""
+        s = ModelConfig().input_size
+        videos = load_videos(dataset64)
+        assert len(videos) == 2
+        for v, rec in zip(videos, load_manifest(dataset64)):
+            t, h, w, b = v.cv.frame_count, v.cv.height, v.cv.width, v.cv.config.block_size
+            p = t - len(v.cv.iframe_indices())
+            assert (h, w, p) == (64, 64, 11)
+            assert sum(a.nbytes for a in reachable_arrays(v)) == t * s * s * 3 + p * (h // b) * (w // b) * 2 * 2
+            for obj in (v, v.cv):
+                assert not hasattr(obj, "iframes") and not hasattr(obj, "residuals")
+            # the walk does see what a record holding the whole video would keep
+            full = read_cmv1(dataset64 / rec["path"])
+            whole = dataclasses.replace(v, cv=full)
+            extra = full.iframes.nbytes + full.residuals.nbytes
+            assert sum(a.nbytes for a in reachable_arrays(whole)) == sum(a.nbytes for a in reachable_arrays(v)) + extra
 
     @pytest.mark.parametrize("mcfg", [None, TINY_MODEL], ids=["default", "tiny"])
     def test_records_sit_on_the_model_raster(self, dataset64, mcfg):
@@ -781,9 +838,9 @@ class TestResidualFreeRecords:
             np.testing.assert_array_equal(v.cv.mvs, full.mvs)
 
     def test_record_off_the_model_raster_rejected(self):
-        video = make_video_record(seed=4)  # frames 32x32, ModelConfig()'s raster
+        video, cv = make_encoded_record(seed=4)  # frames 32x32, ModelConfig()'s raster
         cfg = PretextConfig()
-        full_res = dataclasses.replace(video, frames=decode_video(video.cv).frames)
+        full_res = dataclasses.replace(video, frames=decode_video(cv).frames)
         for v, mcfg, want in (
             (video, TINY_MODEL, r"video 4: frames \(36, 32, 32, 3\) are not on the model raster of input_size 8"),
             (full_res, ModelConfig(), r"video 4: frames \(36, 64, 64, 3\) are not on the model raster of input_size 32"),
@@ -794,10 +851,23 @@ class TestResidualFreeRecords:
             with pytest.raises(ValueError, match=want):
                 sample_training_batch([v], 1, mcfg, cfg, np.random.default_rng(0))
 
-    @staticmethod
-    def full_and_free(seed, motion):
-        full = make_video_record(seed=seed, motion=motion)
-        return full, dataclasses.replace(full, cv=dataclasses.replace(full.cv, residuals=None))
+    @pytest.fixture(scope="class")
+    def loaded_and_rendered(self, tmp_path_factory):
+        """Each record load_videos reads from a 64x64 dataset, and the same
+        video rendered from its manifest spec and encoded in memory, built as
+        make_encoded_record builds it."""
+        d = tmp_path_factory.mktemp("rendered")
+        generate_dataset(d, n_videos=4, k_context=2, k_motion=2, frames=36, resolution=(64, 64), seed=2)
+        s = ModelConfig().input_size
+        rendered = []
+        for i, rec in enumerate(load_manifest(d)):
+            spec = SceneSpec(rec["context_class"], rec["motion_class"], rec["seed"], rec["frames"], rec["H"], rec["W"])
+            lv = generate_video(spec)
+            rendered.append(VideoRecord(
+                video_id=i, frames=resize_nn(lv.video.frames, (s, s)), cv=encode_video(lv.video).motion_field(),
+                context_class=rec["context_class"], motion_class=rec["motion_class"], split=rec["split"],
+            ))
+        return load_videos(d), rendered
 
     @staticmethod
     def assert_same_sample(got, want):
@@ -807,23 +877,21 @@ class TestResidualFreeRecords:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    def test_samples_bit_identical_to_the_full_video(self, train):
+    def test_loaded_samples_bit_identical_to_the_rendered_video(self, loaded_and_rendered, train):
         mcfg, cfg = ModelConfig(), PretextConfig()
-        for seed in range(3):
-            full, free = self.full_and_free(seed, motion=seed + 1)
+        for seed, pair in enumerate(zip(*loaded_and_rendered)):
             got, want = (
                 materialize_sample(
                     v, draw_sample_indices(36, v.video_id, v.cv.iframe_indices(), 12, mcfg, cfg, rng),
                     mcfg, cfg, rng=rng, train=train,
                 )
-                for v, rng in ((free, np.random.default_rng(seed)), (full, np.random.default_rng(seed)))
+                for v, rng in zip(pair, (np.random.default_rng(seed), np.random.default_rng(seed)))
             )
             self.assert_same_sample(got, want)
 
-    def test_training_batches_bit_identical_to_the_full_videos(self):
+    def test_loaded_batches_bit_identical_to_the_rendered_videos(self, loaded_and_rendered):
         mcfg, cfg = ModelConfig(), PretextConfig()
-        pools = list(zip(*(self.full_and_free(seed, motion=seed) for seed in range(4))))
-        got, want = (sample_training_batch(list(pool), 3, mcfg, cfg, np.random.default_rng(7)) for pool in pools)
+        got, want = (sample_training_batch(pool, 3, mcfg, cfg, np.random.default_rng(7)) for pool in loaded_and_rendered)
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
             assert a.video_id == b.video_id

@@ -134,11 +134,11 @@ def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
     build = workloads.DatasetBuild(0, workloads.Sizes(build_videos=2), tmp_path)
     assert build._check(tmp_path) == 0 and build.videos_written == 2
     videos = pretext.load_videos(tmp_path)
-    assert all(v.cv.residuals is None for v in videos)
+    assert all(isinstance(v.cv, codec.MotionField) for v in videos)
     s = ModelConfig().input_size
     for v in videos:  # what workloads.embed_batch passes to draw_sample_indices
         assert v.frames.shape == (36, s, s, 3) and (v.cv.height, v.cv.width) == (64, 64)
-        assert v.frames.shape[0] == len(v.cv.iframes) + len(v.cv.mvs)
+        assert v.frames.shape[0] == v.cv.frame_count
         assert v.cv.iframe_indices()[1] == v.cv.config.gop_size
     bundle = ModelBundle(seed=0)
     assert bundle.config.input_size == s
@@ -148,6 +148,28 @@ def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
     params = list(bundle.params().values())
     loss = workloads.train_step(bundle, params, videos, np.random.default_rng(0), batch_size=2)
     assert np.isfinite(loss)
+
+
+def test_benchmark_load_and_sample_spans_see_every_call(monkeypatch, tmp_path):
+    """The tracer times set-up and sampling by patching pretext.read_cmv1,
+    pretext.decode_video and pretext.extract_modalities. load_videos must
+    call the first two once per video, and sampling a record the third once
+    per sample, through those module names, or codec.read_cmv1.ms,
+    codec.decode_video.ms and codec.extract_modalities.ms read 0 or too
+    little in a traced run."""
+    synthgen.generate_dataset(tmp_path, n_videos=3, k_context=3, k_motion=1, frames=36, seed=0)
+    calls = {}
+    for name in ("read_cmv1", "decode_video", "extract_modalities"):
+        def counted(*args, _name=name, _fn=getattr(pretext, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pretext, name, counted)
+    videos = pretext.load_videos(tmp_path)
+    assert len(videos) == 3 and calls == {"read_cmv1": 3, "decode_video": 3}
+    calls.clear()
+    samples = pretext.sample_training_batch(videos, 5, ModelConfig(), PretextConfig(), np.random.default_rng(0))
+    assert len(samples) == 5 and calls == {"extract_modalities": 5}
 
 
 def test_benchmark_correctness_gates_hold(monkeypatch, tmp_path):
