@@ -17,6 +17,12 @@ All augmentation happens in model space, so an identity parameter draw
 leaves a sample bit-identical. Horizontal flips negate the dx channel of
 motion maps, and crops rescale offsets by the resize factor.
 
+A training sample holds the augmented clip, I-frame and motion windows the
+pretext losses read. An eval sample (`materialize_sample(train=False)`)
+holds only its unaugmented clip, the one input the frozen video backbone
+reads: no I-frame, no motion map is built for it, and its collated batch is
+`{"clip", "video_ids"}`.
+
 Dtypes: every array a sample holds, and so every float array `collate`
 returns, is float32, the default ModelBundle's dtype; a float64 bundle casts
 it up exactly. Frame indices, video ids and the codec's pixels and motion
@@ -216,13 +222,14 @@ def draw_sample_indices(
 
 @dataclass
 class TrainingSample:
-    """One sample's model-space arrays, all float32."""
+    """One sample's model-space arrays, all float32. An eval sample holds
+    only its clip, C-contiguous; its three pretext fields are None."""
 
     video_id: int
     clip: np.ndarray  # (3, T, h, w) in [0, 1]
-    iframe: np.ndarray  # (3, h, w) in [0, 1]
-    future_mv: np.ndarray  # (2, T', h, w), offsets normalized by search_range
-    hard_negative_mvs: np.ndarray  # (k, 2, T', h, w), normalized the same way
+    iframe: np.ndarray | None = None  # (3, h, w) in [0, 1]
+    future_mv: np.ndarray | None = None  # (2, T', h, w), offsets normalized by search_range
+    hard_negative_mvs: np.ndarray | None = None  # (k, 2, T', h, w), normalized the same way
 
 
 @dataclass
@@ -232,10 +239,6 @@ class AugmentParams:
     blur_sigma: float  # 0 disables
     brightness: float
     contrast: float
-
-
-def identity_augment(size: int) -> AugmentParams:
-    return AugmentParams(crop=(0, 0, size), flip=False, blur_sigma=0.0, brightness=1.0, contrast=1.0)
 
 
 def draw_augment_params(size: int, cfg: PretextConfig, rng: np.random.Generator) -> AugmentParams:
@@ -315,9 +318,11 @@ def materialize_sample(
 ) -> TrainingSample:
     """Extract model-space arrays for drawn indices, then augment.
 
-    `video.frames` must sit on the model raster (see `load_videos`). The
-    positive motion clip reuses the clip's crop and flip; the I-frame and
-    each hard negative get independent draws. Eval mode applies the identity.
+    `video.frames` must sit on the model raster (see `load_videos`). In
+    training mode the positive motion clip reuses the clip's crop and flip;
+    the I-frame and each hard negative get independent draws from `rng`.
+    Eval mode builds the clip alone, unaugmented; the sample's I-frame and
+    motion windows are None.
     """
     size = model_cfg.input_size
     horizon = model_cfg.mv_len
@@ -327,6 +332,15 @@ def materialize_sample(
             f"video {video.video_id}: frames {video.frames.shape} are not on the model raster "
             f"of input_size {size}; load them with this model's config"
         )
+
+    if not train:
+        # an identity draw would leave the clip as it is: float32 u / 255 is
+        # float64 u / 255 rounded, already in [0, 1]
+        frames = video.frames[idx.clip_indices].transpose(3, 0, 1, 2)
+        clip = np.divide(frames, 255, out=np.empty(frames.shape, np.float32), dtype=np.float32)
+        return TrainingSample(video_id=video.video_id, clip=clip)
+    if rng is None:
+        raise ValueError("training-mode materialization needs an rng")
 
     # float32 u / 255 is float64 u / 255 rounded, for every uint8 u
     clip_frames = np.divide(video.frames[idx.clip_indices], 255, dtype=np.float32)
@@ -338,15 +352,9 @@ def materialize_sample(
     mvs = maps.reshape(len(windows), horizon, 2, size, size).transpose(0, 2, 1, 3, 4)  # (1 + k, 2, T', h, w)
     pos_mv, neg_mvs = mvs[0], mvs[1:]
 
-    if train:
-        if rng is None:
-            raise ValueError("training-mode materialization needs an rng")
-        clip_params = draw_augment_params(size, cfg, rng)
-        iframe_params = draw_augment_params(size, cfg, rng)
-        neg_params = [draw_augment_params(size, cfg, rng) for _ in range(len(neg_mvs))]
-    else:
-        clip_params = iframe_params = identity_augment(size)
-        neg_params = [identity_augment(size)] * len(neg_mvs)
+    clip_params = draw_augment_params(size, cfg, rng)
+    iframe_params = draw_augment_params(size, cfg, rng)
+    neg_params = [draw_augment_params(size, cfg, rng) for _ in range(len(neg_mvs))]
 
     clip = augment_frames(clip_frames, clip_params, size).transpose(3, 0, 1, 2)
     ifr = augment_frames(iframe, iframe_params, size).transpose(2, 0, 1)
@@ -394,13 +402,24 @@ def sample_training_batch(
 
 
 def collate(samples: list[TrainingSample]) -> dict:
-    return {
-        "clip": np.stack([s.clip for s in samples]),
-        "iframe": np.stack([s.iframe for s in samples]),
-        "mv": np.stack([s.future_mv for s in samples]),
-        "neg_mv": np.concatenate([s.hard_negative_mvs for s in samples], axis=0),
-        "video_ids": np.array([s.video_id for s in samples]),
-    }
+    """Stack what the samples hold: a training batch is {"clip", "iframe",
+    "mv", "neg_mv", "video_ids"}, with the hard negatives of every sample
+    concatenated along the first axis; an eval batch is {"clip",
+    "video_ids"}. A list mixing the two kinds is rejected."""
+    if not samples:
+        raise ValueError("collate needs at least one sample")
+    n_eval = sum(s.iframe is None for s in samples)
+    if n_eval not in (0, len(samples)):
+        raise ValueError(
+            f"collate got {n_eval} eval and {len(samples) - n_eval} training samples; a batch holds one kind"
+        )
+    batch = {"clip": np.stack([s.clip for s in samples])}
+    if not n_eval:
+        batch["iframe"] = np.stack([s.iframe for s in samples])
+        batch["mv"] = np.stack([s.future_mv for s in samples])
+        batch["neg_mv"] = np.concatenate([s.hard_negative_mvs for s in samples], axis=0)
+    batch["video_ids"] = np.array([s.video_id for s in samples])
+    return batch
 
 
 # -- losses ------------------------------------------------------------------------
@@ -485,6 +504,8 @@ class PretextOutput:
 
 def pretext_forward(bundle: ModelBundle, batch: dict, cfg: PretextConfig) -> PretextOutput:
     """Run every branch the configured objective needs and combine losses."""
+    if "iframe" not in batch:
+        raise ValueError("the batch holds eval samples (clip only); the pretext losses need training samples")
     j_i = j_m = None
     context_logits = motion_logits = None
 

@@ -220,12 +220,48 @@ def test_main_alternates_trees_and_writes_one_file_per_change(bp, tmp_path, monk
     assert w["metrics"]["items_per_s"]["parent"]["values"] == [1, 2, 3]
     assert w["metrics"]["items_per_s"]["change"]["values"] == [6, 7, 8]
     assert w["metrics"]["items_per_s"]["regressed"] is False
+    assert "incomplete" not in w
     assert w["parent_stamp"]["git"]["sha"] == "parentparentparentparent"
     assert "seed" not in w["change_stamp"]
     # each set names each side's src tree; the fake trees have none
     assert w["parent_src_sha256"] == w["change_src_sha256"] == bp.src_tree_hash(tmp_path / "nowhere")
     assert w["parent_src_lines"] == w["change_src_lines"] == 0
     assert "repo_head" in w
+
+
+def test_main_keeps_the_finished_pairs_when_a_run_fails(bp, tmp_path, monkeypatch, capsys):
+    failing = FAKE_RUN.replace('seed = int(args["--seed"])\n', textwrap.dedent('''
+        seed = int(args["--seed"])
+        if seed == 3 and side == "change":
+            sys.stderr.write("boom\\n")
+            sys.exit(3)
+        '''))
+    assert failing != FAKE_RUN
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(textwrap.dedent(failing))
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "items_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(bp, "ROOT", root)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seconds", "1", "--workload", "pretrain_joint"]
+    # the change side of seed 3, the third pair, fails; seed 4 never runs
+    assert bp.main(argv + ["--seeds", "1-4"]) == 1
+    assert (tmp_path / "order.txt").read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
+    assert "exited 3" in capsys.readouterr().err
+    (w,) = json.loads((root / "BENCH_changechange.json").read_text())["workloads"]["pretrain_joint"]
+    assert w["pairs"] == 2 and w["seeds"] == [1, 2] and w["first"] == ["parent", "change"]
+    assert w["metrics"]["items_per_s"]["parent"]["values"] == [1, 2]
+    assert w["metrics"]["items_per_s"]["change"]["values"] == [6, 7]
+    assert w["metrics"]["items_per_s"]["gain_rule"] is False
+    inc = w["incomplete"]
+    assert (inc["side"], inc["seed"], inc["exit_code"], inc["tree"]) == ("change", 3, 3, str(tmp_path / "change"))
+    assert inc["command"].endswith("perfbench/run.py --workload pretrain_joint --seed 3 --seconds 1.0 --trace 0")
+    # a set that finishes no pair writes nothing
+    (root / "BENCH_changechange.json").unlink()
+    assert bp.main(argv + ["--seeds", "3"]) == 1
+    assert "no pair finished" in capsys.readouterr().err
+    assert not list(root.glob("BENCH_*.json"))
 
 
 def test_src_tree_hash_skips_pycache_and_sees_one_byte(bp, tmp_path):

@@ -25,6 +25,7 @@ from cmssl.codec import (
     extract_modalities,
     read_cmv1,
 )
+from cmssl import pretext as pretext_module
 from cmssl.networks import ModelBundle, ModelConfig
 from cmssl.pretext import (
     IFRAME_WINDOW_GOPS,
@@ -38,7 +39,6 @@ from cmssl.pretext import (
     context_matching_loss,
     draw_augment_params,
     draw_sample_indices,
-    identity_augment,
     joint_loss,
     load_videos,
     materialize_sample,
@@ -483,11 +483,12 @@ class TestSampler:
 class TestAugment:
     def test_identity_draw_leaves_sample_unchanged(self):
         rng = np.random.default_rng(3)
+        identity = AugmentParams(crop=(0, 0, 32), flip=False, blur_sigma=0.0, brightness=1.0, contrast=1.0)
         frames = rng.random(size=(4, 32, 32, 3))
-        out = augment_frames(frames, identity_augment(32), 32)
+        out = augment_frames(frames, identity, 32)
         np.testing.assert_array_equal(out, frames)
         mv = rng.normal(size=(2, 4, 32, 32))
-        out = augment_mv(mv, identity_augment(32), 32)
+        out = augment_mv(mv, identity, 32)
         np.testing.assert_array_equal(out, mv)
         assert not np.shares_memory(out, mv)
 
@@ -524,30 +525,39 @@ class TestAugment:
         sample = materialize_sample(video, idx, mcfg, cfg, rng=rng_replay, train=True)
         # rebuild without augmentation, re-apply the same draw manually in float64
         plain = materialize_sample(video, idx, mcfg, cfg, train=False)
+        plain_mv = extract_modalities(video.cv, idx.mv_indices, out_size=(32, 32)).transpose(1, 0, 2, 3)
+        plain_mv = plain_mv / video.cv.config.search_range
         params_rng = np.random.default_rng(7)
         clip_params = draw_augment_params(32, cfg, params_rng)
         clip64 = plain.clip.astype(np.float64).transpose(1, 2, 3, 0)
         expect_clip = augment_frames(clip64, clip_params, 32).transpose(3, 0, 1, 2)
-        expect_mv = augment_mv(plain.future_mv.astype(np.float64), clip_params, 32)
+        expect_mv = augment_mv(plain_mv.astype(np.float64), clip_params, 32)
         np.testing.assert_allclose(sample.clip, expect_clip, rtol=0, atol=2e-6)
         np.testing.assert_allclose(sample.future_mv, expect_mv, rtol=1e-6, atol=0)
 
-    def test_eval_sample_windows_match_extraction(self):
+    def test_train_sample_windows_match_extraction(self):
+        """The positive window comes first and each hard negative follows in
+        the order drawn: the sample is each window extracted on its own and
+        augmented with the sample's replayed draw, bit for bit."""
         video = make_video_record(seed=8, motion=2)
         mcfg, cfg = ModelConfig(), PretextConfig()
         idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
                                   np.random.default_rng(4))
         assert len(set(idx.negative_mv_starts)) == 3  # distinct, so their order shows
-        sample = materialize_sample(video, idx, mcfg, cfg, train=False)
+        sample = materialize_sample(video, idx, mcfg, cfg, rng=np.random.default_rng(5), train=True)
+        prng = np.random.default_rng(5)
+        clip_p, _ = draw_augment_params(32, cfg, prng), draw_augment_params(32, cfg, prng)
+        neg_p = [draw_augment_params(32, cfg, prng) for _ in idx.negative_mv_starts]
         sr = video.cv.config.search_range
 
-        def window(frames):
-            return extract_modalities(video.cv, frames, out_size=(32, 32)).transpose(1, 0, 2, 3) / sr
+        def window(frames, params):
+            maps = extract_modalities(video.cv, frames, out_size=(32, 32)).transpose(1, 0, 2, 3)
+            return augment_mv(maps, params, 32) / sr
 
-        np.testing.assert_array_equal(sample.future_mv, window(idx.mv_indices))
+        np.testing.assert_array_equal(sample.future_mv, window(idx.mv_indices, clip_p))
         assert len(sample.hard_negative_mvs) == len(idx.negative_mv_starts) == 3
-        for got, s in zip(sample.hard_negative_mvs, idx.negative_mv_starts):
-            np.testing.assert_array_equal(got, window(np.arange(s, s + mcfg.mv_len)))
+        for got, s, p in zip(sample.hard_negative_mvs, idx.negative_mv_starts, neg_p):
+            np.testing.assert_array_equal(got, window(np.arange(s, s + mcfg.mv_len), p))
 
     def test_uint8_over_255_in_float32_is_float64_rounded(self):
         u = np.arange(256, dtype=np.uint8)
@@ -556,22 +566,20 @@ class TestAugment:
         np.testing.assert_array_equal(got.view(np.uint32), (u / 255.0).astype(np.float32).view(np.uint32))
 
     def test_eval_sample_is_the_float64_sample_rounded(self):
+        """An eval sample is its clip alone, the float64 clip rounded bit for
+        bit; it holds no I-frame and no motion window."""
         video, cv = make_encoded_record(seed=3, motion=3)
         full = decode_video(cv).frames  # 64x64, resized here on its own
         mcfg, cfg = ModelConfig(), PretextConfig()
-        sr = video.cv.config.search_range
         for seed in range(4):
             idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
                                       np.random.default_rng(seed))
             sample = materialize_sample(video, idx, mcfg, cfg, train=False)
             clip64 = resize_nn(full[idx.clip_indices], (32, 32)).transpose(3, 0, 1, 2) / 255.0
-            iframe64 = resize_nn(full[idx.iframe_index], (32, 32)).transpose(2, 0, 1) / 255.0
-            for got, want in ((sample.clip, clip64), (sample.iframe, iframe64)):
-                assert got.dtype == np.float32
-                np.testing.assert_array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
-            mv64 = repeat_then_subsample(video.cv, idx.mv_indices, (32, 32)).transpose(1, 0, 2, 3) / sr
-            assert sample.future_mv.dtype == sample.hard_negative_mvs.dtype == np.float32
-            np.testing.assert_allclose(sample.future_mv, mv64, rtol=1e-6, atol=0)
+            assert sample.clip.dtype == np.float32 and sample.clip.flags.c_contiguous
+            np.testing.assert_array_equal(sample.clip.view(np.uint32), clip64.astype(np.float32).view(np.uint32))
+            assert sample.video_id == video.video_id
+            assert sample.iframe is sample.future_mv is sample.hard_negative_mvs is None
 
     def test_train_sample_tracks_float64_oracle(self):
         """Every augmentation in float64 from the uint8 frames and the codec's
@@ -870,8 +878,8 @@ class TestMotionFieldRecords:
         return load_videos(d), rendered
 
     @staticmethod
-    def assert_same_sample(got, want):
-        for name in ("clip", "iframe", "future_mv", "hard_negative_mvs"):
+    def assert_same_sample(got, want, names=("clip", "iframe", "future_mv", "hard_negative_mvs")):
+        for name in names:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype == np.float32, name
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -887,7 +895,10 @@ class TestMotionFieldRecords:
                 )
                 for v, rng in zip(pair, (np.random.default_rng(seed), np.random.default_rng(seed)))
             )
-            self.assert_same_sample(got, want)
+            if train:
+                self.assert_same_sample(got, want)
+            else:  # an eval sample holds its clip alone
+                self.assert_same_sample(got, want, names=("clip",))
 
     def test_loaded_batches_bit_identical_to_the_rendered_videos(self, loaded_and_rendered):
         mcfg, cfg = ModelConfig(), PretextConfig()
@@ -896,6 +907,79 @@ class TestMotionFieldRecords:
         for a, b in zip(got, want):
             assert a.video_id == b.video_id
             self.assert_same_sample(a, b)
+
+
+class TestEvalSamples:
+    """An eval sample is its clip: it builds, holds and collates nothing else,
+    and the paths that need more fail before they do any work."""
+
+    @pytest.fixture(scope="class")
+    def videos(self):
+        return [make_video_record(seed=s, motion=s % 4) for s in range(3)]
+
+    @staticmethod
+    def eval_sample(video, seed=0):
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
+                                  np.random.default_rng(seed))
+        return materialize_sample(video, idx, mcfg, cfg, train=False)
+
+    def test_eval_sample_holds_exactly_its_clip(self, videos):
+        mcfg = ModelConfig()
+        t, s = mcfg.clip_len, mcfg.input_size
+        for seed, v in enumerate(videos):
+            sample = self.eval_sample(v, seed)
+            assert sum(a.nbytes for a in reachable_arrays(sample)) == 3 * t * s * s * 4
+            assert sample.clip.shape == (3, t, s, s) and sample.clip.flags.c_contiguous
+
+    def test_eval_batch_is_clip_and_ids(self, videos):
+        samples = [self.eval_sample(v, seed) for seed, v in enumerate(videos)]
+        batch = collate(samples)
+        assert set(batch) == {"clip", "video_ids"}
+        assert batch["clip"].dtype == np.float32 and batch["clip"].flags.c_contiguous
+        np.testing.assert_array_equal(batch["clip"], np.stack([x.clip for x in samples]))
+        assert batch["video_ids"].tolist() == [v.video_id for v in videos]
+
+    def test_eval_sample_extracts_no_motion(self, videos, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("an eval sample read motion maps")
+
+        monkeypatch.setattr(pretext_module, "extract_modalities", unread)
+        monkeypatch.setattr(pretext_module, "augment_frames", unread)
+        monkeypatch.setattr(pretext_module, "augment_mv", unread)
+        self.eval_sample(videos[0])
+
+    def test_train_without_rng_fails_before_reading(self, videos, monkeypatch):
+        class CountedReads(np.ndarray):
+            reads = 0
+
+            def __getitem__(self, key):
+                type(self).reads += 1
+                return super().__getitem__(key)
+
+        extracted = []
+        monkeypatch.setattr(pretext_module, "extract_modalities", lambda *a, **k: extracted.append(a))
+        video = dataclasses.replace(videos[0], frames=videos[0].frames.view(CountedReads))
+        mcfg, cfg = ModelConfig(), PretextConfig()
+        idx = draw_sample_indices(36, video.video_id, video.cv.iframe_indices(), 12, mcfg, cfg,
+                                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="training-mode materialization needs an rng"):
+            materialize_sample(video, idx, mcfg, cfg)
+        assert CountedReads.reads == 0 and extracted == []
+
+    def test_collate_rejects_empty_and_mixed_lists(self, videos):
+        with pytest.raises(ValueError, match="collate needs at least one sample"):
+            collate([])
+        train = sample_training_batch(videos, 2, ModelConfig(), PretextConfig(), np.random.default_rng(0))
+        evals = [self.eval_sample(v) for v in videos]
+        for mixed in (train + evals[:1], evals + train[:1]):
+            with pytest.raises(ValueError, match="eval and .* training samples; a batch holds one kind"):
+                collate(mixed)
+
+    def test_pretext_forward_rejects_an_eval_batch(self, videos):
+        batch = collate([self.eval_sample(v) for v in videos])
+        with pytest.raises(ValueError, match="the batch holds eval samples"):
+            pretext_forward(ModelBundle(seed=0), batch, PretextConfig())
 
 
 def has_mallopt():

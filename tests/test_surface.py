@@ -153,10 +153,10 @@ def test_loaded_records_serve_the_benchmark_workloads(monkeypatch, tmp_path):
 def test_benchmark_load_and_sample_spans_see_every_call(monkeypatch, tmp_path):
     """The tracer times set-up and sampling by patching pretext.read_cmv1,
     pretext.decode_video and pretext.extract_modalities. load_videos must
-    call the first two once per video, and sampling a record the third once
-    per sample, through those module names, or codec.read_cmv1.ms,
+    call the first two once per video, and sampling a training record the
+    third once per sample, through those module names, or codec.read_cmv1.ms,
     codec.decode_video.ms and codec.extract_modalities.ms read 0 or too
-    little in a traced run."""
+    little in a traced run. An eval sample calls the third never."""
     synthgen.generate_dataset(tmp_path, n_videos=3, k_context=3, k_motion=1, frames=36, seed=0)
     calls = {}
     for name in ("read_cmv1", "decode_video", "extract_modalities"):
@@ -170,6 +170,16 @@ def test_benchmark_load_and_sample_spans_see_every_call(monkeypatch, tmp_path):
     calls.clear()
     samples = pretext.sample_training_batch(videos, 5, ModelConfig(), PretextConfig(), np.random.default_rng(0))
     assert len(samples) == 5 and calls == {"extract_modalities": 5}
+    # an eval sample is its clip: codec.extract_modalities.calls reads 0 for embed_frozen
+    calls.clear()
+    mc, cfg = ModelConfig(), PretextConfig()
+    for v in videos:
+        idx = pretext.draw_sample_indices(
+            v.frames.shape[0], v.video_id, v.cv.iframe_indices(), v.cv.config.gop_size, mc, cfg,
+            np.random.default_rng(v.video_id),
+        )
+        pretext.materialize_sample(v, idx, mc, cfg, train=False)
+    assert calls == {}
 
 
 def test_benchmark_correctness_gates_hold(monkeypatch, tmp_path):

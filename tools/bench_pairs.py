@@ -31,6 +31,12 @@ direction is better comes from BENCHMARK.json; a metric it does not list gets
 no count and no gain_rule. An end-to-end metric that BENCHMARK.json gives a
 `bound` also gets `regressed`: whether the change's median is worse than the
 parent's by more than bound × the parent's median.
+
+A run that exits non-zero ends the set. The pairs finished before it are
+still summarised and written, marked `incomplete` with the failing command,
+its tree and side, its seed and its exit code, and the script exits 1; a set
+that finished no pair writes nothing. A partial set has fewer than 10 pairs
+unless more were asked for, and gain_rule counts only the pairs it holds.
 """
 
 from __future__ import annotations
@@ -164,13 +170,45 @@ def repo_head() -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+class RunFailed(RuntimeError):
+    """A run.py that exited non-zero: its command line, tree and exit code."""
+
+    def __init__(self, command: str, tree: Path, exit_code: int, stderr: str):
+        super().__init__(f"{command} in {tree} exited {exit_code}:\n{stderr[-2000:]}")
+        self.command, self.tree, self.exit_code = command, tree, exit_code
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RunFailed(" ".join(cmd), tree, proc.returncode, proc.stderr)
     return read_run(proc.stdout)
+
+
+def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, trace: int):
+    """Run both trees on each seed in turn, alternating which goes first.
+    Returns each side's results and first stamp, the seeds of the finished
+    pairs, and the failed run's (side, seed, RunFailed) that ended the set,
+    or None."""
+    results = {side: [] for side in SIDES}
+    stamps, done = {}, []
+    for i, seed in enumerate(seeds):
+        pair = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            try:
+                res, stamp = run_once(trees[side], workload, seed, seconds, trace)
+            except RunFailed as err:
+                return results, stamps, done, (side, seed, err)
+            pair[side] = res
+            stamp.pop("seed", None)
+            stamps.setdefault(side, stamp)
+            print(f"seed {seed} {side}: " + json.dumps({k: v["value"] for k, v in res["metrics"].items()}), flush=True)
+        for side in SIDES:
+            results[side].append(pair[side])
+        done.append(seed)
+    return results, stamps, done, None
 
 
 TABLE_HEADER = [
@@ -213,32 +251,33 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = better_directions(benchmark)
     trees = {"parent": args.parent, "change": args.change}
-    results = {side: [] for side in SIDES}
-    stamps = {}
-    for i, seed in enumerate(args.seeds):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            res, stamp = run_once(trees[side], args.workload, seed, args.seconds, args.trace)
-            results[side].append(res)
-            stamp.pop("seed", None)
-            stamps.setdefault(side, stamp)
-            print(f"seed {seed} {side}: " + json.dumps({k: v["value"] for k, v in res["metrics"].items()}), flush=True)
+    results, stamps, seeds, failed = run_pairs(trees, args.workload, args.seeds, args.seconds, args.trace)
+    if failed:
+        print(failed[2], file=sys.stderr)
+        if not seeds:
+            print("no pair finished; nothing written", file=sys.stderr)
+            return 1
 
     summary = summarize(results["parent"], results["change"], better, metric_bounds(benchmark))
-    summary.update(seeds=args.seeds, seconds=args.seconds, trace=args.trace,
-                   first=[SIDES[i % 2] for i in range(len(args.seeds))],
+    summary.update(seeds=seeds, seconds=args.seconds, trace=args.trace,
+                   first=[SIDES[i % 2] for i in range(len(seeds))],
                    repo_head=repo_head(),
                    **{f"{side}_stamp": stamps[side] for side in SIDES},
                    **{f"{side}_src_sha256": src_tree_hash(trees[side]) for side in SIDES},
                    **{f"{side}_src_lines": src_line_count(trees[side]) for side in SIDES})
+    if failed:
+        side, seed, err = failed
+        summary["incomplete"] = {"command": err.command, "tree": str(err.tree), "side": side, "seed": seed,
+                                 "exit_code": err.exit_code}
     sha = stamps["change"]["git"]["sha"] or "unknown"
     out = ROOT / f"BENCH_{sha[:12]}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
     key = args.workload + ("-trace" if args.trace else "")
     doc.setdefault("workloads", {}).setdefault(key, []).append(summary)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print("\n".join(TABLE_HEADER + table_rows(key, summary, args.seeds)))
-    print(f"wrote {out}")
-    return 0
+    print("\n".join(TABLE_HEADER + table_rows(key, summary, seeds)))
+    print(f"wrote {out}" + (f", incomplete after {len(seeds)} of {len(args.seeds)} pairs" if failed else ""))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
